@@ -9,15 +9,15 @@ from .rootdata import (CartanDatum, CartanValidationError, RootVector,
                        dot_weight, height, pairing, reflect, sequences)
 from .polycalc import (Perm, Poly, act, canonical_word, demazure,
                        demazure_seq, is_reduced, longest_word, perm_of_word,
-                       q_multi, q_polynomial)
+                       q_multi)
 from .nilhecke import NilHeckeElement, idempotent_e, nh_act, nh_multiply
-from .klr import (GradedBasis, KLRContext, KLRElement, diamond, graded_basis,
+from .klr import (KLRContext, KLRElement, diamond, graded_basis,
                   idempotent_e_klr, klr_generator, klr_multiply,
                   klr_multiply_many, relation_residues, rev, tau_word_degree)
 from .adjoint import (CyclicProjective, DimTable, GradedDimTable, ProjComplex,
                       build_ad_complex, build_divided_complex,
-                      cohomology_dims, dims_E_word, graded_component_matrix,
-                      grk_ad_divided_Ej, induced_graded_dim, is_quotient_zero,
+                      cohomology_dims, dims_E_word, grk_ad_divided_Ej,
+                      induced_graded_dim, is_quotient_zero,
                       mackey_shadow_check, nderivation_check, product_dims,
                       serre_exactness_check, ses_identity_check, tau_embed,
                       underlying_degree)

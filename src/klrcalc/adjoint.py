@@ -10,11 +10,11 @@ Grading convention used throughout: a module shifted by q^s has
 from fractions import Fraction
 from itertools import combinations
 
-from .qring import (DegreeWindow, LaurentPoly, RatFunc, quantum_integer,
+from .qring import (LaurentPoly, RatFunc, quantum_integer,
                     series_window, sigma, zeta)
 from .rootdata import RootVector, height, pairing, sequences
 from .klr import (KLRElement, diamond, graded_basis, idempotent_e_klr,
-                  klr_multiply, klr_multiply_many)
+                  klr_multiply)
 
 
 def underlying_degree(shift, d):
@@ -62,51 +62,6 @@ def _matrix_rank(columns):
     return rank
 
 
-class _SpanSolver:
-    """Reusable exact solver for coordinates in the span of fixed sparse
-    vectors: one elimination pass at construction, O(rows) per solve."""
-
-    def __init__(self, basis_vecs):
-        self.ncols = len(basis_vecs)
-        self.rows = []  # (pivot key, reduced row, combination dict)
-        for idx, v in enumerate(basis_vecs):
-            vec = dict(v)
-            comb = {idx: Fraction(1)}
-            for pivot, row, rcomb in self.rows:
-                c = vec.get(pivot)
-                if c:
-                    _axpy(vec, row, -c)
-                    _axpy(comb, rcomb, -c)
-            if not vec:
-                continue
-            pivot = min(vec)
-            inv = 1 / vec[pivot]
-            self.rows.append((pivot,
-                              {k: c * inv for k, c in vec.items()},
-                              {k: c * inv for k, c in comb.items()}))
-
-    def solve(self, target):
-        w = dict(target)
-        comb = {}
-        for pivot, row, rcomb in self.rows:
-            c = w.get(pivot)
-            if c:
-                _axpy(w, row, -c)
-                _axpy(comb, rcomb, c)
-        if w:
-            raise ValueError("vector is not in the span of the basis")
-        return [comb.get(idx, Fraction(0)) for idx in range(self.ncols)]
-
-
-def _axpy(acc, vec, c):
-    for k, v in vec.items():
-        s = acc.get(k, Fraction(0)) + c * v
-        if s:
-            acc[k] = s
-        else:
-            acc.pop(k, None)
-
-
 # ---------------------------------------------------------------------------
 # cyclic projective modules and complexes
 # ---------------------------------------------------------------------------
@@ -137,8 +92,6 @@ class CyclicProjective:
         self.is_plain = (f == KLRElement.idem(ctx, self.nu))
         self._blocks = {}
         self._meta = {}
-        self._indices = {}
-        self._solvers = {}
 
     def blocks(self, d):
         """Basis of the degree-d component, as an ordered dict
@@ -198,27 +151,6 @@ class CyclicProjective:
         if lam is not None:
             return len(blocks.get(lam, ()))
         return sum(len(v) for v in blocks.values())
-
-    def express(self, terms, d, lam):
-        """Coordinates of a sparse element in the degree-d basis of the
-        left-color block lam."""
-        vecs = self.blocks(d).get(lam, [])
-        if not terms:
-            return [Fraction(0)] * len(vecs)
-        if self.is_plain:
-            idx = self._indices.get((d, lam))
-            if idx is None:
-                idx = {next(iter(v)): p for p, v in enumerate(vecs)}
-                self._indices[(d, lam)] = idx
-            out = [Fraction(0)] * len(vecs)
-            for key, c in terms.items():
-                out[idx[key]] = c
-            return out
-        solver = self._solvers.get((d, lam))
-        if solver is None:
-            solver = _SpanSolver(vecs)
-            self._solvers[(d, lam)] = solver
-        return solver.solve(terms)
 
 
 class ProjComplex:
@@ -285,36 +217,10 @@ class ProjComplex:
                 out.update(p.blocks(d))
         return out
 
-    def block_matrix(self, k, d, lam):
-        """Columns of d_k restricted to internal degree d and left-color
-        block lam; columns indexed by the source basis, rows by target keys
-        tagged with the target summand index."""
-        if not 1 <= k < len(self.terms):
-            raise ValueError("no differential out of this term")
-        columns = []
-        for si, src in enumerate(self.terms[k]):
-            metas = src.basis_meta(d).get(lam, [])
-            zs = self._out_edges(k, si)
-            for word, exps in metas:
-                col = {}
-                for ti, _ in zs:
-                    u = self._word_prod(k, si, ti, word)
-                    if not u:
-                        continue
-                    w = {(mu, w2, tuple(a + b for a, b in zip(e2, exps))): c
-                         for (mu, w2, e2), c in u.items()}
-                    tgt = self.terms[k - 1][ti]
-                    coords = tgt.express(w, d, lam)
-                    for r, c in enumerate(coords):
-                        if c:
-                            col[(ti, lam, r)] = c
-                columns.append(col)
-        return columns
-
-    def _out_edges(self, k, si):
+    def _targets(self, k, si):
+        """Target summands of the nonzero entries of d_k out of summand si."""
         dk = self.diffs[k - 1]
-        return [(ti, dk[(si, ti)]) for ti in range(len(self.terms[k - 1]))
-                if (si, ti) in dk]
+        return [ti for ti in range(len(self.terms[k - 1])) if (si, ti) in dk]
 
     def _word_prod(self, k, si, ti, word):
         """tau_word 1_nu . z for the differential entry z out of summand si;
@@ -332,16 +238,17 @@ class ProjComplex:
         return u
 
     def _raw_columns(self, k, d, lam):
-        """Columns of d_k on the (d, lam) block as sparse vectors over
-        (target summand, PBW key) pairs; same rank as block_matrix but
-        without converting to target-basis coordinates."""
+        """Columns of d_k on the (d, lam) block, one per source basis
+        vector, as sparse vectors over (target summand, PBW key) pairs.
+        The target basis vectors are independent, so the rank of these
+        columns is the rank of the block."""
         columns = []
         for si, src in enumerate(self.terms[k]):
             metas = src.basis_meta(d).get(lam, [])
-            zs = self._out_edges(k, si)
+            targets = self._targets(k, si)
             for word, exps in metas:
                 col = {}
-                for ti, _ in zs:
+                for ti in targets:
                     for (mu, w2, e2), c in self._word_prod(
                             k, si, ti, word).items():
                         col[(ti, (mu, w2, tuple(
@@ -365,40 +272,20 @@ class GradedDimTable:
     """Cohomology dimensions per (cohomological degree, internal degree).
 
     Graded components are enumerated exactly degree by degree, so no entry
-    depends on truncation; `flagged` stays empty and exists only so reports
-    can state that explicitly.
+    depends on truncation.  refined maps (cohomological degree, left color
+    word, internal degree) to the dimension of that block.
     """
 
-    def __init__(self, window, dims, refined=None, flagged=frozenset()):
+    def __init__(self, window, dims, refined=None):
         self.window = window
         self.dims = dims
         self.refined = refined or {}
-        self.flagged = frozenset(flagged)
         for v in self.dims.values():
             if v < 0:
                 raise ValueError("negative dimension")
 
     def dim(self, cohdeg, d):
         return self.dims.get((cohdeg, d), 0)
-
-    def to_json_obj(self):
-        return {
-            "window": [self.window.d_min, self.window.d_max],
-            "dims": [
-                {"cohdeg": k, "degree": d, "dim": v}
-                for (k, d), v in sorted(self.dims.items()) if v
-            ],
-            "flagged_degrees": sorted(self.flagged),
-        }
-
-
-def graded_component_matrix(cplx, k, d):
-    """The differential out of cohomological degree -k, restricted to
-    internal degree d, as a dense list of sparse columns."""
-    cols = []
-    for lam in sorted(cplx.left_color_words(d)):
-        cols.extend(cplx.block_matrix(k, d, lam))
-    return cols
 
 
 def cohomology_dims(cplx, window, idem_filter=None):
@@ -831,19 +718,6 @@ def _cohomology_h0_refined(cplx, hi):
     return DimTable(table, hi)
 
 
-def _full_window(cplx, hi):
-    """Window starting below every possible basis degree of the complex."""
-    from .klr import tau_word_degree
-    from .polycalc import all_perms
-    lo = 0
-    for col in cplx.terms:
-        for p in col:
-            m = min(tau_word_degree(p.ctx, p.ctx.canon(g), p.nu)
-                    for g in all_perms(p.n))
-            lo = min(lo, m - p.shift)
-    return DegreeWindow(min(lo, hi), hi)
-
-
 def module_spec_dims(spec, i, ctx, hi):
     """Refined dims for a module spec.
 
@@ -962,7 +836,8 @@ def serre_exactness_check(n, m, i, j, window, ctx):
         "n": n, "m": m,
         "expected_exact": expected_exact,
         "h0_dims": {d: h0[d] for d in sorted(h0)},
-        "lower_cohomology": {f"{k}@{d}": v for (k, d), v in sorted(hneg)},
+        "lower_cohomology": {f"{k}@{d}": v
+                             for (k, d), v in sorted(hneg.items())},
         "window": [window.d_min, window.d_max],
     }
     observed_exact = not h0 and not hneg

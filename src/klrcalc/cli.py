@@ -95,8 +95,9 @@ def _load_cartan(spec_str):
 def _make_context(cartan, q_config):
     try:
         return KLRContext(cartan, q_config)
-    except ValueError as exc:
-        raise CLIError(f"invalid crossing-polynomial table: {exc}")
+    except (ValueError, KeyError) as exc:
+        # a KeyError names an unknown label; args[0] avoids repr quoting
+        raise CLIError(f"invalid crossing-polynomial table: {exc.args[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,7 @@ def parse_expression(expr, ctx):
             el = klr_multiply_many(*els) if len(els) > 1 else els[0]
         except ValueError as exc:
             raise CLIError(str(exc))
-        el = el.scale(coeff) if hasattr(el, "scale") else el * coeff
+        el = el.scale(coeff)
         total = el if total is None else total + el
     return total
 
@@ -287,13 +288,18 @@ def _suite_nilhecke(cfg):
     return checks
 
 
-def _serre_grid(cfg, include_reports):
-    from .adjoint import is_quotient_zero, serre_exactness_check
-    ctx = cfg.ctx
+def _two_labels(ctx):
+    """The first two index labels, for the suites that need a pair."""
     labels = ctx.cartan.index_set
     if len(labels) < 2:
         raise CLIError("this suite needs at least two index labels")
-    i, j = labels[0], labels[1]
+    return labels[0], labels[1]
+
+
+def _serre_grid(cfg, include_reports):
+    from .adjoint import is_quotient_zero, serre_exactness_check
+    ctx = cfg.ctx
+    i, j = _two_labels(ctx)
     checks = []
     bound = min(cfg.height_bound, 4)
     for m in range(1, bound):
@@ -329,8 +335,7 @@ def _suite_serre(cfg):
 def _suite_mackey(cfg):
     from .adjoint import mackey_shadow_check
     ctx = cfg.ctx
-    labels = ctx.cartan.index_set
-    i, j = labels[0], labels[1]
+    i, j = _two_labels(ctx)
     checks = []
     for spec, name in (((j,), f"E_{j}"), (("ad", 1, (j,)), f"ad^(1)E_{j}")):
         ok = mackey_shadow_check(spec, i, cfg.window, ctx)

@@ -181,9 +181,6 @@ class KLRElement:
     def monomial(ctx, nu, word, exps, coeff=1):
         return KLRElement(ctx, len(nu), {(tuple(nu), tuple(word), tuple(exps)): coeff})
 
-    def copy_terms(self):
-        return dict(self.terms)
-
     # -- basic structure ---------------------------------------------------
 
     def is_zero(self):
@@ -461,20 +458,6 @@ def _rewrite_word(ctx, src, dst, nu, n):
     return acc
 
 
-def mult_generator_left(ctx, kind, k, elem_terms, n):
-    """Left multiplication of PBW terms by a single generator."""
-    if kind == "x":
-        acc = {}
-        for (nu, word, exps), c in elem_terms.items():
-            e = list(exps)
-            e[k - 1] += 1
-            _add_term(acc, (nu, word, tuple(e)), c)
-        return acc
-    if kind == "tau":
-        return _tau_times_element(ctx, k, elem_terms, n)
-    raise ValueError(kind)
-
-
 def klr_multiply(u, v):
     """The product of two elements, reduced to PBW normal form."""
     _check_compatible(u, v)
@@ -533,10 +516,6 @@ def diamond(y, z):
             _add_term(acc, key, cy * cz)
     res = KLRElement(ctx, n)
     res.terms = acc
-    if __debug__:
-        for nu, word, _ in res.terms:
-            assert word == ctx.canon(ctx.word_perm(word, n)), \
-                "diamond produced a non-canonical word"
     return res
 
 
@@ -568,24 +547,6 @@ def rev(u):
     return res
 
 
-class GradedBasis:
-    """The PBW monomials of one degree with fixed right color word."""
-
-    __slots__ = ("mu_filter", "nu", "degree", "keys")
-
-    def __init__(self, mu_filter, nu, degree, keys):
-        self.mu_filter = mu_filter
-        self.nu = nu
-        self.degree = degree
-        self.keys = keys
-
-    def __len__(self):
-        return len(self.keys)
-
-    def __iter__(self):
-        return iter(self.keys)
-
-
 def _exp_vectors(weights, total):
     """All nonnegative integer vectors a with sum a_k * weights_k = total."""
     if total < 0:
@@ -612,7 +573,7 @@ def tau_word_degree(ctx, word, nu):
 
 def graded_basis(ctx, mu_filter, nu, d):
     """All PBW monomial keys x^a tau_w 1_nu of degree d whose left color
-    word matches mu_filter (None for no filter)."""
+    word matches mu_filter (None for no filter), as a sorted list."""
     nu = tuple(nu)
     n = len(nu)
     dot = ctx.cartan.dot
@@ -629,8 +590,7 @@ def graded_basis(ctx, mu_filter, nu, d):
         for a in _exp_vectors(weights, rem):
             keys.append((nu, word, a))
     keys.sort()
-    return GradedBasis(tuple(mu_filter) if mu_filter is not None else None,
-                       nu, d, keys)
+    return keys
 
 
 def idempotent_e_klr(ctx, i, m):

@@ -39,12 +39,6 @@ class Perm:
         im[k - 1], im[k] = im[k], im[k - 1]
         return Perm(im)
 
-    @staticmethod
-    def transposition(k, l, n):
-        im = list(range(1, n + 1))
-        im[k - 1], im[l - 1] = im[l - 1], im[k - 1]
-        return Perm(im)
-
     @property
     def n(self):
         return len(self.images)
@@ -119,12 +113,6 @@ def canonical_word(g):
     rest = [q for q in im if q != n]
     sub = Perm(rest) if rest else Perm(())
     return canonical_word(sub) + tuple(range(n - 1, r - 1, -1))
-
-
-def descents_left(g):
-    """Letters k with l(s_k g) < l(g)."""
-    inv = g.inv().images
-    return [k for k in range(1, g.n) if inv[k - 1] > inv[k]]
 
 
 def longest_word(k, l):
@@ -246,18 +234,6 @@ class Poly:
             return None
         return max(sum(e) for e in self.terms)
 
-    def embed(self, n, offset=0):
-        """View in x_1..x_n with variables shifted up by offset."""
-        if offset + self.n > n:
-            raise ValueError("embedding does not fit")
-        out = {}
-        for e, c in self.terms.items():
-            ee = [0] * n
-            for a, x in enumerate(e):
-                ee[offset + a] = x
-            out[tuple(ee)] = c
-        return Poly(n, out)
-
     def subst_vars(self, mapping, n=None):
         """Rename variable k to mapping[k] (a 1-indexed injective map)."""
         if n is None:
@@ -307,12 +283,6 @@ def act(g, p):
     return res
 
 
-def _swap_exponents(e, k, l):
-    ee = list(e)
-    ee[k - 1], ee[l - 1] = ee[l - 1], ee[k - 1]
-    return tuple(ee)
-
-
 def demazure(k, l, p):
     """The divided difference (f - s_{k,l} f)/(x_l - x_k), always exact."""
     if k == l:
@@ -345,17 +315,8 @@ def demazure_seq(word, p):
 
 
 # ---------------------------------------------------------------------------
-# the twist polynomials Q_{i,j}
+# the twist polynomials Q_{i,nu}
 # ---------------------------------------------------------------------------
-
-def q_polynomial(i, j, ctx):
-    """Q_{i,j}(u,v) as a polynomial in two variables (u = x_1, v = x_2).
-
-    Q_{i,i} = 0; the default for i != j is u^{-c_ij} + v^{-c_ji}, with
-    units and extra middle terms configurable on the context.
-    """
-    return ctx.q_poly(i, j)
-
 
 def q_multi(i, nu, ctx):
     """Q_{i,nu}(u, v_1..v_n) = product over positions k with nu_k != i of

@@ -9,8 +9,6 @@ safe to use as cache keys.
 
 from __future__ import annotations
 
-import itertools
-import json
 from fractions import Fraction
 
 
@@ -37,10 +35,6 @@ class LaurentPoly:
     @staticmethod
     def one():
         return LaurentPoly({0: 1})
-
-    @staticmethod
-    def monomial(exp, coeff=1):
-        return LaurentPoly({exp: coeff})
 
     @staticmethod
     def q(exp=1):
@@ -195,9 +189,6 @@ class LaurentPoly:
         """JSON object: exponent (decimal string) -> coefficient "p/q", keys ascending."""
         return {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs)}
 
-    def to_json(self):
-        return json.dumps(self.to_json_obj())
-
     @staticmethod
     def from_json_obj(obj):
         return LaurentPoly({int(e): Fraction(c) for e, c in obj.items()})
@@ -266,10 +257,6 @@ class RatFunc:
     @staticmethod
     def one():
         return RatFunc(LaurentPoly.one())
-
-    @staticmethod
-    def from_poly(p):
-        return RatFunc(p)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -363,28 +350,13 @@ def quantum_factorial(k, d):
     return out
 
 
-def _qbinom_factorial(n, k, d):
+def quantum_binomial(n, k, d):
+    """Quantum binomial [n choose k]_i via the factorial ratio."""
+    if not 0 <= k <= n:
+        raise ValueError(f"quantum binomial needs 0 <= k <= n, got ({n}, {k})")
     num = quantum_factorial(n, d)
     den = quantum_factorial(k, d) * quantum_factorial(n - k, d)
     return num.exact_div(den)
-
-
-def _qbinom_subset(n, k, d):
-    # q_i^{-k(n+1)} * sum over k-subsets S of {1..n} of q_i^{2*sum(S)}
-    out = LaurentPoly()
-    for s in itertools.combinations(range(1, n + 1), k):
-        out = out + LaurentPoly({d * (2 * sum(s) - k * (n + 1)): 1})
-    return out
-
-
-def quantum_binomial(n, k, d):
-    """Quantum binomial via the factorial ratio, checked against the subset sum."""
-    if not 0 <= k <= n:
-        raise ValueError(f"quantum binomial needs 0 <= k <= n, got ({n}, {k})")
-    a = _qbinom_factorial(n, k, d)
-    b = _qbinom_subset(n, k, d)
-    assert a == b, f"quantum binomial routes disagree at ({n},{k},{d})"
-    return a
 
 
 def zeta(k):

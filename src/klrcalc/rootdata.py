@@ -8,7 +8,6 @@ materialized.
 from __future__ import annotations
 
 import itertools
-import json
 
 
 class CartanValidationError(ValueError):
@@ -65,17 +64,6 @@ class CartanDatum:
 
     def __repr__(self):
         return f"CartanDatum({self.index_set}, {self.dot_matrix})"
-
-    @staticmethod
-    def from_json_obj(obj):
-        if "index_set" not in obj or "dot" not in obj:
-            raise CartanValidationError('Cartan JSON needs "index_set" and "dot"')
-        return CartanDatum(obj["index_set"], obj["dot"])
-
-    @staticmethod
-    def from_file(path):
-        with open(path) as fh:
-            return CartanDatum.from_json_obj(json.load(fh))
 
 
 class RootVector:
@@ -154,15 +142,12 @@ def reflect(cartan, i, beta):
     return out, in_qplus
 
 
-def sequences(beta, bound=None):
+def sequences(beta):
     """All color words of weight beta, as tuples in position order.
 
     Position 1 is the rightmost strand: the tuple (nu[0], ..., nu[n-1])
     lists nu_1, ..., nu_n, i.e. the written word read right to left.
     """
-    n = height(beta)
-    if bound is not None and n > bound:
-        raise ResourceWarning(f"height {n} exceeds bound {bound}")
     letters = []
     for lab in sorted(beta.coeffs):
         letters.extend([lab] * beta.coeffs[lab])

@@ -14,7 +14,6 @@ from klrcalc import (
     build_divided_complex,
     cohomology_dims,
     dims_E_word,
-    graded_component_matrix,
     grk_ad_divided_Ej,
     is_quotient_zero,
     klr_multiply,
@@ -60,11 +59,14 @@ def test_divided_complex_builds(n, m, ctx_a2, ctx_b2):
 def test_component_matrix_shapes_and_ranks(ctx_a2):
     cplx = build_ad_complex(2, ("j",), "i", ctx_a2)
     for d in range(0, 7):
-        for k in (1, 2):
-            cols = graded_component_matrix(cplx, k, d)
-            assert len(cols) == cplx.term_dim(k, d)
-            assert _matrix_rank(cols) <= min(len(cols),
-                                             cplx.term_dim(k - 1, d))
+        for lam in sorted(cplx.left_color_words(d)):
+            for k in (1, 2):
+                cols = cplx._raw_columns(k, d, lam)
+                assert len(cols) == cplx.term_dim(k, d, lam)
+                rank = cplx.block_rank(k, d, lam)
+                assert rank == _matrix_rank(cols)
+                assert rank <= min(cplx.term_dim(k, d, lam),
+                                   cplx.term_dim(k - 1, d, lam))
 
 
 # -- Euler characteristic ------------------------------------------------
@@ -102,7 +104,6 @@ def test_no_lower_cohomology_small(ctx_a2, ctx_b2):
             bad = {kd: v for kd, v in gdt.dims.items()
                    if kd[0] != 0 and v}
             assert not bad, (n, word)
-            assert not gdt.flagged
 
 
 # -- graded rank of divided adjoint powers vs the closed formula ---------
@@ -244,6 +245,24 @@ def _check_tau_product(ctx, bword, gword):
             *[klr_generator(ctx, "tau", k, seqs) for k in w1])
         rhs = klr_multiply(first, rhs)
     assert lhs == rhs, (bword, gword)
+
+
+# -- the Serre-exactness report ----------------------------------------
+
+
+def test_serre_report_carries_lower_cohomology(ctx_a2, monkeypatch):
+    """Lower cohomology is reported by (cohomological degree, degree) and
+    fails the check."""
+    import klrcalc.adjoint as adjoint
+
+    def fake_dims(cplx, window):
+        return adjoint.GradedDimTable(window, {(-1, 2): 1})
+
+    monkeypatch.setattr(adjoint, "cohomology_dims", fake_dims)
+    rep = adjoint.serre_exactness_check(1, 1, "i", "j", DegreeWindow(0, 4),
+                                        ctx_a2)
+    assert rep["lower_cohomology"] == {"-1@2": 1}
+    assert rep["ok"] is False
 
 
 # -- raw rank helper -----------------------------------------------------

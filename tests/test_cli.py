@@ -87,6 +87,27 @@ def test_degenerate_unit_config(tmp_path, capsys):
     assert "invertible" in err
 
 
+def test_unknown_label_in_q_table(tmp_path, capsys):
+    cfg = {
+        "labels": ["i", "j"],
+        "dot": [[2, -1], [-1, 2]],
+        "q": {"i,k": {"t": 2}},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "nf", "1[i,j]", "--cartan", str(path))
+    assert code == 2
+    assert "unknown index label" in err
+
+
+def test_mackey_needs_two_labels(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"labels": ["i"], "dot": [[2]]}))
+    code, _, err = run(capsys, "suite", "mackey", "--cartan", str(path))
+    assert code == 2
+    assert "two index labels" in err
+
+
 # -- suites -------------------------------------------------------------
 
 

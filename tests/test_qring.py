@@ -1,6 +1,7 @@
 """Exact Laurent polynomial / rational function arithmetic and quantum
 combinatorics."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from klrcalc import (
     sigma,
     zeta,
 )
-from klrcalc.qring import _qbinom_factorial, _qbinom_subset
 
 laurent_dicts = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
@@ -163,15 +163,24 @@ def test_quantum_factorial_recursion():
             assert quantum_factorial(k, d) == acc
 
 
+def qbinom_subset_sum(n, k, d):
+    """q_i^{-k(n+1)} times the sum over k-subsets S of {1..n} of
+    q_i^{2 sum(S)}: an independent route to the quantum binomial."""
+    out = LaurentPoly()
+    for s in itertools.combinations(range(1, n + 1), k):
+        out = out + LaurentPoly({d * (2 * sum(s) - k * (n + 1)): 1})
+    return out
+
+
 def test_quantum_binomial_values_and_routes():
+    """The library's factorial ratio against the subset sum."""
     assert quantum_binomial(4, 2, 1) == \
         LaurentPoly({-4: 1, -2: 1, 0: 2, 2: 1, 4: 1})
     for n in range(7):
         for k in range(n + 1):
-            for d in (1, 2):
-                a = _qbinom_factorial(n, k, d)
-                b = _qbinom_subset(n, k, d)
-                assert a == b == quantum_binomial(n, k, d)
+            for d in (1, 2, 3):
+                a = quantum_binomial(n, k, d)
+                assert a == qbinom_subset_sum(n, k, d), (n, k, d)
                 assert quantum_binomial(n, n - k, d) == a
 
 

@@ -20,6 +20,7 @@ from klrcalc import (
     is_zero_mod_serre,
     k0_isometry_calibrate,
     pair,
+    quantum_factorial,
     sequences,
     uplusi_member,
 )
@@ -106,15 +107,35 @@ def test_higher_serre_grid(which, cartan_a2, cartan_b2, cartan_g2):
 # -- divided adjoint powers ---------------------------------------------
 
 
-def test_divided_adjoint_two_routes(cartan_a2, cartan_b2, cartan_g2):
-    """ad_e_divided checks its closed-sum formula against iterated ad_e
-    internally; exercise it over all small cases."""
-    for cartan in (cartan_a2, cartan_b2, cartan_g2):
+def iterated_divided_adjoint(n, i, v, cartan):
+    """ad_i applied n times, divided by [n]_i!: an independent route to
+    the divided adjoint power."""
+    for _ in range(n):
+        v = ad_e(i, v, cartan)
+    return v.scale(RatFunc(LaurentPoly.one(),
+                           quantum_factorial(n, cartan.d(i))))
+
+
+def test_divided_adjoint_two_routes(cartan_a2, cartan_b2, cartan_b2r,
+                                    cartan_g2):
+    """The closed alternating sum of ad_e_divided equals iterated ad_e
+    divided by [n]_i!, on every generator for n <= 4 and on the grid of
+    higher_serre_check (e_j^m with n + m <= 4) for every built-in datum."""
+    for cartan in (cartan_a2, cartan_b2, cartan_b2r, cartan_g2):
         for i in ("i", "j"):
             for base in ("i", "j"):
                 v = WordVector.generator(base)
                 for n in range(0, 5):
-                    ad_e_divided(n, i, v, cartan)
+                    assert ad_e_divided(n, i, v, cartan) == \
+                        iterated_divided_adjoint(n, i, v, cartan), \
+                        (i, base, n)
+        for i, j in (("i", "j"), ("j", "i")):
+            for n in range(0, 5):
+                for m in range(1, 5 - n):
+                    v = WordVector.from_word((j,) * m)
+                    assert ad_e_divided(n, i, v, cartan) == \
+                        iterated_divided_adjoint(n, i, v, cartan), \
+                        (i, j, n, m)
 
 
 def test_q_leibniz(cartan_a2, cartan_b2):
