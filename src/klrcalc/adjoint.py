@@ -12,9 +12,10 @@ from itertools import combinations
 
 from .qring import (LaurentPoly, RatFunc, quantum_integer,
                     series_window, sigma, zeta)
-from .rootdata import RootVector, height, pairing, sequences
-from .klr import (KLRElement, diamond, graded_basis, idempotent_e_klr,
-                  klr_multiply)
+from .rootdata import RootVector, height, pairing, reflect, sequences
+from .polycalc import all_perms
+from .klr import (KLRElement, _exp_vectors, _pbw_keys, _tau_times_element,
+                  diamond, idempotent_e_klr, klr_multiply, tau_word_degree)
 
 
 def underlying_degree(shift, d):
@@ -67,84 +68,59 @@ def _matrix_rank(columns):
 # ---------------------------------------------------------------------------
 
 class CyclicProjective:
-    """A graded module H·f for an idempotent f, carrying a shift q^shift.
+    """A graded module H·f for an idempotent monomial f = x^delta tau_w0 1_nu,
+    carrying a shift q^shift.
 
-    The degree-d component has a basis extracted from the PBW monomials of
-    degree d + shift with right color word that of f, projected by right
-    multiplication by f and column-reduced inside each left-color block.
+    w0 is the longest word of the parabolic subgroup S_B generated by its
+    letters and nu is constant on the blocks of B (plain idempotents have
+    w0 = ()).  Since tau_w0 x^delta tau_w0 = tau_w0, H·f = H·tau_w0 1_nu,
+    whose degree-d component has the basis x^a tau_u tau_w0 1_nu of degree
+    d + shift, u running over the minimal coset representatives of S_n/S_B.
     """
 
     def __init__(self, ctx, f, shift=0):
         if not isinstance(f, KLRElement):
             raise TypeError("f must be a KLRElement")
-        ff = klr_multiply(f, f)
-        if ff != f:
+        if len(f.terms) != 1:
+            raise ValueError("f must be a single PBW monomial")
+        if klr_multiply(f, f) != f:
             raise ValueError("f is not idempotent")
-        nus = {key[0] for key in f.terms}
-        if len(nus) != 1:
-            raise ValueError("idempotent must have a single right color word")
+        ((nu, w0, _),) = f.terms
         self.ctx = ctx
         self.f = f
         self.shift = int(shift)
-        self.gamma = f.weight()
-        self.nu = nus.pop()
-        self.n = len(self.nu)
-        self.is_plain = (f == KLRElement.idem(ctx, self.nu))
+        self.nu = nu
+        self.n = len(nu)
+        self.w0 = w0
+        letters = set(w0)
+        # a reduced word is the longest word of the parabolic subgroup its
+        # letters generate iff each letter is a descent of its permutation
+        g = ctx.word_perm(w0, self.n)
+        if len(w0) != g.length() or any(
+                g(p) < g(p + 1) or nu[p - 1] != nu[p] for p in letters):
+            raise ValueError("the word of f must be the longest word of a "
+                             "parabolic subgroup whose blocks carry one color")
+        self._w0_degree = tau_word_degree(ctx, w0, nu)
+        # the minimal coset representatives: no letter of w0 is a descent
+        self._cosets = [u for u in all_perms(self.n)
+                        if all(u(p) < u(p + 1) for p in letters)]
         self._blocks = {}
-        self._meta = {}
 
     def blocks(self, d):
-        """Basis of the degree-d component, as an ordered dict
-        lam -> list of sparse vectors over PBW keys."""
-        if d in self._blocks:
-            return self._blocks[d]
-        e = underlying_degree(self.shift, d)
-        basis = graded_basis(self.ctx, None, self.nu, e)
-        blocks = {}
-        meta = {}
-        if self.is_plain:
-            for key in basis:
-                lam = self._left(key)
-                blocks.setdefault(lam, []).append({key: Fraction(1)})
-                meta.setdefault(lam, []).append((key[1], key[2]))
-        else:
-            # x^a tau_w 1_nu . f = x^a . (tau_w 1_nu . f): the expensive
-            # product only depends on the word, so compute it once per word
-            # and graft the exponents on afterwards.
-            word_images = {}
-            echelons = {}
-            zero = (0,) * self.n
-            for key in basis:
-                nu0, word, exps = key
-                u = word_images.get(word)
-                if u is None:
-                    u = klr_multiply(
-                        KLRElement.monomial(self.ctx, nu0, word, zero),
-                        self.f).terms
-                    word_images[word] = u
-                if not u:
-                    continue
-                v = {(mu, w2, tuple(a + b for a, b in zip(e2, exps))): c
-                     for (mu, w2, e2), c in u.items()}
-                lam = self._left(key)
-                rows = echelons.setdefault(lam, [])
-                if _echelon_insert(rows, v):
-                    blocks.setdefault(lam, []).append(v)
-                    meta.setdefault(lam, []).append((word, exps))
-        out = {lam: blocks[lam] for lam in sorted(blocks)}
-        self._blocks[d] = out
-        self._meta[d] = {lam: meta[lam] for lam in out}
+        """Basis of the degree-d component, as a dict sorted by left color
+        word lam -> list of (word, exps), each standing for the vector
+        x^exps tau_word 1_nu with word = (reduced word of u) + w0."""
+        out = self._blocks.get(d)
+        if out is None:
+            e = underlying_degree(self.shift, d) - self._w0_degree
+            found = {}
+            for nu, word, exps in _pbw_keys(self.ctx, self.nu, e,
+                                            self._cosets):
+                lam = self.ctx.word_perm(word, self.n).permute_tuple(nu)
+                found.setdefault(lam, []).append((word + self.w0, exps))
+            out = {lam: found[lam] for lam in sorted(found)}
+            self._blocks[d] = out
         return out
-
-    def basis_meta(self, d):
-        """(word, exps) provenance of each basis vector of blocks(d):
-        the vector equals x^exps . (tau_word 1_nu . f)."""
-        self.blocks(d)
-        return self._meta[d]
-
-    def _left(self, key):
-        nu, word, _ = key
-        return self.ctx.word_perm(word, self.n).permute_tuple(nu)
 
     def dim(self, d, lam=None):
         blocks = self.blocks(d)
@@ -225,7 +201,9 @@ class ProjComplex:
     def _word_prod(self, k, si, ti, word):
         """tau_word 1_nu . z for the differential entry z out of summand si;
         every basis vector of the source is x^exps times such a product, so
-        this straightening is cached per word across all degrees."""
+        this straightening is cached per word across all degrees.  The word
+        need not be canonical (basis words end in the word of f): its
+        letters are applied to z one at a time."""
         key = (k, si, ti, word)
         u = self._word_prods.get(key)
         if u is None:
@@ -244,9 +222,8 @@ class ProjComplex:
         columns is the rank of the block."""
         columns = []
         for si, src in enumerate(self.terms[k]):
-            metas = src.basis_meta(d).get(lam, [])
             targets = self._targets(k, si)
-            for word, exps in metas:
+            for word, exps in src.blocks(d).get(lam, ()):
                 col = {}
                 for ti in targets:
                     for (mu, w2, e2), c in self._word_prod(
@@ -288,28 +265,13 @@ class GradedDimTable:
         return self.dims.get((cohdeg, d), 0)
 
 
-def cohomology_dims(cplx, window, idem_filter=None):
-    """Graded cohomology dimensions of a complex over a degree window.
-
-    idem_filter, when given, is a written-order color prefix: only basis
-    vectors whose topmost left colors match it are kept (the restriction
-    functor cutting off the named top strands).
-    """
-    filt = tuple(idem_filter) if idem_filter is not None else None
-
-    def keep(lam):
-        if filt is None:
-            return True
-        if len(lam) < len(filt):
-            return False
-        return tuple(reversed(lam))[:len(filt)] == filt
-
+def cohomology_dims(cplx, window):
+    """Graded cohomology dimensions of a complex over a degree window."""
     nterms = cplx.length()
     dims = {}
     refined = {}
     for d in window:
-        lams = sorted(lam for lam in cplx.left_color_words(d) if keep(lam))
-        for lam in lams:
+        for lam in sorted(cplx.left_color_words(d)):
             ranks = [0] * (nterms + 1)
             for k in range(1, nterms):
                 ranks[k] = cplx.block_rank(k, d, lam)
@@ -342,7 +304,6 @@ def tau_embed(beta, i, ctx):
 def is_quotient_zero(beta, i, ctx):
     """Whether the i-adapted quotient algebra at weight beta vanishes:
     true exactly when the i-reflection of beta leaves the positive cone."""
-    from .rootdata import reflect
     _, in_qplus = reflect(ctx.cartan, i, beta)
     return not in_qplus
 
@@ -354,7 +315,6 @@ def _word_weight_w(ctx, i, nu_pos):
 def _apply_tau_word(ctx, word, el):
     """Left-multiply an element by tau_{word} (product order, rightmost
     letter applied first)."""
-    from .klr import _tau_times_element
     terms = el.terms
     for k in reversed(word):
         terms = _tau_times_element(ctx, k, terms, el.n)
@@ -592,9 +552,6 @@ def dims_E_word(ctx, nu, hi):
     n = len(pos_nu)
     if n == 0:
         return DimTable({(): {0: 1}}, hi)
-    from .klr import tau_word_degree
-    from .polycalc import all_perms
-    from .klr import _exp_vectors
     dot = ctx.cartan.dot
     table = {}
     for g in all_perms(n):
@@ -697,8 +654,6 @@ def _cohomology_h0_refined(cplx, hi):
     that one map is needed per degree; no window sweep over the whole
     complex is performed.
     """
-    from .klr import tau_word_degree
-    from .polycalc import all_perms
     lo = 0
     for p in cplx.terms[0]:
         m = min(tau_word_degree(p.ctx, p.ctx.canon(g), p.nu)

@@ -79,11 +79,20 @@ def _load_cartan(spec_str):
         dot = data["dot"]
     except (KeyError, TypeError):
         raise CLIError("cartan file needs 'labels' and 'dot' entries")
+    if not (isinstance(dot, list)
+            and all(isinstance(row, list) for row in dot)
+            and all(isinstance(x, int) for row in dot for x in row)):
+        raise CLIError("cartan file 'dot' must be a matrix of integers")
+    q_table = data.get("q") or {}
+    if not isinstance(q_table, dict):
+        raise CLIError("cartan file 'q' must be an object keyed 'i,j'")
     q_config = {}
-    for key, cfg in (data.get("q") or {}).items():
+    for key, cfg in q_table.items():
         parts = key.split(",")
         if len(parts) != 2:
             raise CLIError(f"bad q-table key {key!r}; use 'i,j'")
+        if not isinstance(cfg, dict):
+            raise CLIError(f"q-table entry {key!r} must be an object")
         q_config[(parts[0], parts[1])] = cfg
     try:
         cartan = CartanDatum(labels, dot)
@@ -95,7 +104,7 @@ def _load_cartan(spec_str):
 def _make_context(cartan, q_config):
     try:
         return KLRContext(cartan, q_config)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         # a KeyError names an unknown label; args[0] avoids repr quoting
         raise CLIError(f"invalid crossing-polynomial table: {exc.args[0]}")
 

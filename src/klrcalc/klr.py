@@ -230,14 +230,9 @@ class KLRElement:
     def term_degree(self, key):
         nu, word, exps = key
         dot = self.ctx.cartan.dot
-        g = self.ctx.word_perm(word, self.n)
-        left = g.permute_tuple(nu)
-        deg = sum(a * dot(c, c) for a, c in zip(exps, left))
-        cur = list(nu)
-        for k in reversed(word):
-            deg -= dot(cur[k - 1], cur[k])
-            cur[k - 1], cur[k] = cur[k], cur[k - 1]
-        return deg
+        left = self.left_colors(key)
+        return (sum(a * dot(c, c) for a, c in zip(exps, left))
+                + tau_word_degree(self.ctx, word, nu))
 
     def degree(self):
         """The single degree of a homogeneous element (None if zero)."""
@@ -562,6 +557,7 @@ def _exp_vectors(weights, total):
 
 
 def tau_word_degree(ctx, word, nu):
+    """Degree of tau_word 1_nu; the word need not be reduced or canonical."""
     dot = ctx.cartan.dot
     deg = 0
     cur = list(nu)
@@ -571,26 +567,24 @@ def tau_word_degree(ctx, word, nu):
     return deg
 
 
+def _pbw_keys(ctx, nu, d, perms):
+    """The PBW monomial keys x^a tau_w 1_nu of degree d, w running over
+    perms (each written with its canonical word), perm by perm."""
+    dot = ctx.cartan.dot
+    for g in perms:
+        word = ctx.canon(g)
+        weights = tuple(dot(c, c) for c in g.permute_tuple(nu))
+        for a in _exp_vectors(weights, d - tau_word_degree(ctx, word, nu)):
+            yield (nu, word, a)
+
+
 def graded_basis(ctx, mu_filter, nu, d):
     """All PBW monomial keys x^a tau_w 1_nu of degree d whose left color
     word matches mu_filter (None for no filter), as a sorted list."""
     nu = tuple(nu)
-    n = len(nu)
-    dot = ctx.cartan.dot
-    keys = []
-    for g in all_perms(n):
-        lam = g.permute_tuple(nu)
-        if mu_filter is not None and lam != tuple(mu_filter):
-            continue
-        word = ctx.canon(g)
-        rem = d - tau_word_degree(ctx, word, nu)
-        if rem < 0:
-            continue
-        weights = tuple(dot(c, c) for c in lam)
-        for a in _exp_vectors(weights, rem):
-            keys.append((nu, word, a))
-    keys.sort()
-    return keys
+    perms = [g for g in all_perms(len(nu))
+             if mu_filter is None or g.permute_tuple(nu) == tuple(mu_filter)]
+    return sorted(_pbw_keys(ctx, nu, d, perms))
 
 
 def idempotent_e_klr(ctx, i, m):

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from klrcalc import (
+    CyclicProjective,
     DegreeWindow,
     KLRElement,
     RootVector,
@@ -27,7 +28,7 @@ from klrcalc import (
     underlying_degree,
 )
 from klrcalc.adjoint import _matrix_rank
-from klrcalc.klr import klr_multiply_many
+from klrcalc.klr import graded_basis, idempotent_e_klr, klr_multiply_many
 
 
 # -- construction sanity (the constructor verifies d^2 = 0 exactly) ------
@@ -67,6 +68,73 @@ def test_component_matrix_shapes_and_ranks(ctx_a2):
                 assert rank == _matrix_rank(cols)
                 assert rank <= min(cplx.term_dim(k, d, lam),
                                    cplx.term_dim(k - 1, d, lam))
+
+
+# -- the closed-form basis of H·f against the echelon oracle -------------
+
+
+def echelon_dims(p, d):
+    """Reference dimensions of the degree-d component of H·f by left color
+    word: right-multiply every PBW monomial of degree d + shift by f and
+    take the rank of the images in each left-color block."""
+    images = {}
+    for key in graded_basis(p.ctx, None, p.nu, underlying_degree(p.shift, d)):
+        v = klr_multiply(KLRElement(p.ctx, p.n, {key: 1}), p.f)
+        if v:
+            lam = v.left_colors(key)
+            images.setdefault(lam, []).append(v.terms)
+    dims = {lam: _matrix_rank(cols) for lam, cols in images.items()}
+    return {lam: r for lam, r in dims.items() if r}
+
+
+def test_closed_form_basis_matches_echelon_oracle(ctx_a2, ctx_b2, ctx_b2r,
+                                                  ctx_g2):
+    """Every term of every divided complex with n + m <= 4 has, in every
+    degree 0..6 and left color word, as many basis vectors as the
+    enumerate-project-echelon construction finds."""
+    for ctx in (ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
+        for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
+            cplx = build_divided_complex(n, ("j",) * m, "i", ctx)
+            for col in cplx.terms:
+                for p in col:
+                    for d in range(0, 7):
+                        got = {lam: p.dim(d, lam) for lam in p.blocks(d)}
+                        assert got == echelon_dims(p, d), (n, m, p.nu, d)
+
+
+def test_closed_form_basis_vectors(ctx_a2, ctx_b2):
+    """Each basis vector x^exps tau_word 1_nu lies in H·f, has degree
+    d + shift, and each block is linearly independent."""
+    for ctx in (ctx_a2, ctx_b2):
+        for n, m in [(1, 1), (2, 1), (1, 2)]:
+            cplx = build_divided_complex(n, ("j",) * m, "i", ctx)
+            for col in cplx.terms:
+                for p in col:
+                    for d in range(0, 5):
+                        for lam, block in p.blocks(d).items():
+                            vecs = []
+                            for word, exps in block:
+                                v = klr_multiply(
+                                    KLRElement.monomial(ctx, lam, (), exps),
+                                    _tau_el(ctx, word, p.nu))
+                                assert klr_multiply(v, p.f) == v
+                                assert v.degree() == d + p.shift
+                                vecs.append(v.terms)
+                            assert _matrix_rank(vecs) == len(block)
+
+
+def test_cyclic_projective_rejects_nonconforming_idempotents(ctx_a2):
+    """1_(i,i) - e_2 has two PBW terms; -tau_1 tau_2 tau_1 1_(i,j,i) is one
+    monomial, but its colors are not constant on the block of its word."""
+    two_terms = (KLRElement.idem(ctx_a2, ("i", "i"))
+                 - idempotent_e_klr(ctx_a2, "i", 2))
+    mixed = KLRElement.monomial(ctx_a2, ("i", "j", "i"), (1, 2, 1),
+                                (0, 0, 0), -1)
+    for f, why in ((two_terms, "single PBW monomial"),
+                   (mixed, "longest word")):
+        assert klr_multiply(f, f) == f
+        with pytest.raises(ValueError, match=why):
+            CyclicProjective(ctx_a2, f)
 
 
 # -- Euler characteristic ------------------------------------------------

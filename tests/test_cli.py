@@ -2,11 +2,13 @@
 exit codes, and byte-level determinism of reports."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import klrcalc
 from klrcalc.cli import main
 
 
@@ -100,6 +102,22 @@ def test_unknown_label_in_q_table(tmp_path, capsys):
     assert "unknown index label" in err
 
 
+@pytest.mark.parametrize("entry", [
+    {"dot": 5},
+    {"dot": [["a", "b"], ["c", "d"]]},
+    {"q": {"i,j": 3}},
+    {"q": [1]},
+    {"q": {"i,j": {"terms": 5}}},
+])
+def test_malformed_cartan_file_is_usage_error(entry, tmp_path, capsys):
+    cfg = {"labels": ["i", "j"], "dot": [[2, -1], [-1, 2]], **entry}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "nf", "1[i,j]", "--cartan", str(path))
+    assert code == 2
+    assert "error" in err
+
+
 def test_mackey_needs_two_labels(tmp_path, capsys):
     path = tmp_path / "one.json"
     path.write_text(json.dumps({"labels": ["i"], "dot": [[2]]}))
@@ -152,8 +170,13 @@ def test_no_command_prints_usage(capsys):
 
 
 def test_console_script_runs():
+    # the child imports the klrcalc this test imported, also when only
+    # pytest's own pythonpath setting put it on sys.path
+    src = os.path.dirname(os.path.dirname(klrcalc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "klrcalc.cli", "nf", "1[i]", "--table"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1[i]"
