@@ -8,13 +8,15 @@ Grading convention used throughout: a module shifted by q^s has
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd, lcm
 
 from .qring import (LaurentPoly, RatFunc, quantum_integer,
                     series_window, sigma, zeta)
 from .rootdata import RootVector, height, pairing, reflect, sequences
 from .polycalc import all_perms
-from .klr import (KLRElement, _exp_vectors, _pbw_keys, _tau_times_element,
+from .klr import (KLRElement, _pbw_keys, _tau_times_element,
                   diamond, idempotent_e_klr, klr_multiply, tau_word_degree)
 
 
@@ -33,32 +35,69 @@ def _asc(a, b):
 # ---------------------------------------------------------------------------
 
 def _echelon_insert(rows, vec):
-    """Reduce the sparse vector against the echelon rows; if a nonzero
-    remainder survives, normalize it, append it, and return True."""
+    """One step of pivot-indexed, fraction-free integer elimination.
+
+    rows maps each pivot to its row, a sparse integer vector whose least
+    key is the pivot, divided by the gcd of its entries and signed so that
+    the pivot entry is positive.  Reducing by the row with pivot p adds
+    only keys greater than p, so the pivots of the integer vector vec are
+    taken from a heap in increasing order, each needed row is visited
+    once, and no other row is looked at.  The entry c of the vector at
+    pivot p is cleared by v <- (a/g) v - (c/g) row with a the pivot entry
+    and g = gcd(a, c).  If a nonzero remainder survives, it is stored as a
+    new row and True is returned.
+    """
     v = dict(vec)
-    for pivot, row in rows:
-        c = v.get(pivot)
-        if c:
-            for k, rc in row.items():
-                s = v.get(k, Fraction(0)) - c * rc
-                if s:
-                    v[k] = s
-                else:
-                    v.pop(k, None)
+    heap = [k for k in v if k in rows]
+    heapify(heap)
+    while heap:
+        p = heappop(heap)
+        c = v.get(p)
+        if c is None:
+            continue
+        row = rows[p]
+        a = row[p]
+        g = gcd(a, c)
+        s, t = a // g, c // g
+        if s != 1:
+            for k in v:
+                v[k] *= s
+        for k, rc in row.items():
+            x = t * rc
+            old = v.get(k)
+            if old is None:
+                v[k] = -x
+                if k in rows:
+                    heappush(heap, k)
+            elif old == x:
+                del v[k]
+            else:
+                v[k] = old - x
     if not v:
         return False
-    pivot = min(v)
-    inv = 1 / v[pivot]
-    rows.append((pivot, {k: c * inv for k, c in v.items()}))
+    p = min(v)
+    g = gcd(*v.values())
+    if v[p] < 0:
+        g = -g
+    rows[p] = {k: c // g for k, c in v.items()}
     return True
 
 
 def _matrix_rank(columns):
-    """Rank of a list of sparse columns (dicts index -> Fraction)."""
-    rows = []
+    """Rank over the rationals of a list of sparse columns (dicts index ->
+    Fraction or int), by pivot-indexed, fraction-free integer elimination:
+    each column is scaled by the lcm of its denominators, which leaves the
+    rank unchanged, and reduced with `_echelon_insert`."""
+    rows = {}
     rank = 0
     for col in columns:
-        if _echelon_insert(rows, col):
+        m = 1
+        for c in col.values():
+            if c.denominator != 1:
+                m = lcm(m, c.denominator)
+        vec = {k: c.numerator * (m // c.denominator)
+               for k, c in col.items() if c}
+        if _echelon_insert(rows, vec):
             rank += 1
     return rank
 
@@ -545,6 +584,16 @@ class DimTable:
         return True
 
 
+def _exp_vector_counts(weights, top):
+    """counts[t] = number of nonnegative integer vectors a with
+    sum a_k * weights_k = t, for t = 0..top (coin change)."""
+    counts = [1] + [0] * top
+    for w in weights:
+        for t in range(w, top + 1):
+            counts[t] += counts[t - w]
+    return counts
+
+
 def dims_E_word(ctx, nu, hi):
     """Refined graded dimensions of the cyclic module of the written color
     word nu, complete up to degree hi (PBW monomial counts)."""
@@ -554,16 +603,18 @@ def dims_E_word(ctx, nu, hi):
         return DimTable({(): {0: 1}}, hi)
     dot = ctx.cartan.dot
     table = {}
+    tables = {}
     for g in all_perms(n):
         lam = g.permute_tuple(pos_nu)
-        word = ctx.canon(g)
-        base = tau_word_degree(ctx, word, pos_nu)
+        base = tau_word_degree(ctx, ctx.canon(g), pos_nu)
         weights = tuple(dot(c, c) for c in lam)
+        counts = tables.get(weights)
+        if counts is None or len(counts) <= hi - base:
+            counts = tables[weights] = _exp_vector_counts(weights, hi - base)
         row = table.setdefault(lam, {})
         for d in range(base, hi + 1):
-            cnt = sum(1 for _ in _exp_vectors(weights, d - base))
-            if cnt:
-                row[d] = row.get(d, 0) + cnt
+            if counts[d - base]:
+                row[d] = row.get(d, 0) + counts[d - base]
     return DimTable(table, hi)
 
 

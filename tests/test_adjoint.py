@@ -3,6 +3,9 @@ differentials square to zero, cohomology is concentrated in degree zero,
 and the graded ranks match the closed formulas and identity checks."""
 
 import itertools
+import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -27,7 +30,7 @@ from klrcalc import (
     tau_embed,
     underlying_degree,
 )
-from klrcalc.adjoint import _matrix_rank
+from klrcalc.adjoint import _echelon_insert, _matrix_rank
 from klrcalc.klr import graded_basis, idempotent_e_klr, klr_multiply_many
 
 
@@ -220,6 +223,26 @@ def test_product_dims_matches_concatenation(ctx_a2):
                                  DegreeWindow(0, 8))
 
 
+def test_dims_E_word_matches_enumeration(ctx_a2, ctx_b2, ctx_g2):
+    """The coin-change counts of dims_E_word equal the PBW keys that
+    graded_basis enumerates, per left color word, for every word of length
+    <= 3 up to degree 8."""
+    hi = 8
+    for ctx in (ctx_a2, ctx_b2, ctx_g2):
+        for n in (1, 2, 3):
+            for word in itertools.product("ij", repeat=n):
+                pos = tuple(reversed(word))
+                el = KLRElement(ctx, n)
+                want = {}
+                for d in range(-3 * 6, hi + 1):
+                    for key in graded_basis(ctx, None, pos, d):
+                        row = want.setdefault(el.left_colors(key), {})
+                        row[d] = row.get(d, 0) + 1
+                got = dims_E_word(ctx, word, hi)
+                assert got.hi == hi
+                assert got.table == want, word
+
+
 def test_dim_table_algebra(ctx_a2):
     D = dims_E_word(ctx_a2, ("i", "j"), 8)
     assert D.add(D).sub(D).agrees_with(D, DegreeWindow(0, 8))
@@ -333,13 +356,109 @@ def test_serre_report_carries_lower_cohomology(ctx_a2, monkeypatch):
     assert rep["ok"] is False
 
 
-# -- raw rank helper -----------------------------------------------------
+# -- exact rank against the dense-scan Fraction oracle --------------------
 
 
-def test_matrix_rank_exact():
-    from fractions import Fraction
+def oracle_echelon_insert(rows, vec):
+    """Reduce the sparse vector against every echelon row in turn, in
+    Fraction arithmetic; if a nonzero remainder survives, normalize it,
+    append it, and return True."""
+    v = dict(vec)
+    for pivot, row in rows:
+        c = v.get(pivot)
+        if c:
+            for k, rc in row.items():
+                s = v.get(k, Fraction(0)) - c * rc
+                if s:
+                    v[k] = s
+                else:
+                    v.pop(k, None)
+    if not v:
+        return False
+    pivot = min(v)
+    inv = 1 / v[pivot]
+    rows.append((pivot, {k: c * inv for k, c in v.items()}))
+    return True
+
+
+def oracle_rank(columns):
+    rows = []
+    return sum(1 for col in columns if oracle_echelon_insert(rows, col))
+
+
+def random_columns(rng):
+    """A sparse matrix with Fraction entries of both signs and sizes up to
+    7/4 (so pivot entries are rarely +-1), and with empty columns, repeated
+    columns and rational combinations of earlier columns."""
+    nrows = rng.randint(1, 9)
+    keys = [(rng.randint(0, 2), rng.choice("abc"), r) for r in range(nrows)]
+    cols = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.1:
+            cols.append({})
+        elif kind < 0.2 and cols:
+            cols.append(dict(rng.choice(cols)))
+        elif kind < 0.45 and len(cols) >= 2:
+            a, b = rng.sample(cols, 2)
+            x = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
+            y = Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 4))
+            col = {}
+            for k in set(a) | set(b):
+                c = x * a.get(k, 0) + y * b.get(k, 0)
+                if c:
+                    col[k] = c
+            cols.append(col)
+        else:
+            col = {}
+            for k in rng.sample(keys, rng.randint(1, min(4, nrows))):
+                col[k] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7),
+                                  rng.randint(1, 4))
+            cols.append(col)
+    return cols
+
+
+def test_matrix_rank_exact(ctx_a2, ctx_b2):
+    """_matrix_rank equals the Fraction oracle on seeded random matrices
+    and on every block of the plain and divided complexes with n + m <= 4
+    on A2 and B2 in degrees 0..4."""
     cols = [{(0, "a"): Fraction(1), (1, "b"): Fraction(2)},
             {(0, "a"): Fraction(2), (1, "b"): Fraction(4)},
             {(1, "b"): Fraction(1)}]
     assert _matrix_rank(cols) == 2
     assert _matrix_rank([]) == 0
+    assert _matrix_rank([{0: 2, 1: 3}, {0: Fraction(1, 2), 1: 1}]) == 2
+    rng = random.Random(20201)
+    for _ in range(400):
+        cols = random_columns(rng)
+        assert _matrix_rank(cols) == oracle_rank(cols), cols
+    for ctx in (ctx_a2, ctx_b2):
+        for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
+            for cplx in (build_ad_complex(n, ("j",) * m, "i", ctx),
+                         build_divided_complex(n, ("j",) * m, "i", ctx)):
+                for d in range(0, 5):
+                    for lam in sorted(cplx.left_color_words(d)):
+                        for k in range(1, cplx.length()):
+                            cols = cplx._raw_columns(k, d, lam)
+                            assert _matrix_rank(cols) == oracle_rank(cols)
+
+
+def test_echelon_insert_visits_each_pivot_once_in_order():
+    """Each insertion reads only the rows it reduces by, each once, in
+    increasing pivot order."""
+
+    class LoggedRows(dict):
+        def __getitem__(self, p):
+            visits.append(p)
+            return dict.__getitem__(self, p)
+
+    rng = random.Random(7)
+    for _ in range(200):
+        rows = LoggedRows()
+        for col in random_columns(rng):
+            m = 1
+            for c in col.values():
+                m = lcm(m, c.denominator)
+            visits = []
+            _echelon_insert(rows, {k: int(c * m) for k, c in col.items()})
+            assert visits == sorted(set(visits)), visits
