@@ -387,9 +387,10 @@ def oracle_rank(columns):
 
 
 def random_columns(rng):
-    """A sparse matrix with Fraction entries of both signs and sizes up to
-    7/4 (so pivot entries are rarely +-1), and with empty columns, repeated
-    columns and rational combinations of earlier columns."""
+    """A sparse matrix with Fraction entries of both signs, numerators up to
+    7 and denominators up to 4 (so pivot entries are rarely +-1), and with
+    empty columns, repeated columns and rational combinations of earlier
+    columns."""
     nrows = rng.randint(1, 9)
     keys = [(rng.randint(0, 2), rng.choice("abc"), r) for r in range(nrows)]
     cols = []
@@ -444,8 +445,8 @@ def test_matrix_rank_exact(ctx_a2, ctx_b2):
 
 
 def test_echelon_insert_visits_each_pivot_once_in_order():
-    """Each insertion reads only the rows it reduces by, each once, in
-    increasing pivot order."""
+    """Each insertion reads every row it reduces by once, in increasing
+    pivot order."""
 
     class LoggedRows(dict):
         def __getitem__(self, p):
