@@ -18,11 +18,17 @@ word of the longer permutation - braid moves with equal outer colors
 emit polynomial error terms - or split off tau_k^2 = Q(x_k, x_{k+1}).
 Every error term strictly drops the crossing count, so the rewriting
 terminates; results are memoized on the context.
+
+A reduced word is rewritten into another one of the same permutation
+along a path of commute and braid moves built in closed form
+(KLRContext.move_path): each word is taken to the canonical word by
+inserting its letters right to left, one letter costing O(n^2) moves
+however many reduced words the permutation has, and the second word's
+path is run backwards.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 
 from .polycalc import (Perm, Poly, all_perms, canonical_word, demazure,
@@ -105,48 +111,64 @@ class KLRContext:
         return g
 
     def move_path(self, src, dst):
-        """BFS path of Coxeter moves from one reduced word to another.
+        """Coxeter moves that turn the reduced word src into dst, a reduced
+        word of the same permutation, built in closed form (no search).
 
         Moves: ('c', p) swaps commuting letters at positions p, p+1;
         ('b', p) applies the braid move to the triple at p, p+1, p+2.
+        Every move is its own inverse, so the path is src's moves to the
+        canonical word followed by dst's in reverse (see _canon_moves).
+        In products one of the two words is canonical, so the path is one
+        letter insertion or its reverse.  Raises ValueError when a word is
+        not reduced or the two words belong to different permutations.
+        Paths are memoized on the context.
         """
         key = (src, dst)
-        if key in self._paths:
-            return self._paths[key]
-        if src == dst:
-            self._paths[key] = ()
-            return ()
-        seen = {src: None}
-        queue = deque([src])
-        while queue:
-            w = queue.popleft()
-            for move, w2 in _word_moves(w):
-                if w2 not in seen:
-                    seen[w2] = (w, move)
-                    if w2 == dst:
-                        path = []
-                        cur = dst
-                        while seen[cur] is not None:
-                            prev, mv = seen[cur]
-                            path.append(mv)
-                            cur = prev
-                        path.reverse()
-                        path = tuple(path)
-                        self._paths[key] = path
-                        return path
-                    queue.append(w2)
-        raise RuntimeError(f"no move path between reduced words {src} and {dst}")
+        path = self._paths.get(key)
+        if path is not None:
+            return path
+        to_src, runs_src = _canon_moves(src)
+        to_dst, runs_dst = _canon_moves(dst)
+        if runs_src != runs_dst:
+            raise ValueError(
+                f"{src} and {dst} are not words of the same permutation")
+        path = self._paths[key] = tuple(to_src + to_dst[::-1])
+        return path
 
 
-def _word_moves(w):
-    out = []
-    for p in range(len(w) - 1):
-        if abs(w[p] - w[p + 1]) >= 2:
-            out.append((("c", p), w[:p] + (w[p + 1], w[p]) + w[p + 2:]))
-    for p in range(len(w) - 2):
-        if w[p] == w[p + 2] and abs(w[p] - w[p + 1]) == 1:
-            out.append((("b", p), w[:p] + (w[p + 1], w[p], w[p + 1]) + w[p + 3:]))
-    return out
+def _canon_moves(word):
+    """Coxeter moves from a reduced word to its canonical word, and the
+    lengths of that word's runs.
+
+    The canonical word is R_2 R_3 ... R_n with R_m = (m-1, ..., r_m)
+    (empty when r_m = m).  Letters are inserted right to left into the
+    canonical word of the suffix after them.  To put an ascent letter k
+    in front of canon(h): commute k right past R_2 ... R_{k-1} (letters
+    <= k-2), so that k R_k = (k, ..., a) =: c with a = r_k; then move
+    each letter j = k, k-1, ..., b of R_{k+1} = (k, ..., b) left through
+    c (b > a exactly when k is an ascent): commute past (j-2, ..., a),
+    braid (j, j-1, j) -> (j-1, j, j-1), commute j-1 past (k, ..., j+1).
+    This leaves (k-1, ..., b-1) c, i.e. r_k = b-1 and r_{k+1} = a.
+    """
+    if any(k < 1 for k in word):
+        raise ValueError(f"letters must be positive: {word}")
+    size = [0] * (max(word, default=0) + 2)     # size[m] = len(R_m)
+    moves = []
+    for base in range(len(word) - 1, -1, -1):
+        k = word[base]
+        a, b = k - size[k], k + 1 - size[k + 1]
+        if b <= a:
+            raise ValueError(f"letter {k} at position {base} of {word} "
+                             "does not lengthen the rest: not reduced")
+        p0 = base + sum(size[2:k])
+        moves += [("c", p) for p in range(base, p0)]
+        for t, j in enumerate(range(k, b - 1, -1)):
+            q = p0 + t + k - j      # position of the braid triple
+            moves += [("c", p) for p in range(q + j - a, q + 1, -1)]
+            moves.append(("b", q))
+            moves += [("c", p) for p in range(q - 1, p0 + t - 1, -1)]
+        size[k], size[k + 1] = k - b + 1, k + 1 - a
+    return moves, size
 
 
 class KLRElement:

@@ -3,6 +3,8 @@ graded bases, central elements, and the crossing-product identities."""
 
 import itertools
 import random
+import time
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,8 @@ import pytest
 from klrcalc import (
     KLRContext,
     KLRElement,
+    NilHeckeElement,
+    Perm,
     Poly,
     RootVector,
     demazure,
@@ -19,13 +23,18 @@ from klrcalc import (
     klr_generator,
     klr_multiply,
     klr_multiply_many,
+    nh_multiply,
+    perm_of_word,
     q_multi,
     relation_residues,
     rev,
     sequences,
     tau_word_degree,
 )
-from klrcalc.klr import _poly_on_strands
+from klrcalc.klr import _canon_moves, _poly_on_strands
+from klrcalc.polycalc import all_perms, canonical_word
+
+from conftest import A2_DOT, B2R_DOT, G2_DOT, make_cartan
 
 
 def all_words(h, letters=("i", "j")):
@@ -315,3 +324,273 @@ def test_tau_word_degree(ctx_a2, ctx_b2):
     # equal colors: degree -i.i = -2 d_i
     assert tau_word_degree(ctx_a2, (1,), ("i", "i")) == -2
     assert tau_word_degree(ctx_b2, (1,), ("j", "j")) == -4
+
+
+# -- Coxeter move paths -------------------------------------------------
+
+
+def apply_moves(word, moves):
+    """Apply ('c', p) / ('b', p) moves, rejecting any that is not a legal
+    commute of letters at distance >= 2 or braid of a triple (a, a+-1, a)."""
+    w = list(word)
+    for kind, p in moves:
+        if kind == "c":
+            assert abs(w[p] - w[p + 1]) >= 2, (word, kind, p, w)
+            w[p], w[p + 1] = w[p + 1], w[p]
+        else:
+            assert kind == "b", kind
+            assert w[p] == w[p + 2] and abs(w[p] - w[p + 1]) == 1, \
+                (word, kind, p, w)
+            w[p:p + 3] = [w[p + 1], w[p], w[p + 1]]
+    return tuple(w)
+
+
+def reduced_words(g):
+    """Every reduced word of g, by peeling off left descents."""
+    if g.is_identity():
+        yield ()
+        return
+    for k in range(1, g.n):
+        h = Perm.s(k, g.n) * g
+        if h.length() < g.length():
+            for w in reduced_words(h):
+                yield (k,) + w
+
+
+def random_reduced_word(rng, g):
+    word = []
+    while not g.is_identity():
+        k = rng.choice([k for k in range(1, g.n)
+                        if (Perm.s(k, g.n) * g).length() < g.length()])
+        word.append(k)
+        g = Perm.s(k, g.n) * g
+    return tuple(word)
+
+
+def word_moves(w):
+    """Every legal commute or braid move on the word w, with its result."""
+    for p in range(len(w) - 1):
+        if abs(w[p] - w[p + 1]) >= 2:
+            yield ("c", p), w[:p] + (w[p + 1], w[p]) + w[p + 2:]
+    for p in range(len(w) - 2):
+        if w[p] == w[p + 2] and abs(w[p] - w[p + 1]) == 1:
+            yield ("b", p), w[:p] + (w[p + 1], w[p], w[p + 1]) + w[p + 3:]
+
+
+def oracle_move_path(src, dst):
+    """A shortest move path, by breadth-first search over the reduced
+    words of the permutation (the move-path routine before the
+    constructive one)."""
+    seen = {src: None}
+    queue = deque([src])
+    while queue:
+        w = queue.popleft()
+        if w == dst:
+            path = []
+            while seen[w] is not None:
+                w, move = seen[w]
+                path.append(move)
+            return tuple(reversed(path))
+        for move, w2 in word_moves(w):
+            if w2 not in seen:
+                seen[w2] = (w, move)
+                queue.append(w2)
+    raise RuntimeError(f"no move path between {src} and {dst}")
+
+
+def test_move_paths_are_legal_and_canonical():
+    """Every reduced word in S_n, n <= 5, reaches its canonical word by
+    legal moves; a letter that is not an ascent raises ValueError; and
+    move_path joins seeded pairs of reduced words in S_6."""
+    words = 0
+    for n in range(1, 6):
+        for g in all_perms(n):
+            canon = canonical_word(g)
+            for w in reduced_words(g):
+                moves, _ = _canon_moves(w)
+                assert apply_moves(w, moves) == canon, w
+                words += 1
+            for k in range(1, n):
+                if (Perm.s(k, n) * g).length() > g.length():
+                    moves, _ = _canon_moves((k,) + canon)
+                    assert apply_moves((k,) + canon, moves) == \
+                        canonical_word(Perm.s(k, n) * g)
+                else:
+                    with pytest.raises(ValueError):
+                        _canon_moves((k,) + canon)
+    assert words == 3137
+    ctx = KLRContext(make_cartan(A2_DOT))
+    rng = random.Random(61)
+    perms = list(all_perms(6))
+    for _ in range(300):
+        g = rng.choice(perms)
+        src, dst = random_reduced_word(rng, g), random_reduced_word(rng, g)
+        assert apply_moves(src, ctx.move_path(src, dst)) == dst, (src, dst)
+
+
+def test_move_path_rejects_bad_words(ctx_a2):
+    for word in ((1, 1), (1, 2, 1, 2), (2, 3, 1, 2, 1, 2), (0,), (1, -1)):
+        with pytest.raises(ValueError):
+            _canon_moves(word)
+    with pytest.raises(ValueError):
+        ctx_a2.move_path((1, 2), (2, 1))
+    with pytest.raises(ValueError):
+        ctx_a2.move_path((1, 3), (1, 2))
+
+
+def _oracle_context(dot, monkeypatch):
+    ctx = KLRContext(make_cartan(dot))
+    monkeypatch.setattr(ctx, "move_path", oracle_move_path)
+    return ctx
+
+
+def _tau_times_monomials(ctx, n):
+    """tau_k tau_w 1_nu for every colour word nu, permutation w and k."""
+    out = {}
+    for nu in itertools.product(("i", "j"), repeat=n):
+        seqs = list(sequences(RootVector.from_word(nu)))
+        taus = [klr_generator(ctx, "tau", k, seqs) for k in range(1, n)]
+        for g in all_perms(n):
+            m = KLRElement.monomial(ctx, nu, canonical_word(g), (0,) * n)
+            for k, t in enumerate(taus, start=1):
+                out[nu, g, k] = klr_multiply(t, m)
+    return out
+
+
+def _random_monomial(rng, ctx, nu):
+    """A seeded PBW monomial x^a tau_w 1_nu with exponents at most 1."""
+    n = len(nu)
+    return KLRElement.monomial(ctx, nu, canonical_word(rng.choice(all_perms(n))),
+                               [rng.randint(0, 1) for _ in range(n)])
+
+
+def _left_colours(el):
+    return el.left_colors(next(iter(el.terms)))
+
+
+def _random_monomial_products(ctx, n, count, seed):
+    """Seeded products u v of composable PBW monomials on n strands."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        v = _random_monomial(rng, ctx, tuple(rng.choice("ij") for _ in range(n)))
+        u = _random_monomial(rng, ctx, _left_colours(v))
+        out.append(klr_multiply(u, v))
+    return out
+
+
+@pytest.mark.parametrize("dot", [A2_DOT, B2R_DOT, G2_DOT],
+                         ids=["a2", "b2r", "g2"])
+def test_constructive_paths_match_bfs_oracle(dot, monkeypatch):
+    """Normal forms computed along the constructive move paths equal those
+    computed along the breadth-first oracle's paths, on fresh contexts."""
+    ctx = KLRContext(make_cartan(dot))
+    oracle = _oracle_context(dot, monkeypatch)
+    for n in range(2, 5):
+        assert _tau_times_monomials(ctx, n) == _tau_times_monomials(oracle, n)
+    assert _random_monomial_products(ctx, 5, 30, seed=5) == \
+        _random_monomial_products(oracle, 5, 30, seed=5)
+
+
+@pytest.mark.parametrize("dot", [B2R_DOT, G2_DOT], ids=["b2r", "g2"])
+def test_defining_relations_height_5(dot):
+    ctx = KLRContext(make_cartan(dot))
+    for nu in all_words(5):
+        if len(nu) < 5:
+            continue
+        for name, res in relation_residues(ctx, nu).items():
+            assert res.is_zero(), (nu, name)
+
+
+@pytest.mark.parametrize("dot", [A2_DOT, B2R_DOT, G2_DOT],
+                         ids=["a2", "b2r", "g2"])
+def test_monomial_products_associative_and_rev_compatible(dot):
+    """Seeded triples of composable PBW monomials on four strands.  These
+    products take braid moves in both directions with equal outer colours,
+    so each error-term sign is checked (the residues of the defining
+    relations do not reach the (c, c+1, c) -> (c+1, c, c+1) sign)."""
+    ctx = KLRContext(make_cartan(dot))
+    rng = random.Random(7)
+    for _ in range(40):
+        w = _random_monomial(rng, ctx, tuple(rng.choice("ij") for _ in range(4)))
+        v = _random_monomial(rng, ctx, _left_colours(w))
+        u = _random_monomial(rng, ctx, _left_colours(v))
+        assert klr_multiply(klr_multiply(u, v), w) == \
+            klr_multiply(u, klr_multiply(v, w))
+        assert rev(klr_multiply(u, v)) == klr_multiply(rev(v), rev(u))
+
+
+def _alternating(n):
+    return tuple(itertools.islice(itertools.cycle(("i", "j")), n))
+
+
+def _ascending_runs(n):
+    """The reduced word (1..n-1)(1..n-2)...(1) of w0 in S_n."""
+    return tuple(k for top in range(n - 1, 0, -1) for k in range(1, top + 1))
+
+
+def _tau_letter_by_letter(ctx, nu, word):
+    """tau_word 1_nu, built by left-multiplying one crossing at a time."""
+    seqs = list(sequences(RootVector.from_word(nu)))
+    el = KLRElement.idem(ctx, nu)
+    for k in reversed(word):
+        el = klr_multiply(klr_generator(ctx, "tau", k, seqs), el)
+    return el
+
+
+def test_tau_w0_on_seven_strands_is_fast():
+    """Left multiplication never searches the reduced words of w0, whose
+    number grows too fast for a search at seven strands."""
+    ctx = KLRContext(make_cartan(A2_DOT))
+    nu, word = _alternating(7), _ascending_runs(7)
+    start = time.perf_counter()
+    el = _tau_letter_by_letter(ctx, nu, word)
+    assert time.perf_counter() - start < 20
+    w0 = perm_of_word(word, 7)
+    assert w0.length() == len(word) == 21
+    top = (nu, canonical_word(w0), (0,) * 7)
+    assert el.terms[top] == 1
+    assert all(len(key[1]) < 21 for key in el.terms if key != top)
+
+
+def test_tau_w0_on_six_strands_matches_bfs_oracle(monkeypatch):
+    """The ascending-run word of w0 and seeded random reduced words of w0
+    (whose braid moves emit error terms) on six alternating strands."""
+    ctx = KLRContext(make_cartan(A2_DOT))
+    oracle = _oracle_context(A2_DOT, monkeypatch)
+    nu = _alternating(6)
+    rng = random.Random(3)
+    w0 = perm_of_word(_ascending_runs(6), 6)
+    words = [_ascending_runs(6)] + [random_reduced_word(rng, w0)
+                                    for _ in range(5)]
+    results = [_tau_letter_by_letter(ctx, nu, w) for w in words]
+    assert results == [_tau_letter_by_letter(oracle, nu, w) for w in words]
+    assert max(len(el.terms) for el in results) > 1
+
+
+def test_one_colour_products_match_nil_hecke():
+    """On strands of one colour the KLR engine and the nil Hecke engine
+    are independent implementations of the same algebra, under
+    x^a tau_w 1_(i^n) -> x^a tau_w."""
+    rng = random.Random(41)
+    for dot, colour in ((A2_DOT, "i"), (G2_DOT, "j")):
+        ctx = KLRContext(make_cartan(dot))
+        for n in range(1, 5):
+            nu = (colour,) * n
+            perms = list(all_perms(n))
+            for _ in range(40):
+                pair = []
+                for _ in range(2):
+                    terms = {}
+                    for _ in range(rng.randint(1, 3)):
+                        a = tuple(rng.randint(0, 2) for _ in range(n))
+                        terms[a, rng.choice(perms)] = rng.randint(-3, 3)
+                    pair.append(terms)
+                klr = [KLRElement(ctx, n, {(nu, canonical_word(g), a): c
+                                           for (a, g), c in t.items()})
+                       for t in pair]
+                nh = [NilHeckeElement(n, t) for t in pair]
+                prod = klr_multiply(*klr)
+                assert {(a, perm_of_word(w, n)): c
+                        for (_, w, a), c in prod.terms.items()} == \
+                    nh_multiply(*nh).terms
