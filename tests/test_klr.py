@@ -358,6 +358,7 @@ def reduced_words(g):
 
 
 def random_reduced_word(rng, g):
+    """A seeded random reduced word of g."""
     word = []
     while not g.is_identity():
         k = rng.choice([k for k in range(1, g.n)
@@ -378,9 +379,8 @@ def word_moves(w):
 
 
 def oracle_move_path(src, dst):
-    """A shortest move path, by breadth-first search over the reduced
-    words of the permutation (the move-path routine before the
-    constructive one)."""
+    """A shortest move path, found by breadth-first search over the
+    reduced words of the permutation: the oracle for KLRContext.move_path."""
     seen = {src: None}
     queue = deque([src])
     while queue:
@@ -525,8 +525,8 @@ def _alternating(n):
 
 
 def _ascending_runs(n):
-    """The reduced word (1..n-1)(1..n-2)...(1) of w0 in S_n."""
-    return tuple(k for top in range(n - 1, 0, -1) for k in range(1, top + 1))
+    """The reduced word (n-1)(n-2, n-1)...(1, ..., n-1) of w0 in S_n."""
+    return tuple(k for low in range(n - 1, 0, -1) for k in range(low, n))
 
 
 def _tau_letter_by_letter(ctx, nu, word):
