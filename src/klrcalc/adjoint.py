@@ -7,16 +7,16 @@ Grading convention used throughout: a module shifted by q^s has
 (q^s M)_d = M_{d+s}.  This is centralized in `underlying_degree`.
 """
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
+from operator import add
 
 from .qring import (LaurentPoly, RatFunc, quantum_integer,
                     series_window, sigma, zeta)
 from .rootdata import RootVector, height, pairing, reflect, sequences
 from .polycalc import all_perms
-from .klr import (KLRElement, _pbw_keys, _tau_times_element,
+from .klr import (KLRElement, _pbw_cosets, _tau_times_element,
                   diamond, idempotent_e_klr, klr_multiply, tau_word_degree)
 
 
@@ -140,9 +140,11 @@ class CyclicProjective:
             raise ValueError("the word of f must be the longest word of a "
                              "parabolic subgroup whose blocks carry one color")
         self._w0_degree = tau_word_degree(ctx, w0, nu)
-        # the minimal coset representatives: no letter of w0 is a descent
-        self._cosets = [u for u in all_perms(self.n)
-                        if all(u(p) < u(p + 1) for p in letters)]
+        # one entry per minimal coset representative u (no letter of w0 is
+        # a descent of u): its left color word, word, x weights and degree
+        self._cosets = _pbw_cosets(ctx, nu, [
+            u for u in all_perms(self.n)
+            if all(u(p) < u(p + 1) for p in letters)])
         self._blocks = {}
 
     def blocks(self, d):
@@ -153,10 +155,12 @@ class CyclicProjective:
         if out is None:
             e = underlying_degree(self.shift, d) - self._w0_degree
             found = {}
-            for nu, word, exps in _pbw_keys(self.ctx, self.nu, e,
-                                            self._cosets):
-                lam = self.ctx.word_perm(word, self.n).permute_tuple(nu)
-                found.setdefault(lam, []).append((word + self.w0, exps))
+            for lam, word, weights, deg in self._cosets:
+                exps = self.ctx.exp_vectors(weights, e - deg)
+                if exps:
+                    word += self.w0
+                    found.setdefault(lam, []).extend(
+                        (word, a) for a in exps)
             out = {lam: found[lam] for lam in sorted(found)}
             self._blocks[d] = out
         return out
@@ -267,8 +271,7 @@ class ProjComplex:
                 for ti in targets:
                     for (mu, w2, e2), c in self._word_prod(
                             k, si, ti, word).items():
-                        col[(ti, (mu, w2, tuple(
-                            a + b for a, b in zip(e2, exps))))] = c
+                        col[ti, (mu, w2, tuple(map(add, e2, exps)))] = c
                 columns.append(col)
         return columns
 
@@ -334,7 +337,7 @@ def tau_embed(beta, i, ctx):
     el = KLRElement(ctx, r + 1)
     for nu in sequences(beta):
         key = (tuple(nu) + (i,), word, (0,) * (r + 1))
-        el.terms[key] = Fraction(1)
+        el.terms[key] = 1
     if r == 0:
         return KLRElement.idem(ctx, (i,))
     return el

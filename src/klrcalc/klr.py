@@ -29,10 +29,10 @@ path is run backwards.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import add
 
 from .polycalc import (Perm, Poly, all_perms, canonical_word, demazure,
-                       longest_word, perm_of_word)
+                       demazure_monomial, exact, longest_word, perm_of_word)
 from .rootdata import RootVector, sequences
 
 
@@ -49,6 +49,7 @@ class KLRContext:
         self._mult_tau = {}
         self._nf_reduced = {}
         self._paths = {}
+        self._exp_vectors = {}
 
     # -- configuration -----------------------------------------------------
 
@@ -58,7 +59,7 @@ class KLRContext:
             self.cartan.check_index(j)
             if i == j:
                 raise ValueError("Q_{i,i} is identically zero and not configurable")
-            t = Fraction(cfg.get("t", 1))
+            t = exact(cfg.get("t", 1))
             if t == 0:
                 raise ValueError(f"unit t_({i},{j}) must be invertible, got 0")
             di, dj = self.cartan.d(i), self.cartan.d(j)
@@ -80,8 +81,8 @@ class KLRContext:
         else:
             cij = self.cartan.cartan(i, j)
             cji = self.cartan.cartan(j, i)
-            tij = Fraction(self.q_config.get((i, j), {}).get("t", 1))
-            tji = Fraction(self.q_config.get((j, i), {}).get("t", 1))
+            tij = exact(self.q_config.get((i, j), {}).get("t", 1))
+            tji = exact(self.q_config.get((j, i), {}).get("t", 1))
             p = Poly(2, {(-cij, 0): tij, (0, -cji): tji})
             # extra middle terms; the (j,i) block mirrors via Q_{i,j}(u,v)=Q_{j,i}(v,u)
             seen = self.q_config.get((i, j), {}).get("terms", ())
@@ -89,7 +90,7 @@ class KLRContext:
                         self.q_config.get((j, i), {}).get("terms", ())]
             terms = list(seen) or mirrored
             for s, tt, c in terms:
-                p = p + Poly(2, {(s, tt): Fraction(c)})
+                p = p + Poly(2, {(s, tt): c})
         self._qpolys[key] = p
         return p
 
@@ -109,6 +110,23 @@ class KLRContext:
             g = perm_of_word(word, n)
             self._perm_of_word[key] = g
         return g
+
+    def exp_vectors(self, weights, total):
+        """All nonnegative integer vectors a with sum a_k * weights_k =
+        total, as a tuple in increasing lex order; memoized on the context."""
+        key = (weights, total)
+        out = self._exp_vectors.get(key)
+        if out is None:
+            if total < 0:
+                out = ()
+            elif not weights:
+                out = ((),) if total == 0 else ()
+            else:
+                w0, rest = weights[0], weights[1:]
+                out = tuple((a,) + tail for a in range(total // w0 + 1)
+                            for tail in self.exp_vectors(rest, total - a * w0))
+            self._exp_vectors[key] = out
+        return out
 
     def move_path(self, src, dst):
         """Coxeter moves that turn the reduced word src into dst, a reduced
@@ -172,7 +190,11 @@ def _canon_moves(word):
 
 
 class KLRElement:
-    """A finite sum of PBW monomials x^a tau_w 1_nu over a fixed weight."""
+    """A finite sum of PBW monomials x^a tau_w 1_nu over a fixed weight.
+
+    Coefficients are rational: int when integral, `Fraction` only from a
+    non-integral unit or Q-term coefficient of the context (and then
+    possibly also where such fractions sum to an integer)."""
 
     __slots__ = ("ctx", "n", "terms")
 
@@ -182,7 +204,7 @@ class KLRElement:
         self.terms = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     self.terms[key] = c
 
@@ -219,7 +241,7 @@ class KLRElement:
         _check_compatible(self, other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
+            s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
@@ -237,7 +259,7 @@ class KLRElement:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact(c)
         res = KLRElement(self.ctx, self.n)
         if c:
             res.terms = {k: cc * c for k, cc in self.terms.items()}
@@ -338,12 +360,12 @@ def klr_generator(ctx, kind, arg, beta_or_sequences):
         for nu in seqs:
             e = [0] * n
             e[k - 1] = 1
-            terms[(nu, (), tuple(e))] = Fraction(1)
+            terms[(nu, (), tuple(e))] = 1
     elif kind == "tau":
         if not 1 <= k <= n - 1:
             raise ValueError(f"tau index {k} out of range 1..{n - 1}")
         for nu in seqs:
-            terms[(nu, (k,), (0,) * n)] = Fraction(1)
+            terms[(nu, (k,), (0,) * n)] = 1
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
     return KLRElement(ctx, n, terms)
@@ -354,7 +376,7 @@ def klr_generator(ctx, kind, arg, beta_or_sequences):
 # ---------------------------------------------------------------------------
 
 def _add_term(acc, key, c):
-    s = acc.get(key, Fraction(0)) + c
+    s = acc.get(key, 0) + c
     if s:
         acc[key] = s
     else:
@@ -365,7 +387,7 @@ def _mult_poly_terms(poly_terms, terms, n, acc, scale=1):
     """Accumulate (polynomial * element) given the polynomial's monomials."""
     for e, ce in poly_terms.items():
         for (nu, word, exps), c in terms.items():
-            key = (nu, word, tuple(a + b for a, b in zip(exps, e)))
+            key = (nu, word, tuple(map(add, exps, e)))
             _add_term(acc, key, ce * c * scale)
 
 
@@ -373,22 +395,20 @@ def _tau_times_element(ctx, k, terms, n):
     """Normal form of tau_k * (element given by PBW terms)."""
     acc = {}
     for (nu, word, exps), c in terms.items():
-        g = ctx.word_perm(word, n)
-        lam = g.permute_tuple(nu)
         # commute tau_k past x^exps (relation between tau and x)
         swapped = list(exps)
         swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
-        base = _mult_tau_word(ctx, k, word, nu, n)
-        for key, cc in base.items():
-            nu2, word2, exps2 = key
-            key2 = (nu2, word2, tuple(a + b for a, b in zip(exps2, swapped)))
-            _add_term(acc, key2, c * cc)
-        if lam[k - 1] == lam[k]:
-            mono = Poly(n, {tuple(exps): 1})
-            err = demazure(k, k + 1, mono)
-            if err:
-                _mult_poly_terms(err.terms, {(nu, word, (0,) * n): Fraction(1)},
-                                 n, acc, scale=c)
+        for (nu2, word2, exps2), cc in _mult_tau_word(
+                ctx, k, word, nu, n).items():
+            _add_term(acc, (nu2, word2, tuple(map(add, exps2, swapped))),
+                      c * cc)
+        # strands k, k+1 on the left of tau_word 1_nu start at right
+        # positions g^-1(k), g^-1(k+1); equal colors emit a Demazure term
+        im = ctx.word_perm(word, n).images
+        if nu[im.index(k)] == nu[im.index(k + 1)]:
+            sign, monos = demazure_monomial(k, k + 1, exps)
+            for e in monos:
+                _add_term(acc, (nu, word, e), sign * c)
     return acc
 
 
@@ -399,13 +419,12 @@ def _mult_tau_word(ctx, k, word, nu, n):
     if hit is not None:
         return hit
     g = ctx.word_perm(word, n)
-    sk = Perm.s(k, n)
-    skg = sk * g
-    if skg.length() > g.length():
+    if g.images.index(k) < g.images.index(k + 1):
+        # s_k g is longer than g
         res = _nf_reduced(ctx, (k,) + word, nu, n)
     else:
         # word has a reduced expression starting with k
-        v = ctx.canon(skg)
+        v = ctx.canon(Perm.s(k, n) * g)
         target = (k,) + v
         corr = _rewrite_word(ctx, word, target, nu, n)
         acc = {}
@@ -415,7 +434,7 @@ def _mult_tau_word(ctx, k, word, nu, n):
         if rho[k - 1] != rho[k]:
             qp = ctx.q_poly(rho[k - 1], rho[k])
             qn = qp.subst_vars({1: k, 2: k + 1}, n)
-            _mult_poly_terms(qn.terms, {(nu, v, (0,) * n): Fraction(1)}, n, acc)
+            _mult_poly_terms(qn.terms, {(nu, v, (0,) * n): 1}, n, acc)
         if corr:
             for key, cc in _tau_times_element(ctx, k, corr, n).items():
                 _add_term(acc, key, cc)
@@ -431,7 +450,7 @@ def _nf_reduced(ctx, word, nu, n):
     if hit is not None:
         return hit
     target = ctx.canon(ctx.word_perm(word, n))
-    acc = {(nu, target, (0,) * n): Fraction(1)}
+    acc = {(nu, target, (0,) * n): 1}
     corr = _rewrite_word(ctx, word, target, nu, n)
     for key, c in corr.items():
         _add_term(acc, key, c)
@@ -497,7 +516,7 @@ def klr_multiply(u, v):
         if not cur:
             continue
         for (nu2, word2, exps2), c2 in cur.items():
-            key2 = (nu2, word2, tuple(a + b for a, b in zip(exps2, exps)))
+            key2 = (nu2, word2, tuple(map(add, exps2, exps)))
             _add_term(acc, key2, cu * c2)
     res = KLRElement(ctx, n)
     res.terms = acc
@@ -564,20 +583,6 @@ def rev(u):
     return res
 
 
-def _exp_vectors(weights, total):
-    """All nonnegative integer vectors a with sum a_k * weights_k = total."""
-    if total < 0:
-        return
-    if not weights:
-        if total == 0:
-            yield ()
-        return
-    w0 = weights[0]
-    for a in range(total // w0 + 1):
-        for rest in _exp_vectors(weights[1:], total - a * w0):
-            yield (a,) + rest
-
-
 def tau_word_degree(ctx, word, nu):
     """Degree of tau_word 1_nu; the word need not be reduced or canonical."""
     dot = ctx.cartan.dot
@@ -589,24 +594,33 @@ def tau_word_degree(ctx, word, nu):
     return deg
 
 
-def _pbw_keys(ctx, nu, d, perms):
-    """The PBW monomial keys x^a tau_w 1_nu of degree d, w running over
-    perms (each written with its canonical word), perm by perm."""
+def _pbw_cosets(ctx, nu, perms):
+    """The degree-independent part of the PBW monomials x^a tau_w 1_nu,
+    one entry (lam, word, weights, deg) per w in perms: lam = w(nu) is the
+    left color word, word the canonical word of w, weights the degrees
+    (lam_k, lam_k) of the x's and deg the degree of tau_w 1_nu.  The
+    monomials of degree d are then those with a in
+    ctx.exp_vectors(weights, d - deg)."""
     dot = ctx.cartan.dot
+    out = []
     for g in perms:
         word = ctx.canon(g)
-        weights = tuple(dot(c, c) for c in g.permute_tuple(nu))
-        for a in _exp_vectors(weights, d - tau_word_degree(ctx, word, nu)):
-            yield (nu, word, a)
+        lam = g.permute_tuple(nu)
+        out.append((lam, word, tuple(dot(c, c) for c in lam),
+                    tau_word_degree(ctx, word, nu)))
+    return out
 
 
 def graded_basis(ctx, mu_filter, nu, d):
     """All PBW monomial keys x^a tau_w 1_nu of degree d whose left color
     word matches mu_filter (None for no filter), as a sorted list."""
     nu = tuple(nu)
-    perms = [g for g in all_perms(len(nu))
-             if mu_filter is None or g.permute_tuple(nu) == tuple(mu_filter)]
-    return sorted(_pbw_keys(ctx, nu, d, perms))
+    if mu_filter is not None:
+        mu_filter = tuple(mu_filter)
+    return sorted((nu, word, a) for lam, word, weights, deg
+                  in _pbw_cosets(ctx, nu, all_perms(len(nu)))
+                  if mu_filter is None or lam == mu_filter
+                  for a in ctx.exp_vectors(weights, d - deg))
 
 
 def idempotent_e_klr(ctx, i, m):
@@ -629,7 +643,7 @@ def _poly_on_strands(ctx, nu, positions, poly):
         exps = [0] * n
         for p, a in zip(positions, e):
             exps[p - 1] += a
-        terms[(tuple(nu), (), tuple(exps))] = Fraction(c)
+        terms[(tuple(nu), (), tuple(exps))] = c
     return KLRElement(ctx, n, terms)
 
 
@@ -694,7 +708,7 @@ def relation_residues(ctx, nu):
             for (a, b), c in q.terms.items():
                 for s in range(a):
                     e = (s, b, a - 1 - s)
-                    err[e] = err.get(e, Fraction(0)) + Fraction(c)
+                    err[e] = err.get(e, 0) + c
             lhs = lhs - _poly_on_strands(ctx, nu, (k, k + 1, k + 2),
                                          Poly(3, err))
         out[f"braid_{k}"] = lhs

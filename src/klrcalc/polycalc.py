@@ -29,15 +29,24 @@ class Perm:
             raise ValueError(f"not a permutation of 1..{n}: {images}")
 
     @staticmethod
+    def _trusted(images):
+        """A Perm from an image tuple known to be a permutation."""
+        g = Perm.__new__(Perm)
+        g.images = images
+        return g
+
+    @staticmethod
     def identity(n):
         return Perm(range(1, n + 1))
 
     @staticmethod
     def s(k, n):
         """The simple transposition s_k in S_n."""
+        if not 1 <= k < n:
+            raise ValueError(f"s_{k} is not a simple transposition of S_{n}")
         im = list(range(1, n + 1))
         im[k - 1], im[k] = im[k], im[k - 1]
-        return Perm(im)
+        return Perm._trusted(tuple(im))
 
     @property
     def n(self):
@@ -54,13 +63,15 @@ class Perm:
 
     def __mul__(self, other):
         """Function composition: (self * other)(p) = self(other(p))."""
-        return Perm(tuple(self.images[q - 1] for q in other.images))
+        if len(self.images) != len(other.images):
+            raise ValueError("size mismatch")
+        return Perm._trusted(tuple(self.images[q - 1] for q in other.images))
 
     def inv(self):
         out = [0] * len(self.images)
         for p, q in enumerate(self.images, start=1):
             out[q - 1] = p
-        return Perm(out)
+        return Perm._trusted(tuple(out))
 
     def length(self):
         """Coxeter length = inversion count."""
@@ -73,9 +84,11 @@ class Perm:
 
     def permute_tuple(self, t):
         """Left color word of tau_w 1_nu for w with word-permutation self:
-        position p carries the color of right position self^-1(p)."""
-        inv = self.inv().images
-        return tuple(t[q - 1] for q in inv)
+        position self(r) carries the color of right position r."""
+        out = [None] * len(self.images)
+        for r, q in enumerate(self.images):
+            out[q - 1] = t[r]
+        return tuple(out)
 
     def __repr__(self):
         return f"Perm{self.images}"
@@ -83,10 +96,14 @@ class Perm:
 
 def perm_of_word(word, n):
     """The permutation of a word, rightmost letter applied first."""
-    g = Perm.identity(n)
+    im = list(range(1, n + 1))
     for k in word:
-        g = g * Perm.s(k, n)
-    return g
+        if not 1 <= k < n:
+            raise ValueError(f"letter {k} is not a simple transposition "
+                             f"of S_{n}")
+        # right multiplication by s_k swaps the images of k and k+1
+        im[k - 1], im[k] = im[k], im[k - 1]
+    return Perm._trusted(tuple(im))
 
 
 def is_reduced(word, n=None):
@@ -111,7 +128,7 @@ def canonical_word(g):
     im = list(g.images)
     r = im.index(n) + 1
     rest = [q for q in im if q != n]
-    sub = Perm(rest) if rest else Perm(())
+    sub = Perm._trusted(tuple(rest))
     return canonical_word(sub) + tuple(range(n - 1, r - 1, -1))
 
 
@@ -127,8 +144,19 @@ def longest_word(k, l):
 # polynomials
 # ---------------------------------------------------------------------------
 
+def exact(c):
+    """A rational coefficient as an int when it is integral, else as a
+    Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Poly:
-    """A sparse polynomial in x_1..x_n with rational coefficients."""
+    """A sparse polynomial in x_1..x_n with rational coefficients, stored
+    as int when integral; `Fraction` comes in only from a non-integral
+    input (in the KLR layer, a non-integral unit or Q-term coefficient)."""
 
     __slots__ = ("n", "terms")
 
@@ -137,7 +165,7 @@ class Poly:
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     e = tuple(int(x) for x in e)
                     if len(e) != n or any(x < 0 for x in e):
@@ -184,7 +212,7 @@ class Poly:
             raise ValueError("variable-count mismatch")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -218,7 +246,7 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -283,27 +311,39 @@ def act(g, p):
     return res
 
 
+def demazure_monomial(k, l, e):
+    """The divided difference of the monomial x^e, as a sign (+1 or -1)
+    and the exponent vectors of its terms, all with that coefficient
+    (no terms when e_k = e_l)."""
+    a, b = e[k - 1], e[l - 1]
+    # (x_k^a x_l^b - x_k^b x_l^a)/(x_l - x_k) over the common factor
+    lo, hi = (a, b) if a < b else (b, a)
+    out = []
+    ee = list(e)
+    for t in range(hi - lo):
+        ee[k - 1] = lo + t
+        ee[l - 1] = hi - 1 - t
+        out.append(tuple(ee))
+    return (1 if b > a else -1), out
+
+
 def demazure(k, l, p):
     """The divided difference (f - s_{k,l} f)/(x_l - x_k), always exact."""
     if k == l:
         raise ValueError("demazure needs two distinct variables")
-    n = p.n
-    out = Poly.zero(n)
+    out = {}
     for e, c in p.terms.items():
-        a, b = e[k - 1], e[l - 1]
-        if a == b:
-            continue
-        # (x_k^a x_l^b - x_k^b x_l^a)/(x_l - x_k) over the common factor
-        lo, hi = min(a, b), max(a, b)
-        sign = 1 if b > a else -1
-        rest = list(e)
-        rest[k - 1] = rest[l - 1] = 0
-        for t in range(hi - lo):
-            ee = list(rest)
-            ee[k - 1] = lo + t
-            ee[l - 1] = hi - 1 - t
-            out = out + Poly(n, {tuple(ee): sign * c})
-    return out
+        sign, monos = demazure_monomial(k, l, e)
+        c *= sign
+        for ee in monos:
+            s = out.get(ee, 0) + c
+            if s:
+                out[ee] = s
+            else:
+                del out[ee]
+    res = Poly.__new__(Poly)
+    res.n, res.terms = p.n, out
+    return res
 
 
 def demazure_seq(word, p):

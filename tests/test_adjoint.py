@@ -31,7 +31,9 @@ from klrcalc import (
     underlying_degree,
 )
 from klrcalc.adjoint import _echelon_insert, _matrix_rank
-from klrcalc.klr import graded_basis, idempotent_e_klr, klr_multiply_many
+from klrcalc.klr import (graded_basis, idempotent_e_klr, klr_multiply_many,
+                         tau_word_degree)
+from klrcalc.polycalc import all_perms, canonical_word
 
 
 # -- construction sanity (the constructor verifies d^2 = 0 exactly) ------
@@ -138,6 +140,76 @@ def test_cyclic_projective_rejects_nonconforming_idempotents(ctx_a2):
         assert klr_multiply(f, f) == f
         with pytest.raises(ValueError, match=why):
             CyclicProjective(ctx_a2, f)
+
+
+def _exp_vectors(weights, total):
+    """All nonnegative integer vectors a with sum a_k * weights_k = total,
+    in increasing lex order."""
+    if total < 0:
+        return
+    if not weights:
+        if total == 0:
+            yield ()
+        return
+    for a in range(total // weights[0] + 1):
+        for rest in _exp_vectors(weights[1:], total - a * weights[0]):
+            yield (a,) + rest
+
+
+def _left_word(g, nu):
+    ginv = g.inv()
+    return tuple(nu[ginv(p) - 1] for p in range(1, len(nu) + 1))
+
+
+def keywise_blocks(p, d):
+    """The basis of the degree-d component of H·f, key by key: every PBW
+    key x^a tau_u 1_nu over the minimal coset representatives u, each
+    with its own left colour word."""
+    ctx, nu, dot = p.ctx, p.nu, p.ctx.cartan.dot
+    letters = set(p.w0)
+    e = underlying_degree(p.shift, d) - tau_word_degree(ctx, p.w0, nu)
+    found = {}
+    for u in all_perms(p.n):
+        if not all(u(q) < u(q + 1) for q in letters):
+            continue
+        word = canonical_word(u)
+        weights = tuple(dot(c, c) for c in _left_word(u, nu))
+        for exps in _exp_vectors(weights,
+                                 e - tau_word_degree(ctx, word, nu)):
+            lam = _left_word(ctx.word_perm(word, p.n), nu)
+            found.setdefault(lam, []).append((word + p.w0, exps))
+    return {lam: found[lam] for lam in sorted(found)}
+
+
+def test_blocks_match_keywise_construction(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
+    """blocks(d), its dict order and list order included, equals the
+    key-by-key construction on every term of the plain and the divided
+    complexes with n + m <= 4, degrees 0..6."""
+    for ctx in (ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
+        for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
+            for build in (build_ad_complex, build_divided_complex):
+                cplx = build(n, ("j",) * m, "i", ctx)
+                for col in cplx.terms:
+                    for p in col:
+                        for d in range(0, 7):
+                            got, want = p.blocks(d), keywise_blocks(p, d)
+                            assert list(got.items()) == list(want.items()), \
+                                (build.__name__, n, m, p.nu, d)
+
+
+def test_differential_products_keep_int_coefficients(ctx_a2, ctx_b2):
+    """With the default units every cached differential product
+    tau_word 1_nu . z is an integer combination of PBW keys."""
+    for ctx in (ctx_a2, ctx_b2):
+        for n, m in [(2, 1), (1, 2), (3, 1)]:
+            for build in (build_ad_complex, build_divided_complex):
+                cplx = build(n, ("j",) * m, "i", ctx)
+                cohomology_dims(cplx, DegreeWindow(0, 4))
+                assert cplx._word_prods
+                for key, terms in cplx._word_prods.items():
+                    bad = {k: c for k, c in terms.items()
+                           if type(c) is not int}
+                    assert not bad, (key, bad)
 
 
 # -- Euler characteristic ------------------------------------------------

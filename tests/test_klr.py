@@ -116,6 +116,44 @@ def test_basis_counts_match_word_shuffles(ctx_a2):
         assert total > 0
 
 
+def _brute_basis(ctx, nu, d_max):
+    """Every PBW key x^a tau_w 1_nu of degree <= d_max with its left colour
+    word, by a box search over exponents; a crossing of the strands that
+    start at r < s (an inversion of w) has degree -(nu_r, nu_s)."""
+    dot = ctx.cartan.dot
+    n = len(nu)
+    out = {}
+    for g in all_perms(n):
+        tau_deg = -sum(dot(nu[r], nu[s]) for r in range(n)
+                       for s in range(r + 1, n) if g(r + 1) > g(s + 1))
+        ginv = g.inv()
+        lam = tuple(nu[ginv(p) - 1] for p in range(1, n + 1))
+        weights = [dot(c, c) for c in lam]
+        boxes = [range((d_max - tau_deg) // w + 1) for w in weights]
+        for a in itertools.product(*boxes):
+            deg = tau_deg + sum(x * w for x, w in zip(a, weights))
+            if deg <= d_max:
+                out.setdefault(deg, []).append(
+                    (lam, (nu, canonical_word(g), a)))
+    return out
+
+
+def test_graded_basis_matches_box_search(ctx_a2, ctx_b2, ctx_g2):
+    """On heights <= 3, graded_basis in degrees -6..6, unfiltered and
+    filtered by each left colour word, equals a box search."""
+    for ctx in (ctx_a2, ctx_b2, ctx_g2):
+        for nu in all_words(3):
+            brute = _brute_basis(ctx, nu, 6)
+            lefts = set(itertools.permutations(nu))
+            for d in range(-6, 7):
+                found = brute.get(d, [])
+                assert graded_basis(ctx, None, nu, d) == \
+                    sorted(key for _, key in found), (nu, d)
+                for mu in lefts:
+                    assert graded_basis(ctx, mu, nu, d) == \
+                        sorted(key for lam, key in found if lam == mu)
+
+
 def test_products_stay_in_basis(ctx_a2):
     """Every term of a product is a normal-form key of the right degree."""
     rng = random.Random(3)
@@ -594,3 +632,70 @@ def test_one_colour_products_match_nil_hecke():
                 assert {(a, perm_of_word(w, n)): c
                         for (_, w, a), c in prod.terms.items()} == \
                     nh_multiply(*nh).terms
+
+
+# -- coefficients: int when integral, Fraction from a rational unit ------
+
+
+HALF_UNITS = {("i", "j"): {"t": Fraction(1, 2)}, ("j", "i"): {"t": -3}}
+
+
+def _random_triples(ctx, count, seed):
+    """Seeded triples (u, v, w) of composable PBW monomials on 4 strands."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        w = _random_monomial(rng, ctx, tuple(rng.choice("ij") for _ in range(4)))
+        v = _random_monomial(rng, ctx, _left_colours(w))
+        u = _random_monomial(rng, ctx, _left_colours(v))
+        yield u, v, w
+
+
+@pytest.mark.parametrize("dot", [A2_DOT, B2R_DOT, G2_DOT],
+                         ids=["a2", "b2r", "g2"])
+def test_rational_units_promote_to_fractions(dot):
+    """With t_(i,j) = 1/2 and t_(j,i) = -3 the defining relations hold on
+    every height-4 colour word, products stay associative, and the unit
+    1/2 survives as a Fraction that prints as 1/2."""
+    ctx = KLRContext(make_cartan(dot), HALF_UNITS)
+    for nu in all_words(4):
+        if len(nu) < 4:
+            continue
+        for name, res in relation_residues(ctx, nu).items():
+            assert res.is_zero(), (nu, name)
+    for u, v, w in _random_triples(ctx, 20, seed=13):
+        assert klr_multiply(klr_multiply(u, v), w) == \
+            klr_multiply(u, klr_multiply(v, w))
+    # tau_1^2 1_(i,j) = Q_{i,j}(x_1, x_2) = x_1^{-c_ij}/2 - 3 x_2^{-c_ji}
+    t1 = KLRElement.monomial(ctx, ("i", "j"), (1,), (0, 0))
+    sq = klr_multiply(KLRElement.monomial(ctx, ("j", "i"), (1,), (0, 0)), t1)
+    assert sorted(type(c).__name__ for c in sq.terms.values()) == \
+        ["Fraction", "int"]
+    assert sorted(t["coeff"] for t in sq.to_json_obj()) == ["-3", "1/2"]
+
+
+def _assert_int_coefficients(terms, where):
+    bad = {k: c for k, c in terms.items() if type(c) is not int}
+    assert not bad, (where, bad)
+
+
+@pytest.mark.parametrize("dot", [A2_DOT, B2R_DOT, G2_DOT],
+                         ids=["a2", "b2r", "g2"])
+def test_default_units_keep_int_coefficients(dot):
+    """With the default units every coefficient is an int: of the twist
+    polynomials, of every memoized normal form that the height-4 residues
+    fill in, and of seeded monomial products."""
+    ctx = KLRContext(make_cartan(dot))
+    for nu in all_words(4):
+        if len(nu) < 4:
+            continue
+        for name, res in relation_residues(ctx, nu).items():
+            assert res.is_zero(), (nu, name)
+    for i, j in itertools.product("ij", repeat=2):
+        _assert_int_coefficients(ctx.q_poly(i, j).terms, (i, j))
+    for memo in (ctx._mult_tau, ctx._nf_reduced):
+        assert memo
+        for key, terms in memo.items():
+            _assert_int_coefficients(terms, key)
+    for u, v, w in _random_triples(ctx, 20, seed=17):
+        _assert_int_coefficients(klr_multiply(klr_multiply(u, v), w).terms,
+                                 (u, v, w))

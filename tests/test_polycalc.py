@@ -140,3 +140,34 @@ def test_demazure_seq_braid():
     for _ in range(20):
         p = random_poly(rng, 3, deg=4)
         assert demazure_seq((1, 2, 1), p) == demazure_seq((2, 1, 2), p)
+
+
+def _transposition(k, l, n):
+    im = list(range(1, n + 1))
+    im[k - 1], im[l - 1] = l, k
+    return Perm(im)
+
+
+def test_demazure_inverts_multiplication_by_root():
+    """(x_l - x_k) d_{k,l} f = f - s_{k,l} f on seeded polynomials in three
+    and four variables, for adjacent and non-adjacent k < l."""
+    rng = random.Random(23)
+    for n in (3, 4):
+        for k in range(1, n + 1):
+            for l in range(k + 1, n + 1):
+                root = Poly.x(l, n) - Poly.x(k, n)
+                for _ in range(15):
+                    f = random_poly(rng, n, deg=4, nterms=6)
+                    assert root * demazure(k, l, f) == \
+                        f - act(_transposition(k, l, n), f), (n, k, l, f)
+
+
+def test_permute_tuple_matches_inverse_definition():
+    """Position p of g.permute_tuple(t) carries t at g^-1(p), for every g
+    in S_n, n <= 5, on a tuple of distinct labels."""
+    for n in range(6):
+        t = tuple("abcdef"[:n])
+        for g in all_perms(n):
+            ginv = g.inv()
+            assert g.permute_tuple(t) == \
+                tuple(t[ginv(p) - 1] for p in range(1, n + 1)), g
