@@ -15,9 +15,8 @@ from operator import add
 from .qring import (LaurentPoly, RatFunc, quantum_integer,
                     series_window, sigma, zeta)
 from .rootdata import RootVector, height, pairing, reflect, sequences
-from .polycalc import all_perms
-from .klr import (KLRElement, _pbw_cosets, _tau_times_element,
-                  diamond, idempotent_e_klr, klr_multiply, tau_word_degree)
+from .klr import (KLRElement, _tau_word_times, diamond, idempotent_e_klr,
+                  klr_multiply, tau_word_degree)
 
 
 def underlying_degree(shift, d):
@@ -45,9 +44,9 @@ def _echelon_insert(rows, vec):
     once, and no other row is looked at.  The entry c of the vector at
     pivot p is cleared by v <- (a/g) v - (c/g) row with a the pivot entry
     and g = gcd(a, c).  If a nonzero remainder survives, it is stored as a
-    new row and True is returned.
+    new row and True is returned.  vec is reduced in place.
     """
-    v = dict(vec)
+    v = vec
     heap = [k for k in v if k in rows]
     heapify(heap)
     while heap:
@@ -86,17 +85,22 @@ def _echelon_insert(rows, vec):
 def _matrix_rank(columns):
     """Rank over the rationals of a list of sparse columns (dicts index ->
     Fraction or int), by pivot-indexed, fraction-free integer elimination:
-    each column is scaled by the lcm of its denominators, which leaves the
-    rank unchanged, and reduced with `_echelon_insert`."""
+    each column is copied once, scaled by the lcm of its denominators
+    (which leaves the rank unchanged) unless all its entries are nonzero
+    ints, and reduced with `_echelon_insert`.  The columns are not
+    modified."""
     rows = {}
     rank = 0
     for col in columns:
-        m = 1
-        for c in col.values():
-            if c.denominator != 1:
-                m = lcm(m, c.denominator)
-        vec = {k: c.numerator * (m // c.denominator)
-               for k, c in col.items() if c}
+        if all(type(c) is int and c for c in col.values()):
+            vec = dict(col)
+        else:
+            m = 1
+            for c in col.values():
+                if c.denominator != 1:
+                    m = lcm(m, c.denominator)
+            vec = {k: c.numerator * (m // c.denominator)
+                   for k, c in col.items() if c}
         if _echelon_insert(rows, vec):
             rank += 1
     return rank
@@ -131,20 +135,15 @@ class CyclicProjective:
         self.nu = nu
         self.n = len(nu)
         self.w0 = w0
-        letters = set(w0)
         # a reduced word is the longest word of the parabolic subgroup its
         # letters generate iff each letter is a descent of its permutation
         g = ctx.word_perm(w0, self.n)
         if len(w0) != g.length() or any(
-                g(p) < g(p + 1) or nu[p - 1] != nu[p] for p in letters):
+                g(p) < g(p + 1) or nu[p - 1] != nu[p] for p in w0):
             raise ValueError("the word of f must be the longest word of a "
                              "parabolic subgroup whose blocks carry one color")
         self._w0_degree = tau_word_degree(ctx, w0, nu)
-        # one entry per minimal coset representative u (no letter of w0 is
-        # a descent of u): its left color word, word, x weights and degree
-        self._cosets = _pbw_cosets(ctx, nu, [
-            u for u in all_perms(self.n)
-            if all(u(p) < u(p + 1) for p in letters)])
+        self._cosets = ctx.pbw_cosets(nu, w0)
         self._blocks = {}
 
     def blocks(self, d):
@@ -246,15 +245,13 @@ class ProjComplex:
         every basis vector of the source is x^exps times such a product, so
         this straightening is cached per word across all degrees.  The word
         need not be canonical (basis words end in the word of f): its
-        letters are applied to z one at a time."""
+        letters are applied to z one at a time.  Every term of z has left
+        color word nu, since _validate checks f_src z = z."""
         key = (k, si, ti, word)
         u = self._word_prods.get(key)
         if u is None:
-            src = self.terms[k][si]
             z = self.diffs[k - 1][(si, ti)]
-            u = klr_multiply(
-                KLRElement.monomial(self.ctx, src.nu, word, (0,) * src.n),
-                z).terms
+            u = _tau_word_times(self.ctx, word, z.terms, z.n)
             self._word_prods[key] = u
         return u
 
@@ -354,19 +351,6 @@ def _word_weight_w(ctx, i, nu_pos):
     return sum(ctx.cartan.cartan(i, c) for c in nu_pos)
 
 
-def _apply_tau_word(ctx, word, el):
-    """Left-multiply an element by tau_{word} (product order, rightmost
-    letter applied first)."""
-    terms = el.terms
-    for k in reversed(word):
-        terms = _tau_times_element(ctx, k, terms, el.n)
-        if not terms:
-            break
-    out = KLRElement(ctx, el.n)
-    out.terms = dict(terms)
-    return out
-
-
 def _ad_complex_words(n, r):
     """Differential words of the binomial complex, built by iterated cones.
 
@@ -425,7 +409,8 @@ def build_ad_complex(n, nu, i, ctx):
                     continue
                 sign, word = got
                 tgt = terms[k - 1][ti]
-                z = _apply_tau_word(ctx, word, tgt.f)
+                z = KLRElement(ctx, tgt.n, _tau_word_times(
+                    ctx, word, tgt.f.terms, tgt.n))
                 if sign < 0:
                     z = -z
                 dk[(si, ti)] = z
@@ -469,7 +454,8 @@ def build_divided_complex(n, nu, i, ctx):
     for k in range(1, n + 1):
         src = terms[k][0]
         tgt = terms[k - 1][0]
-        z = _apply_tau_word(ctx, _asc(k, n + r - 1), tgt.f)
+        z = KLRElement(ctx, tgt.n, _tau_word_times(
+            ctx, _asc(k, n + r - 1), tgt.f.terms, tgt.n))
         z = klr_multiply(src.f, z)
         if (k - 1) % 2:
             z = -z
@@ -515,13 +501,6 @@ class DimTable:
         self.table = {lam: row for lam, row in self.table.items() if row}
         self.hi = hi
 
-    def total(self):
-        out = {}
-        for row in self.table.values():
-            for d, v in row.items():
-                out[d] = out.get(d, 0) + v
-        return out
-
     def dim(self, d, lam=None):
         if lam is not None:
             return self.table.get(lam, {}).get(d, 0)
@@ -530,9 +509,6 @@ class DimTable:
     def min_degree(self):
         degs = [d for row in self.table.values() for d in row]
         return min(degs) if degs else None
-
-    def is_zero(self):
-        return not self.table
 
     def shifted(self, s):
         """The table of q^s times this module."""
@@ -601,16 +577,11 @@ def dims_E_word(ctx, nu, hi):
     """Refined graded dimensions of the cyclic module of the written color
     word nu, complete up to degree hi (PBW monomial counts)."""
     pos_nu = tuple(reversed(tuple(nu)))
-    n = len(pos_nu)
-    if n == 0:
+    if not pos_nu:
         return DimTable({(): {0: 1}}, hi)
-    dot = ctx.cartan.dot
     table = {}
     tables = {}
-    for g in all_perms(n):
-        lam = g.permute_tuple(pos_nu)
-        base = tau_word_degree(ctx, ctx.canon(g), pos_nu)
-        weights = tuple(dot(c, c) for c in lam)
+    for lam, _, weights, base in ctx.pbw_cosets(pos_nu):
         counts = tables.get(weights)
         if counts is None or len(counts) <= hi - base:
             counts = tables[weights] = _exp_vector_counts(weights, hi - base)
@@ -665,15 +636,10 @@ def product_dims(A, B, ctx):
     return DimTable(table, hi_out)
 
 
-def dims_E_i(ctx, i, hi):
-    """Refined dims of the one-strand module of color i."""
-    return dims_E_word(ctx, (i,), hi)
-
-
 def induced_graded_dim(N, i, ctx):
     """Refined dims of the left and right inductions by one i-strand:
     (dims of E_i N, dims of N E_i)."""
-    Ei = dims_E_i(ctx, i, N.hi)
+    Ei = dims_E_word(ctx, (i,), N.hi)
     return product_dims(Ei, N, ctx), product_dims(N, Ei, ctx)
 
 
@@ -710,8 +676,7 @@ def _cohomology_h0_refined(cplx, hi):
     """
     lo = 0
     for p in cplx.terms[0]:
-        m = min(tau_word_degree(p.ctx, p.ctx.canon(g), p.nu)
-                for g in all_perms(p.n))
+        m = min(deg for _, _, _, deg in p.ctx.pbw_cosets(p.nu))
         lo = min(lo, m - p.shift)
     table = {}
     for d in range(lo, hi + 1):

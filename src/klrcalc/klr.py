@@ -50,6 +50,7 @@ class KLRContext:
         self._nf_reduced = {}
         self._paths = {}
         self._exp_vectors = {}
+        self._pbw_cosets = {}
 
     # -- configuration -----------------------------------------------------
 
@@ -126,6 +127,31 @@ class KLRContext:
                 out = tuple((a,) + tail for a in range(total // w0 + 1)
                             for tail in self.exp_vectors(rest, total - a * w0))
             self._exp_vectors[key] = out
+        return out
+
+    def pbw_cosets(self, nu, w0=()):
+        """The degree-independent part of the PBW basis x^a tau_u tau_w0 1_nu
+        of H tau_w0 1_nu, one entry (lam, word, weights, deg) per minimal
+        coset representative u of S_n/S_B (no letter of w0 is a descent of
+        u), in all_perms order: lam = u(nu) is the left color word, word the
+        canonical word of u, weights the degrees (lam_k, lam_k) of the x's
+        and deg the degree of tau_u 1_nu.  The basis vectors of degree
+        d + deg(tau_w0 1_nu) are then those with a in
+        exp_vectors(weights, d - deg).  w0 = () gives the PBW basis of
+        H 1_nu.  Memoized per (nu, w0)."""
+        key = (nu, w0)
+        out = self._pbw_cosets.get(key)
+        if out is None:
+            dot = self.cartan.dot
+            out = []
+            for u in all_perms(len(nu)):
+                if any(u(p) > u(p + 1) for p in w0):
+                    continue
+                word = self.canon(u)
+                lam = u.permute_tuple(nu)
+                out.append((lam, word, tuple(dot(c, c) for c in lam),
+                            tau_word_degree(self, word, nu)))
+            out = self._pbw_cosets[key] = tuple(out)
         return out
 
     def move_path(self, src, dst):
@@ -209,10 +235,6 @@ class KLRElement:
                     self.terms[key] = c
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(ctx, n):
-        return KLRElement(ctx, n)
 
     @staticmethod
     def idem(ctx, nu):
@@ -325,13 +347,16 @@ class KLRElement:
 
 
 def _check_compatible(u, v):
+    """Raise unless u and v share a context and a weight; the weight of a
+    nonzero element is the multiset of colors of any of its keys."""
     if u.ctx is not v.ctx:
         raise ValueError("context mismatch")
     if u.n != v.n:
         raise ValueError("weight mismatch")
-    wu, wv = u.weight(), v.weight()
-    if wu is not None and wv is not None and wu != wv:
-        raise ValueError("weight mismatch")
+    if u.terms and v.terms:
+        (nu, _, _), (mu, _, _) = next(iter(u.terms)), next(iter(v.terms))
+        if nu != mu and sorted(nu) != sorted(mu):
+            raise ValueError("weight mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +483,17 @@ def _nf_reduced(ctx, word, nu, n):
     return acc
 
 
+def _tau_word_times(ctx, word, terms, n):
+    """Normal form of tau_word * (element given by PBW terms), the letters
+    applied one at a time, rightmost first; the word need not be reduced.
+    With an empty word the input dict itself is returned."""
+    for k in reversed(word):
+        if not terms:
+            break
+        terms = _tau_times_element(ctx, k, terms, n)
+    return terms
+
+
 def _rewrite_word(ctx, src, dst, nu, n):
     """Error terms E with tau_src 1_nu = tau_dst 1_nu + E, in normal form."""
     acc = {}
@@ -485,8 +521,7 @@ def _rewrite_word(ctx, src, dst, nu, n):
         tail = _nf_reduced(ctx, suffix, nu, n)
         mid = {}
         _mult_poly_terms(perr.terms, tail, n, mid, scale=sign)
-        for k in reversed(prefix):
-            mid = _tau_times_element(ctx, k, mid, n)
+        mid = _tau_word_times(ctx, prefix, mid, n)
         for key, cc in mid.items():
             _add_term(acc, key, cc)
     if cur != dst:
@@ -508,14 +543,8 @@ def klr_multiply(u, v):
         sub = by_left.get(nu)
         if not sub:
             continue
-        cur = sub
-        for k in reversed(word):
-            cur = _tau_times_element(ctx, k, cur, n)
-            if not cur:
-                break
-        if not cur:
-            continue
-        for (nu2, word2, exps2), c2 in cur.items():
+        for (nu2, word2, exps2), c2 in _tau_word_times(
+                ctx, word, sub, n).items():
             key2 = (nu2, word2, tuple(map(add, exps2, exps)))
             _add_term(acc, key2, cu * c2)
     res = KLRElement(ctx, n)
@@ -573,10 +602,8 @@ def rev(u):
         mu = g.inv().permute_tuple(nur)
         if len(word) % 2:
             c = -c
-        cur = {(mu, (), expsr): c}
-        for k in reversed(wordr):
-            cur = _tau_times_element(ctx, k, cur, n)
-        for key, cc in cur.items():
+        for key, cc in _tau_word_times(
+                ctx, wordr, {(mu, (), expsr): c}, n).items():
             _add_term(acc, key, cc)
     res = KLRElement(ctx, n)
     res.terms = acc
@@ -594,23 +621,6 @@ def tau_word_degree(ctx, word, nu):
     return deg
 
 
-def _pbw_cosets(ctx, nu, perms):
-    """The degree-independent part of the PBW monomials x^a tau_w 1_nu,
-    one entry (lam, word, weights, deg) per w in perms: lam = w(nu) is the
-    left color word, word the canonical word of w, weights the degrees
-    (lam_k, lam_k) of the x's and deg the degree of tau_w 1_nu.  The
-    monomials of degree d are then those with a in
-    ctx.exp_vectors(weights, d - deg)."""
-    dot = ctx.cartan.dot
-    out = []
-    for g in perms:
-        word = ctx.canon(g)
-        lam = g.permute_tuple(nu)
-        out.append((lam, word, tuple(dot(c, c) for c in lam),
-                    tau_word_degree(ctx, word, nu)))
-    return out
-
-
 def graded_basis(ctx, mu_filter, nu, d):
     """All PBW monomial keys x^a tau_w 1_nu of degree d whose left color
     word matches mu_filter (None for no filter), as a sorted list."""
@@ -618,7 +628,7 @@ def graded_basis(ctx, mu_filter, nu, d):
     if mu_filter is not None:
         mu_filter = tuple(mu_filter)
     return sorted((nu, word, a) for lam, word, weights, deg
-                  in _pbw_cosets(ctx, nu, all_perms(len(nu)))
+                  in ctx.pbw_cosets(nu)
                   if mu_filter is None or lam == mu_filter
                   for a in ctx.exp_vectors(weights, d - deg))
 

@@ -119,18 +119,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("use RatFunc for negative powers")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def shift(self, k):
         """Multiply by q^k."""
         res = LaurentPoly.__new__(LaurentPoly)

@@ -246,7 +246,7 @@ def k0_isometry_calibrate(beta, window, ctx):
     that exponent per pair, and a ValueError is raised unless it is the
     same for all pairs.
     """
-    from .klr import graded_basis
+    from .adjoint import dims_E_word
     from .qring import DegreeWindow
     cache = GramCache(ctx.cartan)
     words = [tuple(reversed(s)) for s in sequences(beta)]
@@ -254,20 +254,19 @@ def k0_isometry_calibrate(beta, window, ctx):
                   for a in beta.coeffs for b in beta.coeffs) \
         * max(height(beta), 1) + 2
     wide = DegreeWindow(window.d_min - pad, window.d_max + pad)
+    # the (mu, nu) block of the algebra is the mu row of the refined
+    # dimension table of the cyclic module of nu
+    tables = {nu: dims_E_word(ctx, nu, wide.d_max).table for nu in words}
     entries = []
     shifts = set()
     for mu in words:
         mu_pos = tuple(reversed(mu))
         for nu in words:
-            nu_pos = tuple(reversed(nu))
             form = series_window(
                 pair(WordVector.from_word(mu), WordVector.from_word(nu),
                      cache), wide)
-            dims = {}
-            for d in wide:
-                k = len(graded_basis(ctx, mu_pos, nu_pos, d))
-                if k:
-                    dims[d] = Fraction(k)
+            dims = {d: k for d, k in tables[nu].get(mu_pos, {}).items()
+                    if d >= wide.d_min}
             if not dims and form.is_zero():
                 continue
             if not dims or form.is_zero():

@@ -197,6 +197,25 @@ def test_blocks_match_keywise_construction(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
                                 (build.__name__, n, m, p.nu, d)
 
 
+def test_word_prod_matches_klr_multiply(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
+    """The cached product tau_word 1_nu . z equals klr_multiply of the
+    monomial tau_word 1_nu with z, for every basis word of every source
+    summand of the plain and the divided complexes with n + m <= 4."""
+    for ctx in (ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
+        for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
+            for build in (build_ad_complex, build_divided_complex):
+                cplx = build(n, ("j",) * m, "i", ctx)
+                for k in range(1, cplx.length()):
+                    for (si, ti), z in cplx.diffs[k - 1].items():
+                        src = cplx.terms[k][si]
+                        for _, word, _, _ in src._cosets:
+                            word += src.w0
+                            want = klr_multiply(KLRElement.monomial(
+                                ctx, src.nu, word, (0,) * src.n), z)
+                            assert cplx._word_prod(k, si, ti, word) == \
+                                want.terms, (build.__name__, n, m, k, word)
+
+
 def test_differential_products_keep_int_coefficients(ctx_a2, ctx_b2):
     """With the default units every cached differential product
     tau_word 1_nu . z is an integer combination of PBW keys."""
@@ -501,6 +520,13 @@ def test_matrix_rank_exact(ctx_a2, ctx_b2):
     assert _matrix_rank(cols) == 2
     assert _matrix_rank([]) == 0
     assert _matrix_rank([{0: 2, 1: 3}, {0: Fraction(1, 2), 1: 1}]) == 2
+    # integral Fractions and stored zeros
+    assert _matrix_rank([{0: Fraction(4, 1), 1: 2},
+                         {0: 2, 1: Fraction(1, 1)}]) == 1
+    assert _matrix_rank([{0: 0, 1: 3}, {1: Fraction(4, 1), 2: 0}]) == 1
+    assert _matrix_rank([{0: 0, 1: 0}, {0: Fraction(0)}]) == 0
+    assert _matrix_rank([{0: 0, 1: 3}, {0: 1, 1: Fraction(3, 1)},
+                         {0: Fraction(2, 3), 1: 0}]) == 2
     rng = random.Random(20201)
     for _ in range(400):
         cols = random_columns(rng)
@@ -513,7 +539,10 @@ def test_matrix_rank_exact(ctx_a2, ctx_b2):
                     for lam in sorted(cplx.left_color_words(d)):
                         for k in range(1, cplx.length()):
                             cols = cplx._raw_columns(k, d, lam)
+                            before = [dict(c) for c in cols]
                             assert _matrix_rank(cols) == oracle_rank(cols)
+                            # the caller's columns are left as they were
+                            assert cols == before
 
 
 def test_echelon_insert_visits_each_pivot_once_in_order():

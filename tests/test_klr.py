@@ -154,6 +154,89 @@ def test_graded_basis_matches_box_search(ctx_a2, ctx_b2, ctx_g2):
                         sorted(key for lam, key in found if lam == mu)
 
 
+def _brute_cosets(ctx, nu, w0):
+    """The PBW coset table from its definition: the g in S_n of least
+    length in their coset g S_B, S_B the permutations that keep each block
+    of w0's letters, in all_perms order, each with its left colour word,
+    canonical word, x weights and crossing degree."""
+    dot = ctx.cartan.dot
+    n = len(nu)
+    block = list(range(n + 1))      # block[p] = least position of p's block
+    for p in sorted(set(w0)):
+        block[p + 1] = block[p]
+    perms = all_perms(n)
+    parabolic = [v for v in perms
+                 if all(block[v(p)] == block[p] for p in range(1, n + 1))]
+    out = []
+    for g in perms:
+        if g.length() > min((g * v).length() for v in parabolic):
+            continue
+        ginv = g.inv()
+        lam = tuple(nu[ginv(p) - 1] for p in range(1, n + 1))
+        deg = -sum(dot(nu[r], nu[s]) for r in range(n)
+                   for s in range(r + 1, n) if g(r + 1) > g(s + 1))
+        out.append((lam, canonical_word(g),
+                    tuple(dot(c, c) for c in lam), deg))
+    return tuple(out)
+
+
+def test_pbw_cosets_match_brute_force(ctx_a2, ctx_b2, ctx_g2):
+    """KLRContext.pbw_cosets equals the table built from the definitions,
+    for plain idempotents (w0 = ()) and for parabolic w0, and is built
+    once per (nu, w0)."""
+    cases = [(nu, ()) for nu in all_words(3)]
+    cases += [(("i", "i", "j"), (1,)), (("j", "i", "i"), (2,)),
+              (("i", "i", "j", "j", "j"), (1, 3, 4, 3)),
+              (("j", "j", "j", "i"), (1, 2, 1)),
+              (("i", "j", "j", "i", "i"), (2, 4))]
+    for ctx in (ctx_a2, ctx_b2, ctx_g2):
+        for nu, w0 in cases:
+            got = ctx.pbw_cosets(nu, w0)
+            assert got == _brute_cosets(ctx, nu, w0), (nu, w0)
+            assert ctx.pbw_cosets(nu, w0) is got
+    # the number of minimal coset representatives is n! / |S_B|
+    assert len(ctx_a2.pbw_cosets(("i", "i", "j", "j", "j"),
+                                 (1, 3, 4, 3))) == 10
+
+
+def test_graded_basis_reuses_the_coset_table(cartan_a2, monkeypatch):
+    """Only the first graded_basis call on a colour word enumerates S_n."""
+    from klrcalc import klr
+    calls = []
+    real = klr.all_perms
+    monkeypatch.setattr(klr, "all_perms", lambda n: calls.append(n) or real(n))
+    ctx = KLRContext(cartan_a2)
+    nu = ("i", "j", "i")
+    first = graded_basis(ctx, None, nu, 2)
+    assert calls == [3]
+    assert graded_basis(ctx, None, nu, 2) == first
+    graded_basis(ctx, ("i", "i", "j"), nu, 4)
+    assert calls == [3]
+
+
+def test_mismatched_operands_raise(cartan_a2):
+    """Sums and products need one context and one weight; the zero element
+    is compatible with everything of its strand count, and colour words of
+    one weight in different orders are compatible."""
+    ctx = KLRContext(cartan_a2)
+    other = KLRContext(cartan_a2)
+    ij = KLRElement.idem(ctx, ("i", "j"))
+    ji = KLRElement.idem(ctx, ("j", "i"))
+    ii = KLRElement.idem(ctx, ("i", "i"))
+    zero = KLRElement(ctx, 2)
+    for op in (lambda u, v: u + v, klr_multiply):
+        for u, v in ((ij, ii), (ii, ij), (ij, KLRElement.idem(ctx, ("i",)))):
+            with pytest.raises(ValueError, match="weight mismatch"):
+                op(u, v)
+        with pytest.raises(ValueError, match="context mismatch"):
+            op(ij, KLRElement.idem(other, ("i", "j")))
+        op(ij, zero)
+        op(zero, ii)
+        op(ij, ji)
+    assert (ij + zero) == ij
+    assert not klr_multiply(ij, ji)
+
+
 def test_products_stay_in_basis(ctx_a2):
     """Every term of a product is a normal-form key of the right degree."""
     rng = random.Random(3)

@@ -1,9 +1,13 @@
 """Properties of the library source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "klrcalc"
+import klrcalc
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "klrcalc"
 
 
 def test_library_has_no_assert_or_debug():
@@ -19,3 +23,24 @@ def test_library_has_no_assert_or_debug():
                     isinstance(node, ast.Name) and node.id == "__debug__"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_benchmark_tracer_targets_exist():
+    """The benchmark's tracer (perfbench/tracer.py) wraps library functions
+    by name at the package and methods on their class; every name it lists
+    must still be there."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer._targets(klrcalc)
+    assert targets
+    missing = []
+    for name, owner, attr, _, _ in targets:
+        if isinstance(owner, type):
+            fn = owner.__dict__.get(attr)
+        else:
+            fn = getattr(owner, attr, None)
+        if not callable(fn):
+            missing.append(f"{name}: {attr}")
+    assert not missing, missing

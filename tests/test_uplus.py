@@ -4,6 +4,7 @@ of graded module dimensions with the form."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,12 +17,15 @@ from klrcalc import (
     WordVector,
     ad_e,
     ad_e_divided,
+    graded_basis,
+    height,
     higher_serre_check,
     is_zero_mod_serre,
     k0_isometry_calibrate,
     pair,
     quantum_factorial,
     sequences,
+    series_window,
     uplusi_member,
 )
 
@@ -243,3 +247,61 @@ def test_k0_calibration_heights_up_to_3(ctx_a2):
         assert report["shift"] == shift, (a, b)
         npairs = len(list(sequences(beta))) ** 2
         assert len(report["pairs"]) == npairs
+
+
+def _k0_by_graded_basis(beta, window, ctx):
+    """k0_isometry_calibrate with the (mu, nu) block dimensions counted as
+    len(graded_basis(...)) degree by degree: the route the library used
+    before it read one refined dimension table per nu."""
+    cache = GramCache(ctx.cartan)
+    words = [tuple(reversed(s)) for s in sequences(beta)]
+    pad = 2 * sum(abs(ctx.cartan.dot(a, b))
+                  for a in beta.coeffs for b in beta.coeffs) \
+        * max(height(beta), 1) + 2
+    wide = DegreeWindow(window.d_min - pad, window.d_max + pad)
+    entries = []
+    shifts = set()
+    for mu in words:
+        for nu in words:
+            form = series_window(
+                pair(WordVector.from_word(mu), WordVector.from_word(nu),
+                     cache), wide)
+            dims = {}
+            for d in wide:
+                k = len(graded_basis(ctx, tuple(reversed(mu)),
+                                     tuple(reversed(nu)), d))
+                if k:
+                    dims[d] = Fraction(k)
+            if not dims and form.is_zero():
+                continue
+            if not dims or form.is_zero():
+                raise ValueError("vanishing")
+            s = min(e for e, c in form.coeffs.items() if c) - min(dims)
+            for d in window:
+                if form.coeff(d + s) != dims.get(d, 0):
+                    raise ValueError("no shift")
+            shifts.add(s)
+            entries.append({"left": mu, "right": nu, "shift": s})
+    if len(shifts) > 1:
+        raise ValueError("not uniform")
+    return {
+        "weight": dict(beta.coeffs),
+        "window": [window.d_min, window.d_max],
+        "shift": (sorted(shifts)[0] if shifts else None),
+        "pairs": entries,
+    }
+
+
+def test_k0_calibration_matches_per_degree_route(ctx_a2, ctx_b2, ctx_g2):
+    """One refined dimension table per nu gives the same report as
+    counting graded_basis keys per (mu, nu, degree), for every weight of
+    height <= 3 on A2, B2 and G2."""
+    w = DegreeWindow(0, 6)
+    for ctx in (ctx_a2, ctx_b2, ctx_g2):
+        for a in range(4):
+            for b in range(4 - a):
+                if a + b == 0:
+                    continue
+                beta = RootVector({"i": a, "j": b})
+                assert k0_isometry_calibrate(beta, w, ctx) == \
+                    _k0_by_graded_basis(beta, w, ctx), (a, b)
