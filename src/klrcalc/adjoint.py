@@ -33,20 +33,19 @@ def _asc(a, b):
 # exact linear algebra over the rationals
 # ---------------------------------------------------------------------------
 
-def _echelon_insert(rows, vec):
+def _echelon_insert(rows, v):
     """One step of pivot-indexed, fraction-free integer elimination.
 
     rows maps each pivot to its row, a sparse integer vector whose least
     key is the pivot, divided by the gcd of its entries and signed so that
     the pivot entry is positive.  Reducing by the row with pivot p adds
-    only keys greater than p, so the pivots of the integer vector vec are
+    only keys greater than p, so the pivots of the integer vector v are
     taken from a heap in increasing order, each needed row is visited
     once, and no other row is looked at.  The entry c of the vector at
     pivot p is cleared by v <- (a/g) v - (c/g) row with a the pivot entry
     and g = gcd(a, c).  If a nonzero remainder survives, it is stored as a
-    new row and True is returned.  vec is reduced in place.
+    new row and True is returned.  v is reduced in place.
     """
-    v = vec
     heap = [k for k in v if k in rows]
     heapify(heap)
     while heap:
@@ -86,21 +85,18 @@ def _matrix_rank(columns):
     """Rank over the rationals of a list of sparse columns (dicts index ->
     Fraction or int), by pivot-indexed, fraction-free integer elimination:
     each column is copied once, scaled by the lcm of its denominators
-    (which leaves the rank unchanged) unless all its entries are nonzero
-    ints, and reduced with `_echelon_insert`.  The columns are not
+    (which leaves the rank unchanged), with its zero entries dropped, and
+    the copy is reduced with `_echelon_insert`.  The columns are not
     modified."""
     rows = {}
     rank = 0
     for col in columns:
-        if all(type(c) is int and c for c in col.values()):
-            vec = dict(col)
-        else:
-            m = 1
-            for c in col.values():
-                if c.denominator != 1:
-                    m = lcm(m, c.denominator)
-            vec = {k: c.numerator * (m // c.denominator)
-                   for k, c in col.items() if c}
+        m = 1
+        for c in col.values():
+            if c.denominator != 1:
+                m = lcm(m, c.denominator)
+        vec = {k: c.numerator * (m // c.denominator)
+               for k, c in col.items() if c}
         if _echelon_insert(rows, vec):
             rank += 1
     return rank
