@@ -82,24 +82,12 @@ def _echelon_insert(rows, v):
 
 
 def _matrix_rank(columns):
-    """Rank over the rationals of a list of sparse columns (dicts index ->
-    Fraction or int), by pivot-indexed, fraction-free integer elimination:
-    each column is copied once, scaled by the lcm of its denominators
-    (which leaves the rank unchanged), with its zero entries dropped, and
-    the copy is reduced with `_echelon_insert`.  The columns are not
-    modified."""
+    """Rank over the rationals of an iterable of sparse columns (dicts
+    index -> nonzero int), by pivot-indexed, fraction-free integer
+    elimination with `_echelon_insert`.  The columns are consumed: each is
+    reduced in place."""
     rows = {}
-    rank = 0
-    for col in columns:
-        m = 1
-        for c in col.values():
-            if c.denominator != 1:
-                m = lcm(m, c.denominator)
-        vec = {k: c.numerator * (m // c.denominator)
-               for k, c in col.items() if c}
-        if _echelon_insert(rows, vec):
-            rank += 1
-    return rank
+    return sum(_echelon_insert(rows, col) for col in columns)
 
 
 # ---------------------------------------------------------------------------
@@ -231,52 +219,54 @@ class ProjComplex:
                 out.update(p.blocks(d))
         return out
 
-    def _targets(self, k, si):
-        """Target summands of the nonzero entries of d_k out of summand si."""
-        dk = self.diffs[k - 1]
-        return [ti for ti in range(len(self.terms[k - 1])) if (si, ti) in dk]
-
-    def _word_prod(self, k, si, ti, word):
-        """tau_word 1_nu . z for the differential entry z out of summand si;
-        every basis vector of the source is x^exps times such a product, so
-        this straightening is cached per word across all degrees.  The word
-        need not be canonical (basis words end in the word of f): its
+    def _word_prod(self, k, si, word):
+        """tau_word 1_nu . z for every differential entry z of d_k out of
+        summand si, as one flat tuple of (ti, mu, w2, exps, c), the term
+        c x^exps tau_w2 1_mu of the product with the entry into target
+        summand ti, targets in increasing order.  Every basis vector of
+        the source is x^exps times tau_word 1_nu, so this straightening is
+        cached per word across all degrees.  All coefficients are scaled by
+        one positive integer, the lcm of their denominators, so they are
+        ints and the columns built from the tuple keep their rank.  The
+        word need not be canonical (basis words end in the word of f): its
         letters are applied to z one at a time.  Every term of z has left
         color word nu, since _validate checks f_src z = z."""
-        key = (k, si, ti, word)
+        key = (k, si, word)
         u = self._word_prods.get(key)
         if u is None:
-            z = self.diffs[k - 1][(si, ti)]
-            u = _tau_word_times(self.ctx, word, z.terms, z.n)
+            dk = self.diffs[k - 1]
+            terms = []
+            for ti in range(len(self.terms[k - 1])):
+                z = dk.get((si, ti))
+                if z is not None:
+                    terms.extend((ti, *pbw, c) for pbw, c in _tau_word_times(
+                        self.ctx, word, z.terms, z.n).items())
+            m = lcm(*(t[4].denominator for t in terms))
+            u = tuple((ti, mu, w2, e, c.numerator * (m // c.denominator))
+                      for ti, mu, w2, e, c in terms)
             self._word_prods[key] = u
         return u
 
     def _raw_columns(self, k, d, lam):
         """Columns of d_k on the (d, lam) block, one per source basis
-        vector, as sparse vectors over (target summand, PBW key) pairs.
-        The target basis vectors are independent, so the rank of these
-        columns is the rank of the block."""
-        columns = []
+        vector, each a fresh sparse vector of nonzero ints over (target
+        summand, PBW key) pairs.  The target basis vectors are independent
+        and each column is a positive multiple of the image of its basis
+        vector, so the rank of these columns is the rank of the block."""
         for si, src in enumerate(self.terms[k]):
-            targets = self._targets(k, si)
             for word, exps in src.blocks(d).get(lam, ()):
-                col = {}
-                for ti in targets:
-                    for (mu, w2, e2), c in self._word_prod(
-                            k, si, ti, word).items():
-                        col[ti, (mu, w2, tuple(map(add, e2, exps)))] = c
-                columns.append(col)
-        return columns
+                yield {(ti, (mu, w2, tuple(map(add, e2, exps)))): c
+                       for ti, mu, w2, e2, c in self._word_prod(k, si, word)}
 
     def block_rank(self, k, d, lam):
+        """Rank of d_k: terms[k] -> terms[k-1] on the (d, lam) block."""
         key = (k, d, lam)
         r = self._ranks.get(key)
         if r is None:
-            if not any(p.dim(d, lam) for p in self.terms[k]):
-                r = 0
-            else:
-                r = _matrix_rank(self._raw_columns(k, d, lam))
-            self._ranks[key] = r
+            if not 0 < k < len(self.terms):
+                raise ValueError(f"no differential d_{k} in a complex with "
+                                 f"{len(self.terms)} terms")
+            r = self._ranks[key] = _matrix_rank(self._raw_columns(k, d, lam))
         return r
 
 

@@ -246,6 +246,10 @@ class RatFunc:
     def one():
         return RatFunc(LaurentPoly.one())
 
+    @staticmethod
+    def q(exp=1):
+        return RatFunc(LaurentPoly.q(exp))
+
     def is_zero(self):
         return self.num.is_zero()
 

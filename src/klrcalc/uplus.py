@@ -135,8 +135,7 @@ class GramCache:
             if u[p] != j:
                 continue
             e = sum(dot(j, u[t]) for t in range(p))
-            acc = acc + RatFunc(LaurentPoly({e: Fraction(1)})) \
-                * self.pair_words(u[:p] + u[p + 1:], vp)
+            acc = acc + RatFunc.q(e) * self.pair_words(u[:p] + u[p + 1:], vp)
         gen = RatFunc(LaurentPoly.one(),
                       LaurentPoly.one() - LaurentPoly.q(dot(j, j)))
         out = acc * gen
@@ -168,17 +167,13 @@ def is_zero_mod_serre(v, cache):
     return True
 
 
-def _q_power(e):
-    return RatFunc(LaurentPoly({e: Fraction(1)}))
-
-
 def ad_e(i, v, cartan):
     """The adjoint operator e_i * v - q_i^w * v * e_i, w the weight
     pairing of i against the weight of v."""
     ei = WordVector.generator(i)
     w = pairing(cartan, i, v.beta)
     di = cartan.d(i)
-    return ei * v - (v * ei).scale(_q_power(di * w))
+    return ei * v - (v * ei).scale(RatFunc.q(di * w))
 
 
 def _divided_power(i, n, cartan):
@@ -201,7 +196,7 @@ def ad_e_divided(n, i, v, cartan):
     for k in range(n + 1):
         piece = _divided_power(i, n - k, cartan) * v * _divided_power(
             i, k, cartan)
-        piece = piece.scale(_q_power(di * k * (n - 1 + w)))
+        piece = piece.scale(RatFunc.q(di * k * (n - 1 + w)))
         if k % 2:
             piece = piece.scale(-1)
         closed = closed + piece

@@ -1,5 +1,7 @@
 """Shared Cartan data and algebra contexts for the test suite."""
 
+from fractions import Fraction
+
 import pytest
 
 from klrcalc import CartanDatum, KLRContext
@@ -9,6 +11,10 @@ A2_DOT = [[2, -1], [-1, 2]]
 B2_DOT = [[2, -2], [-2, 4]]      # i is the short root
 B2R_DOT = [[4, -2], [-2, 2]]     # i is the long root
 G2_DOT = [[2, -3], [-3, 6]]
+
+# Units t_(i,j) = 1/2 and t_(j,i) = -3 of the crossing polynomials, so
+# that normal forms carry Fraction coefficients.
+HALF_UNITS = {("i", "j"): {"t": Fraction(1, 2)}, ("j", "i"): {"t": -3}}
 
 
 def make_cartan(dot):

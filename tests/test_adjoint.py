@@ -12,6 +12,7 @@ import pytest
 from klrcalc import (
     CyclicProjective,
     DegreeWindow,
+    KLRContext,
     KLRElement,
     RootVector,
     build_ad_complex,
@@ -34,6 +35,8 @@ from klrcalc.adjoint import _echelon_insert, _matrix_rank
 from klrcalc.klr import (graded_basis, idempotent_e_klr, klr_multiply_many,
                          tau_word_degree)
 from klrcalc.polycalc import all_perms, canonical_word
+
+from conftest import A2_DOT, B2_DOT, G2_DOT, HALF_UNITS, make_cartan
 
 
 # -- construction sanity (the constructor verifies d^2 = 0 exactly) ------
@@ -67,7 +70,7 @@ def test_component_matrix_shapes_and_ranks(ctx_a2):
     for d in range(0, 7):
         for lam in sorted(cplx.left_color_words(d)):
             for k in (1, 2):
-                cols = cplx._raw_columns(k, d, lam)
+                cols = list(cplx._raw_columns(k, d, lam))
                 assert len(cols) == cplx.term_dim(k, d, lam)
                 rank = cplx.block_rank(k, d, lam)
                 assert rank == _matrix_rank(cols)
@@ -87,7 +90,7 @@ def echelon_dims(p, d):
         v = klr_multiply(KLRElement(p.ctx, p.n, {key: 1}), p.f)
         if v:
             lam = v.left_colors(key)
-            images.setdefault(lam, []).append(v.terms)
+            images.setdefault(lam, []).append(dict(v.terms))
     dims = {lam: _matrix_rank(cols) for lam, cols in images.items()}
     return {lam: r for lam, r in dims.items() if r}
 
@@ -124,7 +127,7 @@ def test_closed_form_basis_vectors(ctx_a2, ctx_b2):
                                     _tau_el(ctx, word, p.nu))
                                 assert klr_multiply(v, p.f) == v
                                 assert v.degree() == d + p.shift
-                                vecs.append(v.terms)
+                                vecs.append(dict(v.terms))
                             assert _matrix_rank(vecs) == len(block)
 
 
@@ -197,38 +200,70 @@ def test_blocks_match_keywise_construction(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
                                 (build.__name__, n, m, p.nu, d)
 
 
+def word_products(cplx, k, si, word):
+    """tau_word 1_nu . z by klr_multiply for every entry z of d_k out of
+    summand si, as a dict (ti, PBW key) -> coefficient."""
+    src = cplx.terms[k][si]
+    mono = KLRElement.monomial(cplx.ctx, src.nu, word, (0,) * src.n)
+    return {(ti, key): c
+            for (a, ti), z in cplx.diffs[k - 1].items() if a == si
+            for key, c in klr_multiply(mono, z).terms.items()}
+
+
+def scaled_word_products(cplx, k, si, word):
+    """word_products scaled by the lcm of their denominators, with that
+    lcm."""
+    want = word_products(cplx, k, si, word)
+    scale = lcm(*(Fraction(c).denominator for c in want.values()))
+    return scale, {key: c * scale for key, c in want.items()}
+
+
+def flat_word_prod(cplx, k, si, word):
+    """The cached flat tuple of _word_prod as a dict (ti, PBW key) -> c,
+    checking that no (ti, key) pair repeats."""
+    flat = cplx._word_prod(k, si, word)
+    out = {(ti, (mu, w2, e)): c for ti, mu, w2, e, c in flat}
+    assert len(out) == len(flat)
+    return out
+
+
 def test_word_prod_matches_klr_multiply(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
-    """The cached product tau_word 1_nu . z equals klr_multiply of the
-    monomial tau_word 1_nu with z, for every basis word of every source
-    summand of the plain and the divided complexes with n + m <= 4."""
+    """The cached products tau_word 1_nu . z equal klr_multiply of the
+    monomial tau_word 1_nu with each entry z out of the source summand,
+    scaled by the lcm of their denominators (1 under the default units),
+    for every basis word of every source summand of the plain and the
+    divided complexes with n + m <= 4."""
     for ctx in (ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
         for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
             for build in (build_ad_complex, build_divided_complex):
                 cplx = build(n, ("j",) * m, "i", ctx)
                 for k in range(1, cplx.length()):
-                    for (si, ti), z in cplx.diffs[k - 1].items():
-                        src = cplx.terms[k][si]
+                    for si, src in enumerate(cplx.terms[k]):
                         for _, word, _, _ in src._cosets:
                             word += src.w0
-                            want = klr_multiply(KLRElement.monomial(
-                                ctx, src.nu, word, (0,) * src.n), z)
-                            assert cplx._word_prod(k, si, ti, word) == \
-                                want.terms, (build.__name__, n, m, k, word)
+                            scale, want = scaled_word_products(
+                                cplx, k, si, word)
+                            assert scale == 1
+                            assert flat_word_prod(cplx, k, si, word) == \
+                                want, (build.__name__, n, m, k, word)
 
 
 def test_differential_products_keep_int_coefficients(ctx_a2, ctx_b2):
-    """With the default units every cached differential product
-    tau_word 1_nu . z is an integer combination of PBW keys."""
+    """With the default units every differential product tau_word 1_nu . z
+    that the ranks use is, before any scaling, an integer combination of
+    PBW keys, and the cache holds it unchanged."""
     for ctx in (ctx_a2, ctx_b2):
         for n, m in [(2, 1), (1, 2), (3, 1)]:
             for build in (build_ad_complex, build_divided_complex):
                 cplx = build(n, ("j",) * m, "i", ctx)
                 cohomology_dims(cplx, DegreeWindow(0, 4))
                 assert cplx._word_prods
-                for key, terms in cplx._word_prods.items():
-                    bad = {k: c for k, c in terms.items()
+                for k, si, word in list(cplx._word_prods):
+                    want = word_products(cplx, k, si, word)
+                    bad = {key: c for key, c in want.items()
                            if type(c) is not int}
-                    assert not bad, (key, bad)
+                    assert not bad, (k, si, word, bad)
+                    assert flat_word_prod(cplx, k, si, word) == want
 
 
 # -- Euler characteristic ------------------------------------------------
@@ -510,27 +545,30 @@ def random_columns(rng):
     return cols
 
 
+def int_columns(columns):
+    """Each rational column scaled by the lcm of its denominators, as a
+    fresh dict of nonzero ints; the rank is unchanged."""
+    out = []
+    for col in columns:
+        m = lcm(*(Fraction(c).denominator for c in col.values()))
+        out.append({k: int(c * m) for k, c in col.items() if c})
+    return out
+
+
 def test_matrix_rank_exact(ctx_a2, ctx_b2):
     """_matrix_rank equals the Fraction oracle on seeded random matrices
     and on every block of the plain and divided complexes with n + m <= 4
     on A2 and B2 in degrees 0..4."""
-    cols = [{(0, "a"): Fraction(1), (1, "b"): Fraction(2)},
-            {(0, "a"): Fraction(2), (1, "b"): Fraction(4)},
-            {(1, "b"): Fraction(1)}]
-    assert _matrix_rank(cols) == 2
+    assert _matrix_rank([{(0, "a"): 1, (1, "b"): 2},
+                         {(0, "a"): 2, (1, "b"): 4},
+                         {(1, "b"): 1}]) == 2
     assert _matrix_rank([]) == 0
-    assert _matrix_rank([{0: 2, 1: 3}, {0: Fraction(1, 2), 1: 1}]) == 2
-    # integral Fractions and stored zeros
-    assert _matrix_rank([{0: Fraction(4, 1), 1: 2},
-                         {0: 2, 1: Fraction(1, 1)}]) == 1
-    assert _matrix_rank([{0: 0, 1: 3}, {1: Fraction(4, 1), 2: 0}]) == 1
-    assert _matrix_rank([{0: 0, 1: 0}, {0: Fraction(0)}]) == 0
-    assert _matrix_rank([{0: 0, 1: 3}, {0: 1, 1: Fraction(3, 1)},
-                         {0: Fraction(2, 3), 1: 0}]) == 2
+    assert _matrix_rank(iter([{0: 2, 1: 3}, {0: 1, 1: 2}])) == 2
+    assert _matrix_rank([{0: 4, 1: 2}, {0: -2, 1: -1}, {}]) == 1
     rng = random.Random(20201)
     for _ in range(400):
         cols = random_columns(rng)
-        assert _matrix_rank(cols) == oracle_rank(cols), cols
+        assert _matrix_rank(int_columns(cols)) == oracle_rank(cols), cols
     for ctx in (ctx_a2, ctx_b2):
         for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
             for cplx in (build_ad_complex(n, ("j",) * m, "i", ctx),
@@ -538,11 +576,67 @@ def test_matrix_rank_exact(ctx_a2, ctx_b2):
                 for d in range(0, 5):
                     for lam in sorted(cplx.left_color_words(d)):
                         for k in range(1, cplx.length()):
-                            cols = cplx._raw_columns(k, d, lam)
-                            before = [dict(c) for c in cols]
-                            assert _matrix_rank(cols) == oracle_rank(cols)
-                            # the caller's columns are left as they were
-                            assert cols == before
+                            cols = list(cplx._raw_columns(k, d, lam))
+                            want = oracle_rank(cols)
+                            assert _matrix_rank(cols) == want
+
+
+def klr_columns(cplx, k, d, lam):
+    """Columns of d_k on the (d, lam) block with Fraction entries, built
+    without the product cache: x^exps tau_word 1_nu times each entry z of
+    d_k out of its summand, by klr_multiply."""
+    ctx = cplx.ctx
+    cols = []
+    for si, src in enumerate(cplx.terms[k]):
+        entries = [(ti, z) for (a, ti), z in cplx.diffs[k - 1].items()
+                   if a == si]
+        for word, exps in src.blocks(d).get(lam, ()):
+            v = klr_multiply(KLRElement.monomial(ctx, lam, (), exps),
+                             _tau_el(ctx, word, src.nu))
+            cols.append({(ti, key): Fraction(c) for ti, z in entries
+                         for key, c in klr_multiply(v, z).terms.items()})
+    return cols
+
+
+@pytest.mark.parametrize("dot", [A2_DOT, B2_DOT, G2_DOT],
+                         ids=["a2", "b2", "g2"])
+def test_block_ranks_under_rational_units(dot):
+    """With t_(i,j) = 1/2 and t_(j,i) = -3 the products carry Fraction
+    coefficients; every block rank of the plain and the divided complexes
+    with n + m <= 4, degrees 0..4, equals the Fraction oracle's rank of the
+    columns built by klr_multiply, and every cached product is the
+    klr_multiply product scaled by one lcm per word, across all targets.
+    The plain complexes have several targets per source summand."""
+    ctx = KLRContext(make_cartan(dot), HALF_UNITS)
+    scales = set()
+    for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
+        for build in (build_ad_complex, build_divided_complex):
+            cplx = build(n, ("j",) * m, "i", ctx)
+            for d in range(0, 5):
+                for lam in sorted(cplx.left_color_words(d)):
+                    for k in range(1, cplx.length()):
+                        want = oracle_rank(klr_columns(cplx, k, d, lam))
+                        assert cplx.block_rank(k, d, lam) == want, \
+                            (build.__name__, n, m, k, d, lam)
+            for k, si, word in list(cplx._word_prods):
+                scale, want = scaled_word_products(cplx, k, si, word)
+                scales.add(scale)
+                assert flat_word_prod(cplx, k, si, word) == want, \
+                    (build.__name__, n, m, k, si, word)
+    assert max(scales) > 1
+
+
+def test_block_rank_rejects_the_ends(ctx_a2):
+    """Only d_1 .. d_{length-1} exist; asking for another raises and
+    caches nothing."""
+    cplx = build_divided_complex(2, ("j",), "i", ctx_a2)
+    lams = sorted(cplx.left_color_words(1))
+    assert lams
+    for k in (-1, 0, cplx.length()):
+        for lam in lams:
+            with pytest.raises(ValueError, match="no differential"):
+                cplx.block_rank(k, 1, lam)
+    assert not cplx._ranks
 
 
 def test_echelon_insert_visits_each_pivot_once_in_order():
@@ -557,10 +651,7 @@ def test_echelon_insert_visits_each_pivot_once_in_order():
     rng = random.Random(7)
     for _ in range(200):
         rows = LoggedRows()
-        for col in random_columns(rng):
-            m = 1
-            for c in col.values():
-                m = lcm(m, c.denominator)
+        for col in int_columns(random_columns(rng)):
             visits = []
-            _echelon_insert(rows, {k: int(c * m) for k, c in col.items()})
+            _echelon_insert(rows, col)
             assert visits == sorted(set(visits)), visits

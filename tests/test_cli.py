@@ -1,6 +1,7 @@
 """Command line interface: normal-form reduction, verification suites,
 exit codes, and byte-level determinism of reports."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -152,6 +153,77 @@ def test_suite_reports_are_deterministic(capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# sha256 of the stdout of `klrcalc suite NAME --cartan CARTAN` at default
+# flags, with its exit status; any change to a report shows up here.
+SUITE_REPORT_DIGESTS = [
+    ("relations", "A2", 0,
+     "740c18d2428849a36114452035dd9fe16bb8f946bd76b68e3f20e7a9fffd7f33"),
+    ("nilhecke", "A2", 0,
+     "b5c7b45ad20edf95f5ee0807bcad99c7c11749ad1285217f9b75b8d72d1b5768"),
+    ("vanish", "A2", 0,
+     "acb4ed90cae3f8ba77fd199c3366a85ef3ae1cea028c86e2d60a5395cdbafb9a"),
+    ("serre", "A2", 0,
+     "327f9ce2169e635f6170cfbae97f5992b77d6e28a190d69d861569a748bf05b5"),
+    ("mackey", "A2", 0,
+     "c581dd15ee299602213e8201fe19de363ac39fab0f2eda9f7cb9f22bf9c787a6"),
+    ("uplus", "A2", 0,
+     "0e35cf04b6b021d03cbc52204a973cd2ebb2eabcfa9d7d9a15070ccd751ad51d"),
+    ("k0", "A2", 0,
+     "a2348ee0fc4ba11487bcf08ab0b32a5e5ef9346082a4e16ccb5442bf0ba0b511"),
+    ("relations", "B2", 0,
+     "358d2de783b9fc3328b37f5110bd4c6df9c26bc490e23729f56b852f10457d3c"),
+    ("nilhecke", "B2", 0,
+     "a67ce6e41317fce609825af4f505d49a79608570ad59619c12b8114a48ae74b6"),
+    ("vanish", "B2", 0,
+     "f17c5c54311ded69cf71b471d4821a49e216e516b29b8b7ee27d34292f62d47c"),
+    ("serre", "B2", 0,
+     "dfd0d0c432d795d9ccefcb432f36916a2fe56822a049f29a06126e9f43d4821f"),
+    ("mackey", "B2", 0,
+     "6b57cd8ebd40e10bfbf108c260089eb901ed7d1567d72666cc70df721281d5c7"),
+    ("uplus", "B2", 0,
+     "f538c54486bdff1203d936b59f9bfa6fccae4dcb3d41a5b03dc187eb8886bc8b"),
+    ("k0", "B2", 0,
+     "0b005b9f673de1ccc6f859067022f84db962078c86c3e7f6f53194b8191a7022"),
+    ("relations", "B2r", 0,
+     "e40490335b980c77540d9f8d7bb40d0a44d24674b7f8f834a1088d4644537d63"),
+    ("nilhecke", "B2r", 0,
+     "77734bd981e72916f94c457c3636d85a639c9d044c90efcea0ddb63dc9d256aa"),
+    ("vanish", "B2r", 0,
+     "b6509c4db55dddab86a92e1bd67e2dfe2c9536bec2a2a26ecc77930dd99f5cba"),
+    ("serre", "B2r", 0,
+     "1b0dc0a495539425cea75fc9d39b0231c48a57daa834bdd6a6a150f57d57c042"),
+    ("mackey", "B2r", 0,
+     "3402fa85cab367871cb64c4ba3e9af21e6722b3ad6d18ab2128ed1d7d9ad0060"),
+    ("uplus", "B2r", 0,
+     "9e0deadc0c6c09deefb688165d5c6adb48baa322558b7c45f8fd88b542f5c9e3"),
+    ("k0", "B2r", 0,
+     "c7b25b6c7d344f3f657c8391f3a6b52b4bdeee558a036504f9fed44c42b97c69"),
+    ("relations", "G2", 0,
+     "f297616ec5975d398cd088538f66b673708f77dd2799a9d63e4b440244613792"),
+    ("nilhecke", "G2", 0,
+     "af3ec8c89ac772a5de4afc8829038859010741002c1a4c00114e2ddbeea52ec9"),
+    ("vanish", "G2", 0,
+     "73320f24e3964f69f0d1a5289df7bdfb49927c3d9cf2343fc9cb2de672704552"),
+    ("serre", "G2", 0,
+     "43d62fde3f18669275352522e915e9105fed8f50021c25327633ce5d206494a6"),
+    ("mackey", "G2", 0,
+     "febf7850db7d203e39190f3297e6d4de64760f2a8a758ffb96d4add4b4cbb231"),
+    ("uplus", "G2", 0,
+     "fc50bafcf31675802a461a4c8da205c82b950a6004d016dabdf8aa627930759b"),
+    ("k0", "G2", 0,
+     "7eed5cf30def0383ad9144341de683d23bed025f40d1e21b9ba6c9e7a1cfdc9d"),
+]
+
+
+@pytest.mark.parametrize("name,cartan,status,digest", SUITE_REPORT_DIGESTS,
+                         ids=[f"{n}-{c}" for n, c, _, _ in
+                              SUITE_REPORT_DIGESTS])
+def test_suite_reports_are_pinned(capsys, name, cartan, status, digest):
+    code, out, _ = run(capsys, "suite", name, "--cartan", cartan)
+    assert code == status
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_uplus_suite_b2(capsys):

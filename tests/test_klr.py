@@ -34,7 +34,7 @@ from klrcalc import (
 from klrcalc.klr import _canon_moves, _poly_on_strands
 from klrcalc.polycalc import all_perms, canonical_word
 
-from conftest import A2_DOT, B2R_DOT, G2_DOT, make_cartan
+from conftest import A2_DOT, B2R_DOT, G2_DOT, HALF_UNITS, make_cartan
 
 
 def all_words(h, letters=("i", "j")):
@@ -718,9 +718,6 @@ def test_one_colour_products_match_nil_hecke():
 
 
 # -- coefficients: int when integral, Fraction from a rational unit ------
-
-
-HALF_UNITS = {("i", "j"): {"t": Fraction(1, 2)}, ("j", "i"): {"t": -3}}
 
 
 def _random_triples(ctx, count, seed):
