@@ -2,9 +2,9 @@
 
 Laurent polynomials are sparse maps exponent -> Fraction with no stored
 zero coefficients.  Rational functions are gcd-reduced pairs of Laurent
-polynomials with the denominator normalized to lowest exponent 0 and a
-positive leading coefficient, so equality is structural and values are
-safe to use as cache keys.
+polynomials with the denominator normalized to lowest exponent 0 and
+leading coefficient 1, so equal values have equal parts, equality is
+structural and values are safe to use as cache keys.
 """
 
 from __future__ import annotations
@@ -229,13 +229,13 @@ class RatFunc:
         if g != LaurentPoly.one():
             num = num.exact_div(g)
             den = den.exact_div(g)
-        # normalize: den lowest exponent 0, leading (top) coefficient positive
+        # normalize: den lowest exponent 0, leading (top) coefficient 1
         k = den.min_exp()
         den = den.shift(-k)
         num = num.shift(-k)
         lead = den.coeffs[den.max_exp()]
-        if lead < 0:
-            den, num = den * -1, num * -1
+        if lead != 1:
+            den, num = den * (1 / lead), num * (1 / lead)
         self.num, self.den = num, den
 
     @staticmethod

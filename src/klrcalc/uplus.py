@@ -110,49 +110,110 @@ class WordVector:
 class GramCache:
     """Memoized word pairings for one Cartan datum.
 
-    Each computed pairing is stored under both argument orders, since the
-    form is symmetric.
+    The pairing of two words of weight beta is N(u, v) / D(beta), where
+    D(beta) is the product over the letters j of beta of (1 - q^{(j, j)})
+    and N is an integer Laurent polynomial.  With j the last letter of v
+    and v' = v without it, N satisfies the division-free recursion
+
+        N(u, v) = sum over p with u_p = j of
+                  q^{(j, u_1) + ... + (j, u_{p-1})} N(u without u_p, v'),
+
+    with N((), ()) = 1; words of different weights get N = 0.  N is
+    memoized as a dict exponent -> int, under both argument orders since
+    the form is symmetric, and D once per sorted letter tuple.  The dicts
+    in the memo are shared and must not be modified.
     """
 
     def __init__(self, cartan):
         self.cartan = cartan
-        self._memo = {}
+        self._num = {((), ()): {0: 1}}
+        self._den = {}
 
     def pair_words(self, u, v):
         u, v = tuple(u), tuple(v)
         if len(u) != len(v):
             return RatFunc.zero()
-        if not u:
-            return RatFunc.one()
-        got = self._memo.get((u, v))
+        return RatFunc(LaurentPoly(self._numerator(u, v)),
+                       self._denominator(v))
+
+    def _numerator(self, u, v):
+        """N(u, v) for two words of one length."""
+        got = self._num.get((u, v))
         if got is not None:
             return got
         dot = self.cartan.dot
         j = v[-1]
         vp = v[:-1]
-        acc = RatFunc.zero()
-        for p in range(len(u)):
-            if u[p] != j:
-                continue
-            e = sum(dot(j, u[t]) for t in range(p))
-            acc = acc + RatFunc.q(e) * self.pair_words(u[:p] + u[p + 1:], vp)
-        gen = RatFunc(LaurentPoly.one(),
-                      LaurentPoly.one() - LaurentPoly.q(dot(j, j)))
-        out = acc * gen
-        self._memo[(u, v)] = out
-        self._memo[(v, u)] = out
-        return out
+        acc = {}
+        e = 0
+        for p, a in enumerate(u):
+            if a == j:
+                _add_product(acc, {e: 1}, self._numerator(u[:p] + u[p + 1:],
+                                                          vp))
+            e += dot(j, a)
+        self._num[(u, v)] = self._num[(v, u)] = acc
+        return acc
+
+    def _denominator(self, word):
+        """D of the weight of word, as a LaurentPoly."""
+        key = tuple(sorted(word))
+        got = self._den.get(key)
+        if got is None:
+            got = LaurentPoly.one()
+            for j in key:
+                got = got * (LaurentPoly.one()
+                             - LaurentPoly.q(self.cartan.dot(j, j)))
+            self._den[key] = got
+        return got
 
 
 def pair(u, v, cache):
-    """The bilinear form on two WordVectors (0 if the weights differ)."""
-    if u.beta != v.beta:
+    """The bilinear form on two WordVectors (0 if the weights differ).
+
+    The sum of c1 c2 N(w1, w2) / D over the term pairs is taken with one
+    RatFunc per distinct product of coefficient denominators: the
+    numerators of each group are added as Laurent polynomials first."""
+    if u.beta != v.beta or not u.terms or not v.terms:
         return RatFunc.zero()
-    acc = RatFunc.zero()
-    for w1, c1 in u.terms.items():
-        for w2, c2 in v.terms.items():
-            acc = acc + c1 * c2 * cache.pair_words(w1, w2)
-    return acc
+    num_of = cache._numerator
+    v_groups = _by_denominator(v)
+    groups = {}         # den1 * den2 -> exponent -> summed coefficient
+    for d1, us in _by_denominator(u).items():
+        for d2, vs in v_groups.items():
+            acc = groups.setdefault(d1 * d2, {})
+            for w1, n1 in us:
+                inner = {}
+                for w2, n2 in vs:
+                    _add_product(inner, n2, num_of(w1, w2))
+                _add_product(acc, n1, inner)
+    den = cache._denominator(next(iter(v.terms)))
+    out = RatFunc.zero()
+    for d, acc in groups.items():
+        if acc:
+            out = out + RatFunc(LaurentPoly(acc), d * den)
+    return out
+
+
+def _by_denominator(x):
+    """The terms of a WordVector grouped by coefficient denominator:
+    den -> [(word, numerator coefficients as dict exponent -> Fraction)]."""
+    out = {}
+    for w, c in x.terms.items():
+        out.setdefault(c.den, []).append((w, c.num.coeffs))
+    return out
+
+
+def _add_product(acc, a, b):
+    """acc += a * b for sparse Laurent polynomials given as dicts
+    exponent -> coefficient; acc drops the coefficients that cancel."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            k = e1 + e2
+            s = acc.get(k, 0) + c1 * c2
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
 
 
 def is_zero_mod_serre(v, cache):

@@ -89,9 +89,30 @@ def test_ratfunc_reduction_and_equality():
     den = LaurentPoly({0: 1, 2: -1})
     r = RatFunc(num, den)
     assert r == RatFunc(LaurentPoly({0: 1, 2: 1}))
-    # denominator normalized: constant term, positive leading coefficient
+    # denominator normalized: constant term, leading coefficient 1
     assert r.den == LaurentPoly.one()
     assert hash(r) == hash(RatFunc(LaurentPoly({0: 1, 2: 1})))
+
+
+def test_ratfunc_scalar_content_is_canonical():
+    """Equal values built with different scalar content have equal parts
+    and equal hashes: the denominator's leading coefficient is 1."""
+    cases = [
+        (RatFunc(LaurentPoly({0: 2}), LaurentPoly({0: 2})), RatFunc.one()),
+        (RatFunc(LaurentPoly({0: 1}), LaurentPoly({0: 2})),
+         RatFunc(LaurentPoly({0: 2}), LaurentPoly({0: 4}))),
+        # (2 - 2q) / (4 - 4q^2) = (1/2) / (1 + q)
+        (RatFunc(LaurentPoly({0: 2, 1: -2}), LaurentPoly({0: 4, 2: -4})),
+         RatFunc(LaurentPoly({0: 1}), LaurentPoly({0: 2, 1: 2}))),
+        (RatFunc(LaurentPoly({1: 3}), LaurentPoly({0: -6, 3: 3})),
+         RatFunc(LaurentPoly({1: -1}), LaurentPoly({0: 2, 3: -1}))),
+    ]
+    for a, b in cases:
+        assert a == b
+        assert (a.num, a.den) == (b.num, b.den)
+        assert hash(a) == hash(b)
+        assert a.den.coeffs[a.den.max_exp()] == 1
+        assert a.den.min_exp() == 0
 
 
 def test_ratfunc_field_ops():

@@ -60,16 +60,19 @@ def test_squared_generator_norm(cartan_a2):
 
 
 def test_form_is_symmetric(cartan_a2, cartan_b2):
+    """(u, v) = (v, u), the reversed pair computed in a second cache: one
+    GramCache stores both argument orders as one entry."""
     rng = random.Random(41)
     for cartan in (cartan_a2, cartan_b2):
         cache = GramCache(cartan)
+        mirror = GramCache(cartan)
         for h in (2, 3, 4):
             words = list(itertools.product("ij", repeat=h))
             for _ in range(15):
                 w1, w2 = rng.choice(words), rng.choice(words)
                 u = WordVector.from_word(w1)
                 v = WordVector.from_word(w2)
-                assert pair(u, v, cache) == pair(v, u, cache)
+                assert pair(u, v, cache) == pair(v, u, mirror)
 
 
 def test_form_respects_weight(cartan_a2):
@@ -77,6 +80,104 @@ def test_form_respects_weight(cartan_a2):
     u = WordVector.from_word(("i", "j"))
     v = WordVector.from_word(("i", "i"))
     assert pair(u, v, cache).is_zero()
+
+
+def oracle_pair_words(u, v, cartan, memo):
+    """(e_u, e_v) by the RatFunc recursion, dividing by 1 - q^{(j, j)} at
+    every level: the route the library used before it paired over the
+    weight's fixed denominator."""
+    if len(u) != len(v):
+        return RatFunc.zero()
+    if not u:
+        return RatFunc.one()
+    got = memo.get((u, v))
+    if got is not None:
+        return got
+    j = v[-1]
+    acc = RatFunc.zero()
+    for p in range(len(u)):
+        if u[p] == j:
+            e = sum(cartan.dot(j, u[t]) for t in range(p))
+            acc = acc + RatFunc.q(e) * oracle_pair_words(
+                u[:p] + u[p + 1:], v[:-1], cartan, memo)
+    memo[(u, v)] = acc / one_minus_q(cartan.dot(j, j))
+    return memo[(u, v)]
+
+
+def termwise_pair(u, v, cache):
+    """The form as the sum of c1 c2 (w1, w2) over the term pairs, one
+    RatFunc per term."""
+    if u.beta != v.beta:
+        return RatFunc.zero()
+    acc = RatFunc.zero()
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
+            acc = acc + c1 * c2 * cache.pair_words(w1, w2)
+    return acc
+
+
+def test_pair_words_matches_ratfunc_recursion(cartan_a2, cartan_b2,
+                                              cartan_b2r, cartan_g2):
+    """N(u, v) / D(beta) equals the RatFunc recursion on every pair of
+    words of one height <= 4, equal weights or not, and the memoized
+    numerators are dicts of ints."""
+    for cartan in (cartan_a2, cartan_b2, cartan_b2r, cartan_g2):
+        cache = GramCache(cartan)
+        memo = {}
+        unequal = 0
+        for h in range(5):
+            words = list(itertools.product("ij", repeat=h))
+            for u in words:
+                for v in words:
+                    want = oracle_pair_words(u, v, cartan, memo)
+                    assert cache.pair_words(u, v) == want, (u, v)
+                    if sorted(u) != sorted(v):
+                        unequal += 1
+                        assert want.is_zero()
+        assert unequal
+        assert cache.pair_words(("i",), ("i", "j")).is_zero()
+        assert all(type(e) is int and type(c) is int
+                   for n in cache._num.values() for e, c in n.items())
+
+
+def _rescaled(v):
+    """v with its coefficients multiplied in turn by 1/2, -3 and
+    q/(1 + q^2): rational scalars and more than one denominator."""
+    units = [RatFunc(LaurentPoly({0: Fraction(1, 2)})),
+             RatFunc(LaurentPoly({0: -3})),
+             RatFunc(LaurentPoly.q(1), LaurentPoly({0: 1, 2: 1}))]
+    return WordVector(v.beta, {w: c * units[k % len(units)]
+                               for k, (w, c) in
+                               enumerate(sorted(v.terms.items()))})
+
+
+@pytest.mark.parametrize("which", ["a2", "b2", "b2r", "g2"])
+def test_grouped_pair_matches_termwise_sum(which, cartan_a2, cartan_b2,
+                                           cartan_b2r, cartan_g2):
+    """pair, which adds the numerators of each coefficient denominator
+    before it builds a RatFunc, equals the term-by-term sum on the
+    ad_e_divided outputs of the Serre grid (n + m <= 4), paired with every
+    word of their weight and with themselves, and on the same vectors
+    with rational coefficients of several denominators, paired with
+    themselves."""
+    cartan = {"a2": cartan_a2, "b2": cartan_b2, "b2r": cartan_b2r,
+              "g2": cartan_g2}[which]
+    cache = GramCache(cartan)
+    many_dens = 0
+    for i, j in (("i", "j"), ("j", "i")):
+        for n in range(0, 5):
+            for m in range(1, 5 - n):
+                v = ad_e_divided(n, i, WordVector.from_word((j,) * m), cartan)
+                r = _rescaled(v)
+                many_dens += len({c.den for c in r.terms.values()}) > 1
+                for w in sequences(v.beta):
+                    u = WordVector.from_word(tuple(reversed(w)))
+                    assert pair(u, v, cache) == termwise_pair(u, v, cache), \
+                        (i, j, n, m)
+                for x in (v, r):
+                    assert pair(x, x, cache) == termwise_pair(x, x, cache), \
+                        (i, j, n, m)
+    assert many_dens
 
 
 # -- quantum Serre relations --------------------------------------------
