@@ -12,8 +12,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import add
 
-from .qring import (LaurentPoly, RatFunc, quantum_integer,
-                    series_window, sigma, zeta)
+from .qring import LaurentPoly, RatFunc, quantum_integer, sigma, zeta
 from .rootdata import RootVector, height, pairing, reflect, sequences
 from .klr import (KLRElement, _tau_word_times, diamond, idempotent_e_klr,
                   klr_multiply, tau_word_degree)

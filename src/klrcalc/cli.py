@@ -23,10 +23,11 @@ import re
 import sys
 from fractions import Fraction
 
-from .klr import (KLRContext, KLRElement, klr_generator, klr_multiply_many,
+from .klr import (KLRContext, klr_generator, klr_multiply_many,
                   relation_residues)
-from .qring import DegreeWindow, LaurentPoly, RatFunc, quantum_integer
-from .rootdata import CartanDatum, CartanValidationError, RootVector, sequences
+from .qring import DegreeWindow, LaurentPoly, RatFunc
+from .rootdata import (CartanDatum, CartanValidationError, RootVector,
+                       pairing, sequences)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -357,8 +358,7 @@ def _suite_mackey(cfg):
 
 
 def _suite_uplus(cfg):
-    from .uplus import (GramCache, WordVector, ad_e, ad_e_divided,
-                        higher_serre_check, is_zero_mod_serre, pair)
+    from .uplus import GramCache, WordVector, ad_e, higher_serre_check, pair
     cartan = cfg.ctx.cartan
     labels = cartan.index_set
     cache = GramCache(cartan)
@@ -407,7 +407,6 @@ def _suite_uplus(cfg):
         ej = WordVector.generator(j)
         ok = True
         for u, v in ((ei * ej, ej), (ej, ej * ei)):
-            from .rootdata import pairing
             w = pairing(cartan, i, u.beta)
             lhs = ad_e(i, u * v, cartan)
             rhs = ad_e(i, u, cartan) * v + (u * ad_e(i, v, cartan)).scale(

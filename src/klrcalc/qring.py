@@ -49,7 +49,7 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -74,7 +74,7 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             other = LaurentPoly({0: other})
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -93,7 +93,7 @@ class LaurentPoly:
         return res
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             other = LaurentPoly({0: other})
         return self + (-other)
 
@@ -214,11 +214,11 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, int):
+        if isinstance(num, (int, Fraction)):
             num = LaurentPoly({0: num})
         if den is None:
             den = LaurentPoly.one()
-        elif isinstance(den, int):
+        elif isinstance(den, (int, Fraction)):
             den = LaurentPoly({0: den})
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
@@ -257,8 +257,8 @@ class RatFunc:
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RatFunc(other if isinstance(other, LaurentPoly) else LaurentPoly({0: other}))
+        if isinstance(other, (int, Fraction, LaurentPoly)):
+            other = RatFunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den

@@ -14,9 +14,7 @@ words of the same weight), never through a presentation of the quotient
 algebra.
 """
 
-from fractions import Fraction
-
-from .qring import (LaurentPoly, RatFunc, quantum_factorial, series_window)
+from .qring import LaurentPoly, RatFunc, quantum_factorial, series_window
 from .rootdata import RootVector, height, pairing, sequences
 
 __all__ = [
@@ -41,7 +39,7 @@ class WordVector:
             if RootVector.from_word(w) != beta:
                 raise ValueError(f"word {w} does not have the stated weight")
             if not isinstance(c, RatFunc):
-                c = RatFunc(LaurentPoly({0: Fraction(c)}))
+                c = RatFunc(c)
             if c:
                 self.terms[w] = c
 
@@ -54,10 +52,6 @@ class WordVector:
     def from_word(word):
         word = tuple(word)
         return WordVector(RootVector.from_word(word), {word: 1})
-
-    @staticmethod
-    def zero(beta):
-        return WordVector(beta, {})
 
     def is_zero(self):
         return not self.terms
@@ -79,11 +73,11 @@ class WordVector:
         return WordVector(self.beta, out)
 
     def __sub__(self, other):
-        return self + other.scale(RatFunc(LaurentPoly({0: Fraction(-1)})))
+        return self + other.scale(-1)
 
     def scale(self, c):
         if not isinstance(c, RatFunc):
-            c = RatFunc(LaurentPoly({0: Fraction(c)}))
+            c = RatFunc(c)
         return WordVector(self.beta, {w: v * c for w, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -121,7 +115,8 @@ class GramCache:
     with N((), ()) = 1; words of different weights get N = 0.  N is
     memoized as a dict exponent -> int, under both argument orders since
     the form is symmetric, and D once per sorted letter tuple.  The dicts
-    in the memo are shared and must not be modified.
+    in the memo are shared and must not be modified.  pair_words builds
+    one RatFunc per call; pair and the zero tests read N and D directly.
     """
 
     def __init__(self, cartan):
@@ -170,37 +165,35 @@ class GramCache:
 def pair(u, v, cache):
     """The bilinear form on two WordVectors (0 if the weights differ).
 
-    The sum of c1 c2 N(w1, w2) / D over the term pairs is taken with one
-    RatFunc per distinct product of coefficient denominators: the
-    numerators of each group are added as Laurent polynomials first."""
+    With u and v over their common denominators L_u and L_v, the sum of
+    a b N(w1, w2) over the term pairs is one numerator dict, and the
+    value is one RatFunc over L_u L_v D."""
     if u.beta != v.beta or not u.terms or not v.terms:
         return RatFunc.zero()
     num_of = cache._numerator
-    v_groups = _by_denominator(v)
-    groups = {}         # den1 * den2 -> exponent -> summed coefficient
-    for d1, us in _by_denominator(u).items():
-        for d2, vs in v_groups.items():
-            acc = groups.setdefault(d1 * d2, {})
-            for w1, n1 in us:
-                inner = {}
-                for w2, n2 in vs:
-                    _add_product(inner, n2, num_of(w1, w2))
-                _add_product(acc, n1, inner)
-    den = cache._denominator(next(iter(v.terms)))
-    out = RatFunc.zero()
-    for d, acc in groups.items():
-        if acc:
-            out = out + RatFunc(LaurentPoly(acc), d * den)
-    return out
+    lu, us = _over_common_denominator(u)
+    lv, vs = _over_common_denominator(v)
+    acc = {}
+    for w1, a in us:
+        inner = {}
+        for w2, b in vs:
+            _add_product(inner, b, num_of(w1, w2))
+        _add_product(acc, a, inner)
+    return RatFunc(LaurentPoly(acc),
+                   lu * lv * cache._denominator(next(iter(v.terms))))
 
 
-def _by_denominator(x):
-    """The terms of a WordVector grouped by coefficient denominator:
-    den -> [(word, numerator coefficients as dict exponent -> Fraction)]."""
-    out = {}
-    for w, c in x.terms.items():
-        out.setdefault(c.den, []).append((w, c.num.coeffs))
-    return out
+def _over_common_denominator(x):
+    """(L, [(word, numerator)]) with x = sum of numerator / L * word: L is
+    the product of the distinct coefficient denominators of x, and each
+    numerator is a dict exponent -> coefficient."""
+    dens = {c.den for c in x.terms.values()}
+    big = LaurentPoly.one()
+    for d in dens:
+        big = big * d
+    cofactor = {d: big.exact_div(d) for d in dens}
+    return big, [(w, (c.num * cofactor[c.den]).coeffs)
+                 for w, c in x.terms.items()]
 
 
 def _add_product(acc, a, b):
@@ -219,11 +212,21 @@ def _add_product(acc, a, b):
 def is_zero_mod_serre(v, cache):
     """Whether v vanishes in the quotient algebra: by non-degeneracy of
     the form this holds iff (w, v) = 0 for every word w of the weight."""
-    if v.is_zero():
-        return True
-    for w in sequences(v.beta):
-        word = tuple(reversed(w))  # written order
-        if pair(WordVector.from_word(word), v, cache):
+    return _pairs_to_zero((tuple(reversed(w)) for w in sequences(v.beta)),
+                          v, cache)
+
+
+def _pairs_to_zero(words, v, cache):
+    """Whether (w, v) = 0 for every written word w of v's weight in
+    words.  With v over its common denominator, (w, v) is zero iff the
+    numerator sum of b N(w, w2) over the terms of v is."""
+    num_of = cache._numerator
+    _, vs = _over_common_denominator(v)
+    for w in words:
+        acc = {}
+        for w2, b in vs:
+            _add_product(acc, b, num_of(w, w2))
+        if acc:
             return False
     return True
 
@@ -237,31 +240,21 @@ def ad_e(i, v, cartan):
     return ei * v - (v * ei).scale(RatFunc.q(di * w))
 
 
-def _divided_power(i, n, cartan):
-    """e_i^{(n)} = e_i^n / [n]_i!."""
-    ei = WordVector.generator(i)
-    out = WordVector(RootVector({}), {(): 1})
-    for _ in range(n):
-        out = out * ei
-    fact = RatFunc(LaurentPoly.one(), quantum_factorial(n, cartan.d(i)))
-    return out.scale(fact)
-
-
 def ad_e_divided(n, i, v, cartan):
     """Divided n-th adjoint power ad_i^n(v) / [n]_i!, by the closed
     alternating sum over k of
-    (-1)^k q_i^{k(n-1+w)} e_i^{(n-k)} v e_i^{(k)}, w = <i, wt v>."""
+    (-1)^k q_i^{k(n-1+w)} e_i^{(n-k)} v e_i^{(k)}, w = <i, wt v>: the word
+    i^{n-k} u i^k gets c_u (-1)^k q_i^{k(n-1+w)} / ([n-k]_i! [k]_i!)."""
     di = cartan.d(i)
     w = pairing(cartan, i, v.beta)
-    closed = WordVector.zero(v.beta + RootVector.simple(i, n))
+    out = {}
     for k in range(n + 1):
-        piece = _divided_power(i, n - k, cartan) * v * _divided_power(
-            i, k, cartan)
-        piece = piece.scale(RatFunc.q(di * k * (n - 1 + w)))
-        if k % 2:
-            piece = piece.scale(-1)
-        closed = closed + piece
-    return closed
+        c = RatFunc(LaurentPoly({di * k * (n - 1 + w): (-1) ** k}),
+                    quantum_factorial(n - k, di) * quantum_factorial(k, di))
+        for u, cu in v.terms.items():
+            word = (i,) * (n - k) + u + (i,) * k
+            out[word] = out[word] + cu * c if word in out else cu * c
+    return WordVector(v.beta + RootVector.simple(i, n), out)
 
 
 def higher_serre_check(n, m, i, j, cache):
@@ -278,18 +271,12 @@ def uplusi_member(v, i, cache):
     """Whether v pairs to zero against every e_i z with z a word of the
     complementary weight: the form-theoretic membership test for the
     kernel subalgebra that the twisted adjoint operators map into."""
-    if v.is_zero():
-        return True
     coeffs = dict(v.beta.coeffs)
     coeffs[i] = coeffs.get(i, 0) - 1
     if coeffs[i] < 0:
         return True
-    rest = RootVector(coeffs)
-    for z in sequences(rest):
-        word = (i,) + tuple(reversed(z))
-        if pair(WordVector.from_word(word), v, cache):
-            return False
-    return True
+    return _pairs_to_zero(((i,) + tuple(reversed(z))
+                           for z in sequences(RootVector(coeffs))), v, cache)
 
 
 def k0_isometry_calibrate(beta, window, ctx):
@@ -318,9 +305,7 @@ def k0_isometry_calibrate(beta, window, ctx):
     for mu in words:
         mu_pos = tuple(reversed(mu))
         for nu in words:
-            form = series_window(
-                pair(WordVector.from_word(mu), WordVector.from_word(nu),
-                     cache), wide)
+            form = series_window(cache.pair_words(mu, nu), wide)
             dims = {d: k for d, k in tables[nu].get(mu_pos, {}).items()
                     if d >= wide.d_min}
             if not dims and form.is_zero():

@@ -115,6 +115,24 @@ def test_ratfunc_scalar_content_is_canonical():
         assert a.den.min_exp() == 0
 
 
+def test_fraction_scalars_act_like_int_scalars():
+    """A Fraction is a scalar wherever an int is: it builds a RatFunc,
+    adds to and subtracts from both types, and compares equal to the
+    constant of the same value."""
+    half = Fraction(1, 2)
+    half_lp = LaurentPoly({0: half})
+    assert RatFunc(half) == RatFunc(half_lp)
+    assert RatFunc(1, half) == RatFunc(LaurentPoly({0: 2}))
+    assert RatFunc.one() + half == RatFunc(LaurentPoly({0: Fraction(3, 2)}))
+    assert RatFunc.one() - half == RatFunc(half_lp)
+    assert LaurentPoly.one() + half == LaurentPoly({0: Fraction(3, 2)})
+    assert LaurentPoly.one() - half == half_lp
+    assert LaurentPoly.q(1) - half == LaurentPoly({0: -half, 1: 1})
+    assert RatFunc.one() == Fraction(1) and LaurentPoly.one() == Fraction(1)
+    assert RatFunc(half) == half and half_lp == half
+    assert RatFunc.one() != half and LaurentPoly.one() != half
+
+
 def test_ratfunc_field_ops():
     one = RatFunc.one()
     q2 = RatFunc(LaurentPoly.q(2))

@@ -44,3 +44,29 @@ def test_benchmark_tracer_targets_exist():
         if not callable(fn):
             missing.append(f"{name}: {attr}")
     assert not missing, missing
+
+
+def test_library_imports_are_used():
+    """Every name a library module imports (at any depth, ``from
+    __future__`` aside) is read somewhere in that module.  The package's
+    ``__init__.py`` imports to re-export, so it is not checked."""
+    files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert files
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[(a.asname or a.name).split(".")[0]] = node.lineno
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused

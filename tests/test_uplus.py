@@ -151,33 +151,68 @@ def _rescaled(v):
                                enumerate(sorted(v.terms.items()))})
 
 
+def _serre_grid(cartan):
+    """The ad_e_divided outputs of the Serre grid (both colour orders,
+    n >= 0, m >= 1, n + m <= 4) as (i, j, n, m, vector)."""
+    for i, j in (("i", "j"), ("j", "i")):
+        for n in range(0, 5):
+            for m in range(1, 5 - n):
+                yield i, j, n, m, ad_e_divided(
+                    n, i, WordVector.from_word((j,) * m), cartan)
+
+
 @pytest.mark.parametrize("which", ["a2", "b2", "b2r", "g2"])
-def test_grouped_pair_matches_termwise_sum(which, cartan_a2, cartan_b2,
-                                           cartan_b2r, cartan_g2):
-    """pair, which adds the numerators of each coefficient denominator
-    before it builds a RatFunc, equals the term-by-term sum on the
-    ad_e_divided outputs of the Serre grid (n + m <= 4), paired with every
-    word of their weight and with themselves, and on the same vectors
-    with rational coefficients of several denominators, paired with
-    themselves."""
+def test_pair_matches_termwise_sum(which, cartan_a2, cartan_b2, cartan_b2r,
+                                   cartan_g2):
+    """pair, which puts both vectors over a common denominator and builds
+    one RatFunc, equals the term-by-term sum on the ad_e_divided outputs
+    of the Serre grid, paired with every word of their weight and with
+    themselves, and on the same vectors with rational coefficients of
+    several denominators, paired with themselves."""
     cartan = {"a2": cartan_a2, "b2": cartan_b2, "b2r": cartan_b2r,
               "g2": cartan_g2}[which]
     cache = GramCache(cartan)
     many_dens = 0
-    for i, j in (("i", "j"), ("j", "i")):
-        for n in range(0, 5):
-            for m in range(1, 5 - n):
-                v = ad_e_divided(n, i, WordVector.from_word((j,) * m), cartan)
-                r = _rescaled(v)
-                many_dens += len({c.den for c in r.terms.values()}) > 1
-                for w in sequences(v.beta):
-                    u = WordVector.from_word(tuple(reversed(w)))
-                    assert pair(u, v, cache) == termwise_pair(u, v, cache), \
-                        (i, j, n, m)
-                for x in (v, r):
-                    assert pair(x, x, cache) == termwise_pair(x, x, cache), \
-                        (i, j, n, m)
+    for i, j, n, m, v in _serre_grid(cartan):
+        r = _rescaled(v)
+        many_dens += len({c.den for c in r.terms.values()}) > 1
+        for w in sequences(v.beta):
+            u = WordVector.from_word(tuple(reversed(w)))
+            assert pair(u, v, cache) == termwise_pair(u, v, cache), \
+                (i, j, n, m)
+        for x in (v, r):
+            assert pair(x, x, cache) == termwise_pair(x, x, cache), \
+                (i, j, n, m)
     assert many_dens
+
+
+@pytest.mark.parametrize("which", ["a2", "b2", "b2r", "g2"])
+def test_zero_tests_match_termwise_route(which, cartan_a2, cartan_b2,
+                                         cartan_b2r, cartan_g2):
+    """is_zero_mod_serre(v) holds iff termwise_pair(w, v) is zero for
+    every word w of v's weight, and uplusi_member(v, i) iff it is zero
+    for every such w that begins with i: on the ad_e_divided outputs of
+    the Serre grid and on their copies with rational coefficients of
+    several denominators.  Both verdicts occur for both tests."""
+    cartan = {"a2": cartan_a2, "b2": cartan_b2, "b2r": cartan_b2r,
+              "g2": cartan_g2}[which]
+    cache = GramCache(cartan)
+    seen = set()
+    for i, j, n, m, v in _serre_grid(cartan):
+        words = [tuple(reversed(w)) for w in sequences(v.beta)]
+        for x in (v, _rescaled(v)):
+            null = {w: termwise_pair(WordVector.from_word(w), x,
+                                     cache).is_zero() for w in words}
+            got = is_zero_mod_serre(x, cache)
+            assert got == all(null.values()), (i, j, n, m)
+            seen.add(("serre", got))
+            for k in ("i", "j"):
+                got = uplusi_member(x, k, cache)
+                assert got == all(z for w, z in null.items()
+                                  if w[0] == k), (i, j, n, m, k)
+                seen.add(("member", got))
+    assert seen == {("serre", True), ("serre", False),
+                    ("member", True), ("member", False)}
 
 
 # -- quantum Serre relations --------------------------------------------
@@ -224,8 +259,10 @@ def iterated_divided_adjoint(n, i, v, cartan):
 def test_divided_adjoint_two_routes(cartan_a2, cartan_b2, cartan_b2r,
                                     cartan_g2):
     """The closed alternating sum of ad_e_divided equals iterated ad_e
-    divided by [n]_i!, on every generator for n <= 4 and on the grid of
-    higher_serre_check (e_j^m with n + m <= 4) for every built-in datum."""
+    divided by [n]_i!, on every generator for n <= 4, on the grid of
+    higher_serre_check (e_j^m with n + m <= 4) and, for n <= 3, on the
+    rescaled ad_j(e_i): its words j i and i j give the same word for
+    different k.  For every built-in datum."""
     for cartan in (cartan_a2, cartan_b2, cartan_b2r, cartan_g2):
         for i in ("i", "j"):
             for base in ("i", "j"):
@@ -234,6 +271,12 @@ def test_divided_adjoint_two_routes(cartan_a2, cartan_b2, cartan_b2r,
                     assert ad_e_divided(n, i, v, cartan) == \
                         iterated_divided_adjoint(n, i, v, cartan), \
                         (i, base, n)
+            j = "j" if i == "i" else "i"
+            v = _rescaled(ad_e(j, WordVector.generator(i), cartan))
+            assert len(v.terms) == 2
+            for n in range(0, 4):
+                assert ad_e_divided(n, i, v, cartan) == \
+                    iterated_divided_adjoint(n, i, v, cartan), (i, j, n)
         for i, j in (("i", "j"), ("j", "i")):
             for n in range(0, 5):
                 for m in range(1, 5 - n):
