@@ -42,8 +42,10 @@ def _echelon_insert(rows, v):
     taken from a heap in increasing order, each needed row is visited
     once, and no other row is looked at.  The entry c of the vector at
     pivot p is cleared by v <- (a/g) v - (c/g) row with a the pivot entry
-    and g = gcd(a, c).  If a nonzero remainder survives, it is stored as a
-    new row and True is returned.  v is reduced in place.
+    and g = gcd(a, c).  If a nonzero remainder survives, it is divided by
+    its signed gcd in place, v itself is stored as the new row and True is
+    returned.  v is reduced in place and must not be used by the caller
+    afterwards.
     """
     heap = [k for k in v if k in rows]
     heapify(heap)
@@ -76,7 +78,10 @@ def _echelon_insert(rows, v):
     g = gcd(*v.values())
     if v[p] < 0:
         g = -g
-    rows[p] = {k: c // g for k, c in v.items()}
+    if g != 1:
+        for k in v:
+            v[k] //= g
+    rows[p] = v
     return True
 
 

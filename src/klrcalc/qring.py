@@ -1,19 +1,27 @@
 """Exact arithmetic in Z[q, q^-1] and Q(q), plus quantum combinatorics.
 
-Laurent polynomials are sparse maps exponent -> Fraction with no stored
-zero coefficients.  Rational functions are gcd-reduced pairs of Laurent
-polynomials with the denominator normalized to lowest exponent 0 and
-leading coefficient 1, so equal values have equal parts, equality is
-structural and values are safe to use as cache keys.
+Laurent polynomials are sparse maps exponent -> coefficient with no
+stored zero coefficients.  A coefficient is stored as an int when it is
+integral (polycalc.exact), so integer data stays in integer arithmetic;
+a Fraction comes in only from a non-integral input or a true division,
+and every division goes through _div, so no coefficient is a float.
+
+Rational functions are gcd-reduced pairs of Laurent polynomials with
+the denominator normalized to lowest exponent 0 and leading coefficient
+1, so equal values have equal parts, equality is structural and values
+are safe to use as cache keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .polycalc import exact
+
 
 class LaurentPoly:
-    """A sparse Laurent polynomial with exact rational coefficients."""
+    """A sparse Laurent polynomial with exact rational coefficients, each
+    stored as an int when integral."""
 
     __slots__ = ("coeffs",)
 
@@ -21,7 +29,7 @@ class LaurentPoly:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     clean[int(e)] = c
         self.coeffs = clean
@@ -69,7 +77,7 @@ class LaurentPoly:
         return max(self.coeffs)
 
     def coeff(self, exp):
-        return self.coeffs.get(exp, Fraction(0))
+        return self.coeffs.get(exp, 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -78,7 +86,7 @@ class LaurentPoly:
             other = LaurentPoly({0: other})
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -102,13 +110,13 @@ class LaurentPoly:
             if not other:
                 return LaurentPoly()
             res = LaurentPoly.__new__(LaurentPoly)
-            res.coeffs = {e: c * other for e, c in self.coeffs.items()}
+            res.coeffs = {e: exact(c * other) for e, c in self.coeffs.items()}
             return res
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -144,11 +152,11 @@ class LaurentPoly:
         while rem:
             top = max(rem)
             e = top - dtop
-            c = rem[top] / dlead
+            c = _div(rem[top], dlead)
             out[e] = c
             for de, dc in other.coeffs.items():
                 k = de + e
-                s = rem.get(k, Fraction(0)) - dc * c
+                s = rem.get(k, 0) - dc * c
                 if s:
                     rem[k] = s
                 else:
@@ -182,6 +190,21 @@ class LaurentPoly:
         return LaurentPoly({int(e): Fraction(c) for e, c in obj.items()})
 
 
+def _div(a, b):
+    """The exact quotient a / b of two rational scalars, as an int when it
+    is integral: the one true division of this module."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return exact(Fraction(a) / b)
+
+
+def _divide_coeffs(p, c):
+    """p with every coefficient divided by the scalar c."""
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.coeffs = {e: _div(x, c) for e, x in p.coeffs.items()}
+    return res
+
+
 def _poly_gcd(a, b):
     """Monic gcd of two nonzero Laurent polynomials (up to units q^k)."""
     a = a.shift(-a.min_exp())
@@ -193,10 +216,10 @@ def _poly_gcd(a, b):
         blead = b.coeffs[btop]
         while r and max(r) >= btop:
             top = max(r)
-            c = r[top] / blead
+            c = _div(r[top], blead)
             for de, dc in b.coeffs.items():
                 k = de + top - btop
-                s = r.get(k, Fraction(0)) - dc * c
+                s = r.get(k, 0) - dc * c
                 if s:
                     r[k] = s
                 else:
@@ -204,8 +227,7 @@ def _poly_gcd(a, b):
         a, b = b, LaurentPoly(r)
         if b:
             b = b.shift(-b.min_exp())
-    lead = a.coeffs[a.max_exp()]
-    return a * (1 / lead)
+    return _divide_coeffs(a, a.coeffs[a.max_exp()])
 
 
 class RatFunc:
@@ -235,7 +257,7 @@ class RatFunc:
         num = num.shift(-k)
         lead = den.coeffs[den.max_exp()]
         if lead != 1:
-            den, num = den * (1 / lead), num * (1 / lead)
+            den, num = _divide_coeffs(den, lead), _divide_coeffs(num, lead)
         self.num, self.den = num, den
 
     @staticmethod
@@ -381,20 +403,20 @@ def series_window(f, w):
     lo = f.num.min_exp()
     out = {}
     # inverse-series coefficients s_m of 1/den, computed on demand
-    inv = [Fraction(1) / c0]
+    inv = [_div(1, c0)]
 
     def inv_coeff(m):
         while len(inv) <= m:
             t = len(inv)
-            acc = Fraction(0)
+            acc = 0
             for e, c in den.coeffs.items():
                 if 1 <= e <= t:
                     acc += c * inv[t - e]
-            inv.append(-acc / c0)
+            inv.append(_div(-acc, c0))
         return inv[m]
 
     for d in range(max(lo, w.d_min), w.d_max + 1):
-        acc = Fraction(0)
+        acc = 0
         for e, c in f.num.coeffs.items():
             if e <= d:
                 acc += c * inv_coeff(d - e)

@@ -14,8 +14,8 @@ words of the same weight), never through a presentation of the quotient
 algebra.
 """
 
-from .qring import LaurentPoly, RatFunc, quantum_factorial, series_window
-from .rootdata import RootVector, height, pairing, sequences
+from .qring import LaurentPoly, RatFunc, quantum_factorial
+from .rootdata import RootVector, pairing, sequences
 
 __all__ = [
     "WordVector", "GramCache", "pair", "is_zero_mod_serre", "ad_e",
@@ -281,45 +281,42 @@ def uplusi_member(v, i, cache):
 
 def k0_isometry_calibrate(beta, window, ctx):
     """Compare the form against graded dimensions of the idempotent-
-    truncated algebra.
+    truncated algebra, as an identity of integer Laurent polynomials.
 
-    For every pair of words mu, nu of weight beta, the window expansion of
-    (e_mu, e_nu) must equal the graded dimension series of the (mu, nu)
-    block of the algebra up to one overall power of q; the report records
-    that exponent per pair, and a ValueError is raised unless it is the
-    same for all pairs.
+    For words mu, nu of weight beta, the (mu, nu) block 1_mu R(beta) 1_nu
+    has Hilbert series P(mu, nu) / D(beta), where P sums q^{deg tau_u}
+    over the rows u of pbw_cosets(nu) with u(nu) = mu (in position order)
+    and the x's on the strands give 1 / D(beta); the form is
+    (e_mu, e_nu) = N(mu, nu) / D(beta) (see GramCache).  So the block
+    dimensions match the form up to one power of q in every degree iff
+    N = q^s P, with s = min N - min P.  The report records s per pair,
+    and a ValueError is raised unless the identity holds for every pair
+    with the same s.  window is only recorded in the report.
     """
-    from .adjoint import dims_E_word
-    from .qring import DegreeWindow
     cache = GramCache(ctx.cartan)
     words = [tuple(reversed(s)) for s in sequences(beta)]
-    pad = 2 * sum(abs(ctx.cartan.dot(a, b))
-                  for a in beta.coeffs for b in beta.coeffs) \
-        * max(height(beta), 1) + 2
-    wide = DegreeWindow(window.d_min - pad, window.d_max + pad)
-    # the (mu, nu) block of the algebra is the mu row of the refined
-    # dimension table of the cyclic module of nu
-    tables = {nu: dims_E_word(ctx, nu, wide.d_max).table for nu in words}
+    rows = {}
+    for nu in words:
+        row = rows[nu] = {}
+        for lam, _, _, deg in ctx.pbw_cosets(tuple(reversed(nu))):
+            poly = row.setdefault(lam, {})
+            poly[deg] = poly.get(deg, 0) + 1
     entries = []
     shifts = set()
     for mu in words:
         mu_pos = tuple(reversed(mu))
         for nu in words:
-            form = series_window(cache.pair_words(mu, nu), wide)
-            dims = {d: k for d, k in tables[nu].get(mu_pos, {}).items()
-                    if d >= wide.d_min}
-            if not dims and form.is_zero():
+            form = cache._numerator(mu, nu)
+            dims = rows[nu].get(mu_pos)
+            if not dims and not form:
                 continue
-            if not dims or form.is_zero():
+            if not dims or not form:
                 raise ValueError("form and graded dimensions disagree "
                                  "about vanishing")
-            lo_dims = min(dims)
-            lo_form = min(e for e, c in form.coeffs.items() if c)
-            s = lo_form - lo_dims
-            for d in window:
-                if form.coeff(d + s) != dims.get(d, 0):
-                    raise ValueError(
-                        f"no monomial correction matches block ({mu},{nu})")
+            s = min(form) - min(dims)
+            if form != {d + s: k for d, k in dims.items()}:
+                raise ValueError(
+                    f"no monomial correction matches block ({mu},{nu})")
             shifts.add(s)
             entries.append({"left": mu, "right": nu, "shift": s})
     if len(shifts) > 1:

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from klrcalc import (
     DegreeWindow,
+    GramCache,
     LaurentPoly,
     RatFunc,
+    RootVector,
     quantum_binomial,
     quantum_factorial,
     quantum_integer,
+    sequences,
     series_window,
     sigma,
     zeta,
@@ -166,6 +169,73 @@ def test_series_window_normalizes_denominator():
     w = DegreeWindow(-1, 3)
     f = RatFunc(LaurentPoly.one(), LaurentPoly({1: 1, 2: -1}))
     assert series_window(f, w) == LaurentPoly({d: 1 for d in range(-1, 4)})
+
+
+# -- integral storage ---------------------------------------------------
+
+
+def all_int(p):
+    return all(type(c) is int for c in p.coeffs.values())
+
+
+def canonical_coeffs(p):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(type(c) is int
+               or (type(c) is Fraction and c.denominator != 1)
+               for c in p.coeffs.values())
+
+
+def test_integer_data_is_stored_as_int(cartan_a2, cartan_b2, cartan_g2):
+    """Word pairings (integer numerators over D(beta), gcd-reduced) and
+    quantum factorials hold only int coefficients."""
+    for cartan in (cartan_a2, cartan_b2, cartan_g2):
+        cache = GramCache(cartan)
+        for beta in (RootVector({"i": 2, "j": 1}),
+                     RootVector({"i": 1, "j": 2})):
+            words = list(sequences(beta))
+            for u in words:
+                for v in words:
+                    r = cache.pair_words(u, v)
+                    assert all_int(r.num) and all_int(r.den), (u, v)
+    for k in range(7):
+        for d in (1, 2, 3):
+            assert all_int(quantum_factorial(k, d)), (k, d)
+
+
+def test_non_monic_normalisation_is_exact():
+    """Dividing by a leading coefficient other than 1 gives Fraction
+    coefficients where the quotient is not integral, int ones where it
+    is, and never a float."""
+    r = RatFunc(1, LaurentPoly({0: 2, 1: -2}))
+    assert r.num.coeffs == {0: Fraction(-1, 2)}
+    assert type(r.num.coeffs[0]) is Fraction
+    assert r.den.coeffs == {0: -1, 1: 1} and all_int(r.den)
+    # 2(1 + q) / 3(1 - q^2): the gcd 1 + q comes out of a non-monic pair
+    r = RatFunc(LaurentPoly({0: 2, 1: 2}), LaurentPoly({0: 3, 2: -3}))
+    assert r == RatFunc(LaurentPoly({0: Fraction(-2, 3)}),
+                        LaurentPoly({0: -1, 1: 1}))
+    assert all_int(r.den) and canonical_coeffs(r.num)
+    half = LaurentPoly({0: Fraction(1, 2), 1: 3}) * 2
+    assert half.coeffs == {0: 1, 1: 6} and all_int(half)
+    for x in (r.num, r.den, half, LaurentPoly({0: 0.5})):
+        assert not any(isinstance(c, float) for c in x.coeffs.values())
+
+
+@settings(max_examples=80)
+@given(laurent_dicts, laurent_dicts)
+def test_ratfunc_of_int_and_fraction_inputs_agree(a, b):
+    """A RatFunc built from integer polynomials equals, as a value, the
+    one built from the same coefficients given as Fractions, and both
+    store canonical coefficients."""
+    if not any(b.values()):
+        b = {0: 1}
+    r = RatFunc(lp(a), lp(b))
+    f = RatFunc(LaurentPoly({e: Fraction(c) for e, c in a.items()}),
+                LaurentPoly({e: Fraction(c) for e, c in b.items()}))
+    assert r == f
+    assert r.num * lp(b) == lp(a) * r.den
+    for x in (r.num, r.den, f.num, f.den):
+        assert canonical_coeffs(x)
 
 
 # -- degree windows -----------------------------------------------------

@@ -70,3 +70,20 @@ def test_library_imports_are_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_qring_divides_only_in_its_exact_helper():
+    """qring.py has one true division, in `_div`, which stores an integral
+    quotient as an int and any other as a Fraction.  A `/` anywhere else
+    could put a float, or an integral Fraction, into a coefficient."""
+    tree = ast.parse((SRC / "qring.py").read_text())
+    helpers = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_div"]
+    assert len(helpers) == 1
+    inside = {id(node) for node in ast.walk(helpers[0])}
+    divisions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.Div)]
+    assert any(id(node) in inside for node in divisions)
+    stray = [node.lineno for node in divisions if id(node) not in inside]
+    assert not stray, stray

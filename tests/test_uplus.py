@@ -394,9 +394,9 @@ def test_k0_calibration_heights_up_to_3(ctx_a2):
 
 
 def _k0_by_graded_basis(beta, window, ctx):
-    """k0_isometry_calibrate with the (mu, nu) block dimensions counted as
-    len(graded_basis(...)) degree by degree: the route the library used
-    before it read one refined dimension table per nu."""
+    """k0_isometry_calibrate by the window route: the form expanded as a
+    power series over a padded window and compared, degree by degree in
+    window, with len(graded_basis(...)) of the (mu, nu) block."""
     cache = GramCache(ctx.cartan)
     words = [tuple(reversed(s)) for s in sequences(beta)]
     pad = 2 * sum(abs(ctx.cartan.dot(a, b))
@@ -436,16 +436,26 @@ def _k0_by_graded_basis(beta, window, ctx):
     }
 
 
-def test_k0_calibration_matches_per_degree_route(ctx_a2, ctx_b2, ctx_g2):
-    """One refined dimension table per nu gives the same report as
-    counting graded_basis keys per (mu, nu, degree), for every weight of
-    height <= 3 on A2, B2 and G2."""
+def test_k0_calibration_matches_per_degree_route(ctx_a2, ctx_b2, ctx_b2r,
+                                                 ctx_g2):
+    """The polynomial identity N = q^s P gives the same report as
+    comparing the window expansion of the form with graded_basis counts
+    degree by degree, for every weight of height <= 3 on A2, B2, B2r and
+    G2, and of height 4 on A2."""
     w = DegreeWindow(0, 6)
-    for ctx in (ctx_a2, ctx_b2, ctx_g2):
-        for a in range(4):
-            for b in range(4 - a):
-                if a + b == 0:
-                    continue
-                beta = RootVector({"i": a, "j": b})
+    for ctx, top in ((ctx_a2, 4), (ctx_b2, 3), (ctx_b2r, 3), (ctx_g2, 3)):
+        for h in range(1, top + 1):
+            for a in range(h + 1):
+                beta = RootVector({"i": a, "j": h - a})
                 assert k0_isometry_calibrate(beta, w, ctx) == \
-                    _k0_by_graded_basis(beta, w, ctx), (a, b)
+                    _k0_by_graded_basis(beta, w, ctx), (a, h - a)
+
+
+def test_k0_window_is_report_only(ctx_b2):
+    """The identity decides every degree at once: a window far from the
+    support of every block changes only the report's window field."""
+    beta = RootVector({"i": 2, "j": 1})
+    near = k0_isometry_calibrate(beta, DegreeWindow(0, 6), ctx_b2)
+    far = k0_isometry_calibrate(beta, DegreeWindow(-90, -80), ctx_b2)
+    assert far["window"] == [-90, -80]
+    assert {**far, "window": near["window"]} == near
