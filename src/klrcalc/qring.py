@@ -1,10 +1,11 @@
 """Exact arithmetic in Z[q, q^-1] and Q(q), plus quantum combinatorics.
 
 Laurent polynomials are sparse maps exponent -> coefficient with no
-stored zero coefficients.  A coefficient is stored as an int when it is
-integral (polycalc.exact), so integer data stays in integer arithmetic;
-a Fraction comes in only from a non-integral input or a true division,
-and every division goes through _div, so no coefficient is a float.
+stored zero coefficients.  The constructor, scalar products and every
+division store an integral coefficient as an int (polycalc.exact), so
+integer data stays in integer arithmetic; a Fraction comes in only from
+a non-integral input or a true division, and every division goes
+through _div, so no coefficient is a float.
 
 Rational functions are gcd-reduced pairs of Laurent polynomials with
 the denominator normalized to lowest exponent 0 and leading coefficient
@@ -20,8 +21,8 @@ from .polycalc import exact
 
 
 class LaurentPoly:
-    """A sparse Laurent polynomial with exact rational coefficients, each
-    stored as an int when integral."""
+    """A sparse Laurent polynomial with exact rational coefficients: int
+    wherever the inputs and the divisions are integral."""
 
     __slots__ = ("coeffs",)
 
