@@ -12,7 +12,8 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import add
 
-from .qring import LaurentPoly, RatFunc, quantum_integer, sigma, zeta
+from .qring import (DegreeWindow, LaurentPoly, RatFunc, quantum_integer,
+                    series_window, sigma, zeta)
 from .rootdata import RootVector, height, pairing, reflect, sequences
 from .klr import (KLRElement, _tau_word_times, diamond, idempotent_e_klr,
                   klr_multiply, tau_word_degree)
@@ -479,63 +480,51 @@ def grk_ad_divided_Ej(n, i, j, ctx):
 class DimTable:
     """Graded dimensions of a module, refined by full left color word.
 
-    table maps a position-order color word to {degree: dim}; entries are
-    complete for every degree <= hi (absent means zero there).
+    table maps a position-order color word to its graded dimension, a
+    LaurentPoly whose q^d coefficient is the dimension in degree d; rows
+    are complete for every degree <= hi (absent means zero there).
     """
 
     __slots__ = ("table", "hi")
 
     def __init__(self, table, hi):
-        self.table = {lam: {d: v for d, v in row.items() if v}
-                      for lam, row in table.items()}
-        self.table = {lam: row for lam, row in self.table.items() if row}
+        self.table = {lam: row for lam, row in table.items() if row}
         self.hi = hi
 
-    def dim(self, d, lam=None):
-        if lam is not None:
-            return self.table.get(lam, {}).get(d, 0)
-        return sum(row.get(d, 0) for row in self.table.values())
+    def dim(self, d, lam):
+        row = self.table.get(lam)
+        return row.coeff(d) if row else 0
 
     def min_degree(self):
-        degs = [d for row in self.table.values() for d in row]
-        return min(degs) if degs else None
+        return min((row.min_exp() for row in self.table.values()),
+                   default=None)
 
     def shifted(self, s):
         """The table of q^s times this module."""
-        out = {lam: {d - s: v for d, v in row.items()}
-               for lam, row in self.table.items()}
-        return DimTable(out, self.hi - s)
+        return DimTable({lam: row.shift(-s) for lam, row in self.table.items()},
+                        self.hi - s)
 
     def scaled_by_quantum_integer(self, m, d_i):
         """The table of [m]_i copies (a sum of shifts of this module)."""
-        out = {}
-        hi = self.hi
-        for e, c in quantum_integer(m, d_i).coeffs.items():
-            sh = self.shifted(e)
-            hi = min(hi, sh.hi)
-            for lam, row in sh.table.items():
-                dst = out.setdefault(lam, {})
-                for d, v in row.items():
-                    dst[d] = dst.get(d, 0) + int(c) * v
-        return DimTable(out, hi)
+        qm = quantum_integer(m, d_i)
+        if not qm:
+            return DimTable({}, self.hi)
+        return DimTable({lam: row * qm for lam, row in self.table.items()},
+                        self.hi - qm.max_exp())
 
     def add(self, other):
-        out = {lam: dict(row) for lam, row in self.table.items()}
+        out = dict(self.table)
         for lam, row in other.table.items():
-            dst = out.setdefault(lam, {})
-            for d, v in row.items():
-                dst[d] = dst.get(d, 0) + v
+            out[lam] = out[lam] + row if lam in out else row
         return DimTable(out, min(self.hi, other.hi))
 
     def sub(self, other):
-        out = {lam: dict(row) for lam, row in self.table.items()}
+        out = dict(self.table)
         for lam, row in other.table.items():
-            dst = out.setdefault(lam, {})
-            for d, v in row.items():
-                dst[d] = dst.get(d, 0) - v
+            out[lam] = out[lam] - row if lam in out else -row
         hi = min(self.hi, other.hi)
         for lam, row in out.items():
-            for d, v in row.items():
+            for d, v in row.coeffs.items():
                 if v < 0 and d <= hi:
                     raise ValueError(
                         f"negative dimension {v} at ({lam}, {d})")
@@ -553,32 +542,21 @@ class DimTable:
         return True
 
 
-def _exp_vector_counts(weights, top):
-    """counts[t] = number of nonnegative integer vectors a with
-    sum a_k * weights_k = t, for t = 0..top (coin change)."""
-    counts = [1] + [0] * top
-    for w in weights:
-        for t in range(w, top + 1):
-            counts[t] += counts[t - w]
-    return counts
-
-
 def dims_E_word(ctx, nu, hi):
     """Refined graded dimensions of the cyclic module of the written color
-    word nu, complete up to degree hi (PBW monomial counts)."""
+    word nu, complete up to degree hi: the row of lam is the series of
+    P_lam / D(beta) with P_lam = ctx.coset_polynomials(nu)[lam], expanded
+    from the lowest degree of P_lam to hi."""
     pos_nu = tuple(reversed(tuple(nu)))
-    if not pos_nu:
-        return DimTable({(): {0: 1}}, hi)
+    den = LaurentPoly.one()
+    for c in pos_nu:
+        den = den * (LaurentPoly.one() - LaurentPoly.q(ctx.cartan.dot(c, c)))
     table = {}
-    tables = {}
-    for lam, _, weights, base in ctx.pbw_cosets(pos_nu):
-        counts = tables.get(weights)
-        if counts is None or len(counts) <= hi - base:
-            counts = tables[weights] = _exp_vector_counts(weights, hi - base)
-        row = table.setdefault(lam, {})
-        for d in range(base, hi + 1):
-            if counts[d - base]:
-                row[d] = row.get(d, 0) + counts[d - base]
+    for lam, poly in ctx.coset_polynomials(pos_nu).items():
+        lo = min(poly)
+        if lo <= hi:
+            table[lam] = series_window(RatFunc(LaurentPoly(poly), den),
+                                       DegreeWindow(lo, hi))
     return DimTable(table, hi)
 
 
@@ -586,44 +564,39 @@ def product_dims(A, B, ctx):
     """Refined dims of the induced product M N from refined dims of M (top
     strands) and N (bottom strands), via shuffle coset representatives."""
     dot = ctx.cartan.dot
-    out = {}
-    hi = min(A.hi, B.hi)
     minA, minB = A.min_degree(), B.min_degree()
     if minA is None or minB is None:
         return DimTable({}, 10 ** 9)
+    out = {}
     tmin = 0
     for lamA, rowA in A.table.items():
         for lamB, rowB in B.table.items():
+            prod = rowA * rowB
             nA, nB = len(lamA), len(lamB)
             for posA in combinations(range(nA + nB), nA):
                 posA = set(posA)
                 lam = []
                 ia = ib = 0
                 tdeg = 0
-                placedA = []
                 for p in range(nA + nB):
                     if p in posA:
                         lam.append(lamA[ia])
-                        placedA.append((p, lamA[ia]))
                         ia += 1
                     else:
                         # this N strand crosses every M strand already
                         # placed below it
-                        for _, ca in placedA:
+                        for ca in lamA[:ia]:
                             tdeg -= dot(ca, lamB[ib])
                         lam.append(lamB[ib])
                         ib += 1
                 tmin = min(tmin, tdeg)
                 lam = tuple(lam)
-                dst = out.setdefault(lam, {})
-                for dA, vA in rowA.items():
-                    for dB, vB in rowB.items():
-                        d = dA + dB + tdeg
-                        dst[d] = dst.get(d, 0) + vA * vB
+                row = prod.shift(tdeg)
+                out[lam] = out[lam] + row if lam in out else row
     hi_out = min(A.hi + minB, B.hi + minA) + tmin
-    table = {lam: {d: v for d, v in row.items() if d <= hi_out}
-             for lam, row in out.items()}
-    return DimTable(table, hi_out)
+    return DimTable({lam: LaurentPoly({d: v for d, v in row.coeffs.items()
+                                       if d <= hi_out})
+                     for lam, row in out.items()}, hi_out)
 
 
 def induced_graded_dim(N, i, ctx):
@@ -644,13 +617,9 @@ def adE_dims(D, i, w, ctx):
 def adF_dims(D, i, w, ctx):
     """Refined dims of the adjoint restriction: shift by q_i^{1-w} of the
     components whose top color is i, with the top strand removed."""
-    di = ctx.cartan.d(i)
-    s = di * (1 - w)
-    out = {}
-    for lam, row in D.table.items():
-        if lam and lam[-1] == i:
-            out[lam[:-1]] = {d - s: v for d, v in row.items()}
-    return DimTable(out, D.hi - s)
+    top_i = {lam[:-1]: row for lam, row in D.table.items()
+             if lam and lam[-1] == i}
+    return DimTable(top_i, D.hi).shifted(ctx.cartan.d(i) * (1 - w))
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +648,7 @@ def _cohomology_h0_refined(cplx, hi):
                 h -= cplx.block_rank(1, d, lam)
             if h:
                 table.setdefault(lam, {})[d] = h
-    return DimTable(table, hi)
+    return DimTable({lam: LaurentPoly(row) for lam, row in table.items()}, hi)
 
 
 def module_spec_dims(spec, i, ctx, hi):

@@ -54,8 +54,6 @@ class RunConfig:
         self.window = window
         self.height_bound = height_bound
         self.seed = seed
-        if window.d_max < window.d_min:
-            raise CLIError("empty degree window")
         if height_bound < 1:
             raise CLIError("height bound must be positive")
 

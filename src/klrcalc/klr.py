@@ -36,6 +36,19 @@ from .polycalc import (Perm, Poly, all_perms, canonical_word, demazure,
 from .rootdata import RootVector, sequences
 
 
+def _q_scalar(c, what):
+    """A unit or Q-term coefficient of the crossing-polynomial table as an
+    exact rational; a float is refused, since its binary value is not the
+    decimal that was written (write "1/10", not 0.1)."""
+    if isinstance(c, float):
+        raise ValueError(f"{what} must be an integer or a string such as "
+                         f"\"1/10\", not the float {c!r}")
+    try:
+        return exact(c)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a rational number, got {c!r}")
+
+
 class KLRContext:
     """Cartan datum, the twist polynomials Q_{i,j}, and rewriting caches."""
 
@@ -60,14 +73,18 @@ class KLRContext:
             self.cartan.check_index(j)
             if i == j:
                 raise ValueError("Q_{i,i} is identically zero and not configurable")
-            t = exact(cfg.get("t", 1))
+            t = _q_scalar(cfg.get("t", 1), f"unit t_({i},{j})")
             if t == 0:
                 raise ValueError(f"unit t_({i},{j}) must be invertible, got 0")
             di, dj = self.cartan.d(i), self.cartan.d(j)
             target = -self.cartan.dot(i, j)
             for s, tt, coeff in cfg.get("terms", ()):
-                if s <= 0 or tt <= 0:
-                    raise ValueError("extra Q terms need positive exponents")
+                if not (type(s) is int and type(tt) is int
+                        and s > 0 and tt > 0):
+                    raise ValueError(
+                        "extra Q terms need positive integer exponents, "
+                        f"got {s!r}, {tt!r}")
+                _q_scalar(coeff, f"extra Q term coefficient for ({i},{j})")
                 if di * s + dj * tt != target:
                     raise ValueError(
                         f"extra Q term u^{s}v^{tt} for ({i},{j}) breaks homogeneity")
@@ -152,6 +169,18 @@ class KLRContext:
                 out.append((lam, word, tuple(dot(c, c) for c in lam),
                             tau_word_degree(self, word, nu)))
             out = self._pbw_cosets[key] = tuple(out)
+        return out
+
+    def coset_polynomials(self, nu):
+        """The Hilbert numerators of H 1_nu, as {lam: {deg: count}}: P_lam
+        counts the rows u of pbw_cosets(nu) with u(nu) = lam by the degree
+        of tau_u 1_nu.  The x's on the strands contribute 1 / D(beta) with
+        D(beta) the product over the letters c of nu of (1 - q^{(c, c)}),
+        so 1_lam H 1_nu has Hilbert series P_lam / D(beta)."""
+        out = {}
+        for lam, _, _, deg in self.pbw_cosets(nu):
+            row = out.setdefault(lam, {})
+            row[deg] = row.get(deg, 0) + 1
         return out
 
     def move_path(self, src, dst):

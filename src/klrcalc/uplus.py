@@ -284,23 +284,17 @@ def k0_isometry_calibrate(beta, window, ctx):
     truncated algebra, as an identity of integer Laurent polynomials.
 
     For words mu, nu of weight beta, the (mu, nu) block 1_mu R(beta) 1_nu
-    has Hilbert series P(mu, nu) / D(beta), where P sums q^{deg tau_u}
-    over the rows u of pbw_cosets(nu) with u(nu) = mu (in position order)
-    and the x's on the strands give 1 / D(beta); the form is
-    (e_mu, e_nu) = N(mu, nu) / D(beta) (see GramCache).  So the block
-    dimensions match the form up to one power of q in every degree iff
-    N = q^s P, with s = min N - min P.  The report records s per pair,
-    and a ValueError is raised unless the identity holds for every pair
-    with the same s.  window is only recorded in the report.
+    has Hilbert series P(mu, nu) / D(beta), where P is the numerator
+    ctx.coset_polynomials(nu)[mu] with both words read in position order;
+    the form is (e_mu, e_nu) = N(mu, nu) / D(beta) (see GramCache).  So
+    the block dimensions match the form up to one power of q in every
+    degree iff N = q^s P, with s = min N - min P.  The report records s
+    per pair, and a ValueError is raised unless the identity holds for
+    every pair with the same s.  window is only recorded in the report.
     """
     cache = GramCache(ctx.cartan)
     words = [tuple(reversed(s)) for s in sequences(beta)]
-    rows = {}
-    for nu in words:
-        row = rows[nu] = {}
-        for lam, _, _, deg in ctx.pbw_cosets(tuple(reversed(nu))):
-            poly = row.setdefault(lam, {})
-            poly[deg] = poly.get(deg, 0) + 1
+    rows = {nu: ctx.coset_polynomials(tuple(reversed(nu))) for nu in words}
     entries = []
     shifts = set()
     for mu in words:

@@ -12,8 +12,10 @@ import pytest
 from klrcalc import (
     CyclicProjective,
     DegreeWindow,
+    DimTable,
     KLRContext,
     KLRElement,
+    LaurentPoly,
     RootVector,
     build_ad_complex,
     build_divided_complex,
@@ -350,9 +352,9 @@ def test_product_dims_matches_concatenation(ctx_a2):
 
 
 def test_dims_E_word_matches_enumeration(ctx_a2, ctx_b2, ctx_g2):
-    """The coin-change counts of dims_E_word equal the PBW keys that
-    graded_basis enumerates, per left color word, for every word of length
-    <= 3 up to degree 8."""
+    """The series rows of dims_E_word equal the counts of the PBW keys
+    that graded_basis enumerates, per left color word, for every word of
+    length <= 3 up to degree 8."""
     hi = 8
     for ctx in (ctx_a2, ctx_b2, ctx_g2):
         for n in (1, 2, 3):
@@ -366,7 +368,8 @@ def test_dims_E_word_matches_enumeration(ctx_a2, ctx_b2, ctx_g2):
                         row[d] = row.get(d, 0) + 1
                 got = dims_E_word(ctx, word, hi)
                 assert got.hi == hi
-                assert got.table == want, word
+                assert {lam: row.coeffs for lam, row in got.table.items()} \
+                    == want, word
 
 
 def test_dim_table_algebra(ctx_a2):
@@ -375,6 +378,76 @@ def test_dim_table_algebra(ctx_a2):
     S = D.shifted(2)
     assert S.dim(3, next(iter(S.table))) == D.dim(1, next(iter(D.table)))
     assert underlying_degree(2, 3) == 5
+    # (q^s M)_d = M_{d+s}: a shift by s moves every row, and the degree up
+    # to which the table is complete, down by s
+    for s in (2, -3):
+        S = D.shifted(s)
+        assert S.hi == D.hi - s
+        for lam, row in D.table.items():
+            assert S.table[lam].coeffs == {d - s: v
+                                           for d, v in row.coeffs.items()}
+            assert all(S.dim(d - s, lam) == D.dim(d, lam)
+                       for d in range(-2, 9))
+
+
+def test_scaled_by_quantum_integer_keeps_completeness(ctx_b2):
+    """[m]_i M is a sum of the shifts q_i^{m-1-2l} M, so the sum is
+    complete only up to hi minus the top exponent of [m]_i; [0]_i M is the
+    zero module, still complete up to hi."""
+    D = dims_E_word(ctx_b2, ("i", "j"), 10)
+    for m, d_i in ((2, 1), (3, 2)):
+        S = D.scaled_by_quantum_integer(m, d_i)
+        top = d_i * (m - 1)
+        assert S.hi == D.hi - top
+        want = D.shifted(top)
+        for l in range(1, m):
+            want = want.add(D.shifted(top - 2 * d_i * l))
+        assert want.hi == S.hi
+        assert {lam: row.coeffs for lam, row in S.table.items()} \
+            == {lam: row.coeffs for lam, row in want.table.items()}
+    Z = D.scaled_by_quantum_integer(0, 1)
+    assert Z.table == {} and Z.hi == D.hi
+
+
+def test_dim_table_sub_refuses_negative_dimensions():
+    """A negative coefficient at a degree <= hi is not a dimension; above
+    hi the table is incomplete and a negative coefficient is allowed."""
+    A = DimTable({("i",): LaurentPoly({0: 1, 5: 1})}, 3)
+    for low in (DimTable({("i",): LaurentPoly({0: 2})}, 3),
+                DimTable({("j",): LaurentPoly({3: 1})}, 3)):
+        with pytest.raises(ValueError, match="negative dimension"):
+            A.sub(low)
+    high = A.sub(DimTable({("i",): LaurentPoly({5: 2})}, 3))
+    assert high.table[("i",)].coeffs == {0: 1, 5: -1}
+    assert A.sub(A).table == {}
+
+
+def test_dims_E_word_rows_times_denominator_are_coset_polynomials(
+        ctx_a2, ctx_b2, ctx_g2):
+    """Each row of dims_E_word is the series of P_lam / D(beta), so the row
+    times D(beta) is ctx.coset_polynomials through degree hi, with int
+    coefficients throughout."""
+    hi = 6
+    for ctx in (ctx_a2, ctx_b2, ctx_g2):
+        for n in (0, 1, 2, 3):
+            for word in itertools.product("ij", repeat=n):
+                pos = tuple(reversed(word))
+                den = LaurentPoly.one()
+                for c in pos:
+                    den = den * (LaurentPoly.one()
+                                 - LaurentPoly.q(ctx.cartan.dot(c, c)))
+                got = dims_E_word(ctx, word, hi)
+                assert got.hi == hi
+                assert all(type(v) is int for row in got.table.values()
+                           for v in row.coeffs.values())
+                lhs = {lam: {d: v for d, v in (row * den).coeffs.items()
+                             if d <= hi}
+                       for lam, row in got.table.items()}
+                rhs = {lam: {d: v for d, v in poly.items() if d <= hi}
+                       for lam, poly in ctx.coset_polynomials(pos).items()}
+                assert lhs == {lam: row for lam, row in rhs.items() if row}
+    # below the lowest degree of every P_lam there is nothing to expand
+    assert dims_E_word(ctx_a2, ("i", "j"), -5).table == {}
 
 
 # -- the crossing embedding and quotient test ---------------------------

@@ -109,6 +109,12 @@ def test_unknown_label_in_q_table(tmp_path, capsys):
     {"q": {"i,j": 3}},
     {"q": [1]},
     {"q": {"i,j": {"terms": 5}}},
+    # homogeneous exponents (1 + 3 = 4) with a coefficient that is no number
+    {"dot": [[2, -4], [-4, 2]], "q": {"i,j": {"terms": [[1, 3, [1]]]}}},
+    # float exponents that pass the homogeneity sum 1.5 + 2.5 = 4
+    {"dot": [[2, -4], [-4, 2]], "q": {"i,j": {"terms": [[1.5, 2.5, 1]]}}},
+    # a float unit is not the decimal written; "1/10" is the way to say it
+    {"q": {"i,j": {"t": 0.1}}},
 ])
 def test_malformed_cartan_file_is_usage_error(entry, tmp_path, capsys):
     cfg = {"labels": ["i", "j"], "dot": [[2, -1], [-1, 2]], **entry}

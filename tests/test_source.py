@@ -87,3 +87,56 @@ def test_qring_divides_only_in_its_exact_helper():
     assert any(id(node) in inside for node in divisions)
     stray = [node.lineno for node in divisions if id(node) not in inside]
     assert not stray, stray
+
+
+# Modules below each key must not import the modules in its value: the
+# algebra layers know nothing of the complexes, the form or the command
+# line, and the form stays an independent oracle for the complexes.
+LAYER_BANS = {
+    **{low: {"adjoint", "uplus", "cli"}
+       for low in ("rootdata", "polycalc", "qring", "nilhecke", "klr")},
+    "uplus": {"adjoint", "cli"},
+}
+
+
+def _package_imports(tree):
+    """The klrcalc submodules a module imports, at any depth, relative or
+    absolute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("klrcalc."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif (node.module or "").startswith("klrcalc"):
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(a.name for a in node.names)
+    return found
+
+
+def test_library_layers_import_downwards():
+    bad = []
+    for name, banned in sorted(LAYER_BANS.items()):
+        path = SRC / f"{name}.py"
+        imports = _package_imports(ast.parse(path.read_text()))
+        bad += [f"{name} imports {m}" for m in sorted(imports & banned)]
+    assert not bad, bad
+
+
+def test_layer_guard_sees_every_import_form():
+    tree = ast.parse("from .adjoint import DimTable\n"
+                     "from . import cli\n"
+                     "import klrcalc.uplus\n"
+                     "from klrcalc.qring import LaurentPoly\n"
+                     "from fractions import Fraction\n"
+                     "def f():\n"
+                     "    from .nilhecke import NilHeckeElement\n")
+    assert _package_imports(tree) == {"adjoint", "cli", "uplus", "qring",
+                                      "nilhecke"}
