@@ -375,8 +375,6 @@ def test_dims_E_word_matches_enumeration(ctx_a2, ctx_b2, ctx_g2):
 def test_dim_table_algebra(ctx_a2):
     D = dims_E_word(ctx_a2, ("i", "j"), 8)
     assert D.add(D).sub(D).agrees_with(D, DegreeWindow(0, 8))
-    S = D.shifted(2)
-    assert S.dim(3, next(iter(S.table))) == D.dim(1, next(iter(D.table)))
     assert underlying_degree(2, 3) == 5
     # (q^s M)_d = M_{d+s}: a shift by s moves every row, and the degree up
     # to which the table is complete, down by s
