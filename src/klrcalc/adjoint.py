@@ -10,13 +10,12 @@ Grading convention used throughout: a module shifted by q^s has
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
-from operator import add
 
 from .qring import (DegreeWindow, LaurentPoly, RatFunc, quantum_integer,
                     series_window, sigma, zeta)
 from .rootdata import RootVector, height, pairing, reflect, sequences
-from .klr import (KLRElement, _tau_word_times, diamond, idempotent_e_klr,
-                  klr_multiply, tau_word_degree)
+from .klr import (KLRElement, _tau_times_element, _tau_word_times, diamond,
+                  idempotent_e_klr, klr_multiply, tau_word_degree)
 
 
 def underlying_degree(shift, d):
@@ -89,10 +88,37 @@ def _echelon_insert(rows, v):
 def _matrix_rank(columns):
     """Rank over the rationals of an iterable of sparse columns (dicts
     index -> nonzero int), by pivot-indexed, fraction-free integer
-    elimination with `_echelon_insert`.  The columns are consumed: each is
-    reduced in place."""
+    elimination with `_echelon_insert`.  Any totally ordered hashable keys
+    will do; the complexes pass the packed int keys of
+    ProjComplex._word_prod, whose pivot order follows first-seen target
+    ids, and the rank does not depend on that order.  The columns are
+    consumed: each is reduced in place."""
     rows = {}
     return sum(_echelon_insert(rows, col) for col in columns)
+
+
+# ---------------------------------------------------------------------------
+# packed exponent vectors
+# ---------------------------------------------------------------------------
+
+# Bits per strand in a packed exponent vector.  Each field holds an
+# exponent below 2^(_FIELD - 1), so the sum of two fields never carries.
+_FIELD = 32
+_FIELD_LIMIT = 1 << (_FIELD - 1)
+
+
+def _pack(exps):
+    """The exponent vector exps as one int, one _FIELD-bit field per
+    strand, the first strand in the highest field.  Two packed vectors add
+    with no carry between fields, so their sum is the packed fieldwise
+    sum.  An exponent outside 0 .. 2^31 - 1 raises ValueError."""
+    key = 0
+    for e in exps:
+        if not 0 <= e < _FIELD_LIMIT:
+            raise ValueError(f"exponent {e} does not fit a packed "
+                             f"{_FIELD}-bit field (limit 2^{_FIELD - 1})")
+        key = key << _FIELD | e
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +200,9 @@ class ProjComplex:
         self.diffs = [dict(d) for d in diffs]
         self._ranks = {}
         self._word_prods = {}
+        self._suffix_prods = {}
+        self._target_ids = {}
+        self._packed = {}
         if len(self.diffs) != max(len(self.terms) - 1, 0):
             raise ValueError("need one differential per consecutive pair")
         self._validate()
@@ -224,44 +253,78 @@ class ProjComplex:
                 out.update(p.blocks(d))
         return out
 
+    def _suffix_prod(self, k, si, word):
+        """tau_word . z for every differential entry z of d_k out of summand
+        si, as a tuple of (ti, PBW terms) over the targets ti, in
+        increasing order, whose product is nonzero.  The letters are
+        applied one at a time, rightmost first, and tau_word . z =
+        tau_{word[0]} . (tau_{word[1:]} . z), so the product is memoized
+        per nonempty suffix and basis words sharing a tail share its
+        straightening.  The empty word gives the entries z themselves.
+        Coefficients are left as the rewriting produces them."""
+        if not word:
+            dk = self.diffs[k - 1]
+            return tuple((ti, z.terms) for ti in range(len(self.terms[k - 1]))
+                         if (z := dk.get((si, ti))) is not None and z.terms)
+        key = (k, si, word)
+        out = self._suffix_prods.get(key)
+        if out is None:
+            n = self.terms[k][si].n
+            out = []
+            for ti, terms in self._suffix_prod(k, si, word[1:]):
+                terms = _tau_times_element(self.ctx, word[0], terms, n)
+                if terms:
+                    out.append((ti, terms))
+            out = self._suffix_prods[key] = tuple(out)
+        return out
+
     def _word_prod(self, k, si, word):
         """tau_word 1_nu . z for every differential entry z of d_k out of
-        summand si, as one flat tuple of (ti, mu, w2, exps, c), the term
-        c x^exps tau_w2 1_mu of the product with the entry into target
-        summand ti, targets in increasing order.  Every basis vector of
-        the source is x^exps times tau_word 1_nu, so this straightening is
-        cached per word across all degrees.  All coefficients are scaled by
-        one positive integer, the lcm of their denominators, so they are
-        ints and the columns built from the tuple keep their rank.  The
-        word need not be canonical (basis words end in the word of f): its
-        letters are applied to z one at a time.  Every term of z has left
+        summand si, as one flat tuple of (key, c) pairs, one per term
+        c x^e tau_w2 1_mu of the product with the entry into target
+        summand ti.  The key packs the term into one int, id << (32 n) |
+        _pack(e), where id numbers the triple (ti, mu, w2) in first-seen
+        order in the complex's _target_ids and n is the number of strands.
+        Every basis vector of the source is x^a times tau_word 1_nu, so
+        this product is cached per word across all degrees, and the key
+        of the term x^a . x^e tau_w2 1_mu is key + _pack(a).  The product
+        itself comes from the suffix memo (_suffix_prod).  All
+        coefficients of the word are scaled by one positive integer, the
+        lcm of their denominators, so they are ints and the columns built
+        from the tuple keep their rank.  The word need not be canonical
+        (basis words end in the word of f).  Every term of z has left
         color word nu, since _validate checks f_src z = z."""
         key = (k, si, word)
         u = self._word_prods.get(key)
         if u is None:
-            dk = self.diffs[k - 1]
-            terms = []
-            for ti in range(len(self.terms[k - 1])):
-                z = dk.get((si, ti))
-                if z is not None:
-                    terms.extend((ti, *pbw, c) for pbw, c in _tau_word_times(
-                        self.ctx, word, z.terms, z.n).items())
-            m = lcm(*(t[4].denominator for t in terms))
-            u = tuple((ti, mu, w2, e, c.numerator * (m // c.denominator))
-                      for ti, mu, w2, e, c in terms)
-            self._word_prods[key] = u
+            terms = [(ti, pbw, c) for ti, prod in self._suffix_prod(k, si, word)
+                     for pbw, c in prod.items()]
+            m = lcm(*(c.denominator for _, _, c in terms))
+            shift = _FIELD * self.terms[k][si].n
+            ids = self._target_ids
+            u = self._word_prods[key] = tuple(
+                (ids.setdefault((ti, mu, w2), len(ids)) << shift | _pack(e),
+                 c.numerator * (m // c.denominator))
+                for ti, (mu, w2, e), c in terms)
         return u
 
     def _raw_columns(self, k, d, lam):
         """Columns of d_k on the (d, lam) block, one per source basis
-        vector, each a fresh sparse vector of nonzero ints over (target
-        summand, PBW key) pairs.  The target basis vectors are independent
-        and each column is a positive multiple of the image of its basis
-        vector, so the rank of these columns is the rank of the block."""
+        vector, each a fresh sparse vector of nonzero ints over the packed
+        int keys of _word_prod: the column of x^a tau_word 1_nu adds
+        _pack(a) to every key of the word's product, and each exponent
+        vector a is packed once per complex.  No field carries, since
+        _pack keeps every exponent below 2^31.  The target basis vectors
+        are independent and each column is a positive multiple of the
+        image of its basis vector, so the rank of these columns is the
+        rank of the block."""
+        packed = self._packed
         for si, src in enumerate(self.terms[k]):
             for word, exps in src.blocks(d).get(lam, ()):
-                yield {(ti, (mu, w2, tuple(map(add, e2, exps)))): c
-                       for ti, mu, w2, e2, c in self._word_prod(k, si, word)}
+                a = packed.get(exps)
+                if a is None:
+                    a = packed[exps] = _pack(exps)
+                yield {b + a: c for b, c in self._word_prod(k, si, word)}
 
     def block_rank(self, k, d, lam):
         """Rank of d_k: terms[k] -> terms[k-1] on the (d, lam) block."""

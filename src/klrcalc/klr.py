@@ -49,6 +49,15 @@ def _q_scalar(c, what):
         raise ValueError(f"{what} must be a rational number, got {c!r}")
 
 
+def _q_terms(terms):
+    """The extra terms [s, t, c] of one Q-table entry as the polynomial
+    {(s, t): sum of c} they add, zero sums dropped."""
+    out = {}
+    for s, tt, c in terms:
+        out[s, tt] = out.get((s, tt), 0) + exact(c)
+    return {e: c for e, c in out.items() if c}
+
+
 class KLRContext:
     """Cartan datum, the twist polynomials Q_{i,j}, and rewriting caches."""
 
@@ -88,6 +97,17 @@ class KLRContext:
                 if di * s + dj * tt != target:
                     raise ValueError(
                         f"extra Q term u^{s}v^{tt} for ({i},{j}) breaks homogeneity")
+        # q_poly reads the extra terms of Q_{i,j} from the (i,j) entry, or
+        # mirrors the (j,i) entry; when both are given they must agree
+        for (i, j), cfg in self.q_config.items():
+            other = self.q_config.get((j, i), {}).get("terms")
+            if cfg.get("terms") and other and (
+                    _q_terms(cfg["terms"])
+                    != {(tt, s): c for (s, tt), c in _q_terms(other).items()}):
+                raise ValueError(
+                    f"extra Q terms for ({i},{j}) and ({j},{i}) are not "
+                    f"mirror images, so Q_{{{i},{j}}}(u,v) != "
+                    f"Q_{{{j},{i}}}(v,u)")
 
     def q_poly(self, i, j):
         """Q_{i,j}(u, v) as a Poly in two variables (u = x_1, v = x_2)."""

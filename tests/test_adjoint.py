@@ -33,9 +33,9 @@ from klrcalc import (
     tau_embed,
     underlying_degree,
 )
-from klrcalc.adjoint import _echelon_insert, _matrix_rank
-from klrcalc.klr import (graded_basis, idempotent_e_klr, klr_multiply_many,
-                         tau_word_degree)
+from klrcalc.adjoint import _echelon_insert, _matrix_rank, _pack
+from klrcalc.klr import (_tau_word_times, graded_basis, idempotent_e_klr,
+                         klr_multiply_many, tau_word_degree)
 from klrcalc.polycalc import all_perms, canonical_word
 
 from conftest import A2_DOT, B2_DOT, G2_DOT, HALF_UNITS, make_cartan
@@ -220,12 +220,29 @@ def scaled_word_products(cplx, k, si, word):
     return scale, {key: c * scale for key, c in want.items()}
 
 
+def unpack_key(key, n):
+    """A packed column key split into its high part (the target id) and
+    its n exponent fields of 32 bits each, the first strand highest."""
+    fields = []
+    for _ in range(n):
+        fields.append(key & 0xFFFFFFFF)
+        key >>= 32
+    return key, tuple(reversed(fields))
+
+
 def flat_word_prod(cplx, k, si, word):
-    """The cached flat tuple of _word_prod as a dict (ti, PBW key) -> c,
-    checking that no (ti, key) pair repeats."""
+    """The cached flat tuple of _word_prod decoded through the complex's
+    target ids into a dict (ti, PBW key) -> c, checking that the ids
+    number their targets 0, 1, ... and that no packed key repeats."""
     flat = cplx._word_prod(k, si, word)
-    out = {(ti, (mu, w2, e)): c for ti, mu, w2, e, c in flat}
-    assert len(out) == len(flat)
+    targets = {i: t for t, i in cplx._target_ids.items()}
+    assert sorted(targets) == list(range(len(cplx._target_ids)))
+    assert len({key for key, _ in flat}) == len(flat)
+    out = {}
+    for key, c in flat:
+        i, e = unpack_key(key, cplx.terms[k][si].n)
+        ti, mu, w2 = targets[i]
+        out[(ti, (mu, w2, e))] = c
     return out
 
 
@@ -266,6 +283,74 @@ def test_differential_products_keep_int_coefficients(ctx_a2, ctx_b2):
                            if type(c) is not int}
                     assert not bad, (k, si, word, bad)
                     assert flat_word_prod(cplx, k, si, word) == want
+
+
+def test_packed_fields_hold_exponents_below_2_31(ctx_a2):
+    """An exponent up to 2^31 - 1 packs into its 32-bit field exactly, and
+    two such fields add with no carry; 2^31 or a negative exponent raises
+    ValueError, from _pack and from a column whose basis vector carries
+    it.  The guard is a raise, so it holds under python -O too."""
+    top = 2 ** 31 - 1
+    for exps in [(), (top,), (0, top, 5), (top, top)]:
+        assert unpack_key(_pack(exps), len(exps)) == (0, exps)
+    assert unpack_key(_pack((top, 1)) + _pack((top, 0)), 2) == \
+        (0, (2 * top, 1))
+    for exps in [(2 ** 31,), (0, 2 ** 31), (-1, 0)]:
+        with pytest.raises(ValueError, match="packed"):
+            _pack(exps)
+    for big, ok in [(top, True), (top + 1, False)]:
+        cplx = build_divided_complex(1, ("j",), "i", ctx_a2)
+        src = cplx.terms[1][0]
+        d, lam, word = next((d, lam, word) for d in range(8)
+                            for lam, block in src.blocks(d).items()
+                            for word, _ in block
+                            if cplx._word_prod(1, 0, word))
+        src._blocks[d] = {lam: [(word, (big,) * src.n)]}
+        if not ok:
+            with pytest.raises(ValueError, match="packed"):
+                list(cplx._raw_columns(1, d, lam))
+            continue
+        (col,) = cplx._raw_columns(1, d, lam)
+        want = {(ti, (mu, w2, tuple(x + big for x in e))): c
+                for (ti, (mu, w2, e)), c in
+                flat_word_prod(cplx, 1, 0, word).items()}
+        targets = {i: t for t, i in cplx._target_ids.items()}
+        got = {}
+        for key, c in col.items():
+            i, e = unpack_key(key, src.n)
+            ti, mu, w2 = targets[i]
+            got[(ti, (mu, w2, e))] = c
+        assert got == want and want
+
+
+@pytest.mark.parametrize("units", [None, HALF_UNITS], ids=["unit", "half"])
+def test_suffix_memo_holds_the_suffixes_of_ranked_words(units):
+    """After cohomology_dims, the suffix memo holds exactly the distinct
+    nonempty suffixes of the basis words of the ranked blocks, and each
+    holds the product by the one tau-word loop _tau_word_times of that
+    suffix with every entry of the differential, unscaled."""
+    for dot in (A2_DOT, B2_DOT):
+        ctx = KLRContext(make_cartan(dot), units)
+        for n, m in [(2, 1), (1, 2), (3, 1)]:
+            for build in (build_ad_complex, build_divided_complex):
+                cplx = build(n, ("j",) * m, "i", ctx)
+                cohomology_dims(cplx, DegreeWindow(0, 4))
+                want = set()
+                for k, d, lam in cplx._ranks:
+                    for si, src in enumerate(cplx.terms[k]):
+                        for word, _ in src.blocks(d).get(lam, ()):
+                            want.update((k, si, word[j:])
+                                        for j in range(len(word)))
+                assert want and set(cplx._suffix_prods) == want
+                for (k, si, suffix), got in cplx._suffix_prods.items():
+                    n_strands = cplx.terms[k][si].n
+                    prods = {ti: _tau_word_times(ctx, suffix, z.terms,
+                                                 n_strands)
+                             for (a, ti), z in cplx.diffs[k - 1].items()
+                             if a == si}
+                    assert got == tuple((ti, prods[ti]) for ti in
+                                        sorted(prods) if prods[ti]), \
+                        (build.__name__, n, m, k, si, suffix)
 
 
 # -- Euler characteristic ------------------------------------------------

@@ -115,6 +115,9 @@ def test_unknown_label_in_q_table(tmp_path, capsys):
     {"dot": [[2, -4], [-4, 2]], "q": {"i,j": {"terms": [[1.5, 2.5, 1]]}}},
     # a float unit is not the decimal written; "1/10" is the way to say it
     {"q": {"i,j": {"t": 0.1}}},
+    # both orders give extra terms, and they are not mirror images
+    {"dot": [[2, -4], [-4, 2]], "q": {"i,j": {"terms": [[1, 3, 1]]},
+                                      "j,i": {"terms": [[2, 2, 5]]}}},
 ])
 def test_malformed_cartan_file_is_usage_error(entry, tmp_path, capsys):
     cfg = {"labels": ["i", "j"], "dot": [[2, -1], [-1, 2]], **entry}

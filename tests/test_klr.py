@@ -88,6 +88,25 @@ def test_q_poly_basics(ctx_a2, ctx_b2):
     assert {(b, a): c for (a, b), c in qr.terms.items()} == q.terms
 
 
+def test_q_terms_of_both_orders_must_mirror():
+    """Extra Q terms given for both (i,j) and (j,i) must be mirror images,
+    so that Q_{i,j}(u,v) = Q_{j,i}(v,u); mirror images are accepted, in any
+    order and split, and give that identity."""
+    cartan = make_cartan([[2, -4], [-4, 2]])
+    with pytest.raises(ValueError, match="not mirror images"):
+        KLRContext(cartan, {("i", "j"): {"terms": [[1, 3, 1]]},
+                            ("j", "i"): {"terms": [[2, 2, 5]]}})
+    with pytest.raises(ValueError, match="not mirror images"):
+        KLRContext(cartan, {("i", "j"): {"terms": [[1, 3, 1]]},
+                            ("j", "i"): {"terms": [[3, 1, 2]]}})
+    ctx = KLRContext(cartan, {
+        ("i", "j"): {"terms": [[1, 3, 1], [2, 2, "5/2"], [2, 2, "5/2"]]},
+        ("j", "i"): {"terms": [[2, 2, 5], [3, 1, 1]]}})
+    q, qr = ctx.q_poly("i", "j"), ctx.q_poly("j", "i")
+    assert q.terms == {(4, 0): 1, (0, 4): 1, (1, 3): 1, (2, 2): 5}
+    assert {(b, a): c for (a, b), c in qr.terms.items()} == q.terms
+
+
 # -- normal form / basis ------------------------------------------------
 
 
