@@ -230,20 +230,26 @@ def unpack_key(key, n):
     return key, tuple(reversed(fields))
 
 
-def flat_word_prod(cplx, k, si, word):
-    """The cached flat tuple of _word_prod decoded through the complex's
+def decode_keys(cplx, n, items):
+    """Pairs (packed key, c) on n strands decoded through the complex's
     target ids into a dict (ti, PBW key) -> c, checking that the ids
     number their targets 0, 1, ... and that no packed key repeats."""
-    flat = cplx._word_prod(k, si, word)
+    items = list(items)
     targets = {i: t for t, i in cplx._target_ids.items()}
     assert sorted(targets) == list(range(len(cplx._target_ids)))
-    assert len({key for key, _ in flat}) == len(flat)
+    assert len({key for key, _ in items}) == len(items)
     out = {}
-    for key, c in flat:
-        i, e = unpack_key(key, cplx.terms[k][si].n)
+    for key, c in items:
+        i, e = unpack_key(key, n)
         ti, mu, w2 = targets[i]
         out[(ti, (mu, w2, e))] = c
     return out
+
+
+def flat_word_prod(cplx, k, si, word):
+    """The cached flat tuple of _word_prod, decoded by decode_keys."""
+    return decode_keys(cplx, cplx.terms[k][si].n,
+                       cplx._word_prod(k, si, word))
 
 
 def test_word_prod_matches_klr_multiply(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
@@ -298,7 +304,11 @@ def test_packed_fields_hold_exponents_below_2_31(ctx_a2):
     for exps in [(2 ** 31,), (0, 2 ** 31), (-1, 0)]:
         with pytest.raises(ValueError, match="packed"):
             _pack(exps)
-    for big, ok in [(top, True), (top + 1, False)]:
+
+    def columns_with(big):
+        """A complex, a basis word of d_1 with a nonzero product, and the
+        columns of d_1 on its block, once the block is replaced by that
+        word times x^(big, ..., big)."""
         cplx = build_divided_complex(1, ("j",), "i", ctx_a2)
         src = cplx.terms[1][0]
         d, lam, word = next((d, lam, word) for d in range(8)
@@ -306,21 +316,16 @@ def test_packed_fields_hold_exponents_below_2_31(ctx_a2):
                             for word, _ in block
                             if cplx._word_prod(1, 0, word))
         src._blocks[d] = {lam: [(word, (big,) * src.n)]}
-        if not ok:
-            with pytest.raises(ValueError, match="packed"):
-                list(cplx._raw_columns(1, d, lam))
-            continue
-        (col,) = cplx._raw_columns(1, d, lam)
-        want = {(ti, (mu, w2, tuple(x + big for x in e))): c
-                for (ti, (mu, w2, e)), c in
-                flat_word_prod(cplx, 1, 0, word).items()}
-        targets = {i: t for t, i in cplx._target_ids.items()}
-        got = {}
-        for key, c in col.items():
-            i, e = unpack_key(key, src.n)
-            ti, mu, w2 = targets[i]
-            got[(ti, (mu, w2, e))] = c
-        assert got == want and want
+        return cplx, word, list(cplx._raw_columns(1, d, lam))
+
+    cplx, word, (col,) = columns_with(top)
+    want = {(ti, (mu, w2, tuple(x + top for x in e))): c
+            for (ti, (mu, w2, e)), c in
+            flat_word_prod(cplx, 1, 0, word).items()}
+    assert want and decode_keys(cplx, cplx.terms[1][0].n,
+                                col.items()) == want
+    with pytest.raises(ValueError, match="packed"):
+        columns_with(top + 1)
 
 
 @pytest.mark.parametrize("units", [None, HALF_UNITS], ids=["unit", "half"])
