@@ -8,8 +8,9 @@ Grading convention used throughout: a module shifted by q^s has
 """
 
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd, lcm
+from operator import itemgetter
 
 from .qring import (DegreeWindow, LaurentPoly, RatFunc, quantum_integer,
                     series_window, sigma, zeta)
@@ -320,11 +321,15 @@ class ProjComplex:
         rank of the block."""
         packed = self._packed
         for si, src in enumerate(self.terms[k]):
-            for word, exps in src.blocks(d).get(lam, ()):
-                a = packed.get(exps)
-                if a is None:
-                    a = packed[exps] = _pack(exps)
-                yield {b + a: c for b, c in self._word_prod(k, si, word)}
+            # blocks lists the vectors of one word next to each other
+            for word, vecs in groupby(src.blocks(d).get(lam, ()),
+                                      itemgetter(0)):
+                prod = self._word_prod(k, si, word)
+                for _, exps in vecs:
+                    a = packed.get(exps)
+                    if a is None:
+                        a = packed[exps] = _pack(exps)
+                    yield {b + a: c for b, c in prod}
 
     def block_rank(self, k, d, lam):
         """Rank of d_k: terms[k] -> terms[k-1] on the (d, lam) block."""

@@ -24,7 +24,9 @@ along a path of commute and braid moves built in closed form
 (KLRContext.move_path): each word is taken to the canonical word by
 inserting its letters right to left, one letter costing O(n^2) moves
 however many reduced words the permutation has, and the second word's
-path is run backwards.
+path is run backwards.  The moves of each word are memoized on the
+context, and a new word's moves extend those of its suffix one letter
+shorter by a single insertion (KLRContext.word_moves).
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class KLRContext:
         self._perm_of_word = {}
         self._mult_tau = {}
         self._nf_reduced = {}
-        self._paths = {}
+        self._moves = {}
         self._exp_vectors = {}
         self._pbw_cosets = {}
 
@@ -210,23 +212,37 @@ class KLRContext:
         Moves: ('c', p) swaps commuting letters at positions p, p+1;
         ('b', p) applies the braid move to the triple at p, p+1, p+2.
         Every move is its own inverse, so the path is src's moves to the
-        canonical word followed by dst's in reverse (see _canon_moves).
-        In products one of the two words is canonical, so the path is one
-        letter insertion or its reverse.  Raises ValueError when a word is
-        not reduced or the two words belong to different permutations.
-        Paths are memoized on the context.
+        canonical word followed by dst's in reverse (see _canon_moves),
+        both read from the per-word memo (word_moves).  In products one
+        of the two words is canonical, so the path is one letter
+        insertion or its reverse.  Raises ValueError when a word is not
+        reduced or the two words belong to different permutations.
         """
-        key = (src, dst)
-        path = self._paths.get(key)
-        if path is not None:
-            return path
-        to_src, runs_src = _canon_moves(src)
-        to_dst, runs_dst = _canon_moves(dst)
+        to_src, runs_src = self.word_moves(src)
+        to_dst, runs_dst = self.word_moves(dst)
         if runs_src != runs_dst:
             raise ValueError(
                 f"{src} and {dst} are not words of the same permutation")
-        path = self._paths[key] = tuple(to_src + to_dst[::-1])
-        return path
+        return to_src + to_dst[::-1]
+
+    def word_moves(self, word):
+        """_canon_moves(word) as a pair of tuples, memoized per word.  A new
+        word's entry is built from the entry of its one-letter-shorter
+        suffix word[1:]: the suffix's moves shifted one position right,
+        then the insertion of the letter word[0]."""
+        out = self._moves.get(word)
+        if out is None:
+            if not word:
+                out = ((), (0, 0))
+            else:
+                moves, runs = self.word_moves(word[1:])
+                moves = [(m, p + 1) for m, p in moves]
+                size = list(runs)
+                size += [0] * (word[0] + 2 - len(size))
+                _insert_letter(word, 0, size, moves)
+                out = (tuple(moves), tuple(size))
+            self._moves[word] = out
+        return out
 
 
 def _canon_moves(word):
@@ -235,33 +251,44 @@ def _canon_moves(word):
 
     The canonical word is R_2 R_3 ... R_n with R_m = (m-1, ..., r_m)
     (empty when r_m = m).  Letters are inserted right to left into the
-    canonical word of the suffix after them.  To put an ascent letter k
-    in front of canon(h): commute k right past R_2 ... R_{k-1} (letters
-    <= k-2), so that k R_k = (k, ..., a) =: c with a = r_k; then move
-    each letter j = k, k-1, ..., b of R_{k+1} = (k, ..., b) left through
-    c (b > a exactly when k is an ascent): commute past (j-2, ..., a),
-    braid (j, j-1, j) -> (j-1, j, j-1), commute j-1 past (k, ..., j+1).
-    This leaves (k-1, ..., b-1) c, i.e. r_k = b-1 and r_{k+1} = a.
+    canonical word of the suffix after them (see _insert_letter).
     """
-    if any(k < 1 for k in word):
-        raise ValueError(f"letters must be positive: {word}")
     size = [0] * (max(word, default=0) + 2)     # size[m] = len(R_m)
     moves = []
     for base in range(len(word) - 1, -1, -1):
-        k = word[base]
-        a, b = k - size[k], k + 1 - size[k + 1]
-        if b <= a:
-            raise ValueError(f"letter {k} at position {base} of {word} "
-                             "does not lengthen the rest: not reduced")
-        p0 = base + sum(size[2:k])
-        moves += [("c", p) for p in range(base, p0)]
-        for t, j in enumerate(range(k, b - 1, -1)):
-            q = p0 + t + k - j      # position of the braid triple
-            moves += [("c", p) for p in range(q + j - a, q + 1, -1)]
-            moves.append(("b", q))
-            moves += [("c", p) for p in range(q - 1, p0 + t - 1, -1)]
-        size[k], size[k + 1] = k - b + 1, k + 1 - a
+        _insert_letter(word, base, size, moves)
     return moves, size
+
+
+def _insert_letter(word, base, size, moves):
+    """Append to moves the Coxeter moves that put the letter k = word[base]
+    in front of the canonical word of word[base + 1:], whose run lengths
+    size holds (size[m] = len(R_m), long enough to index k + 1), and
+    update size to the runs of word[base:].
+
+    To put an ascent letter k in front of canon(h): commute k right past
+    R_2 ... R_{k-1} (letters <= k-2), so that k R_k = (k, ..., a) =: c
+    with a = r_k; then move each letter j = k, k-1, ..., b of
+    R_{k+1} = (k, ..., b) left through c (b > a exactly when k is an
+    ascent): commute past (j-2, ..., a), braid (j, j-1, j) ->
+    (j-1, j, j-1), commute j-1 past (k, ..., j+1).  This leaves
+    (k-1, ..., b-1) c, i.e. r_k = b-1 and r_{k+1} = a.
+    """
+    k = word[base]
+    if k < 1:
+        raise ValueError(f"letters must be positive: {word}")
+    a, b = k - size[k], k + 1 - size[k + 1]
+    if b <= a:
+        raise ValueError(f"letter {k} at position {base} of {word} "
+                         "does not lengthen the rest: not reduced")
+    p0 = base + sum(size[2:k])
+    moves += [("c", p) for p in range(base, p0)]
+    for t, j in enumerate(range(k, b - 1, -1)):
+        q = p0 + t + k - j      # position of the braid triple
+        moves += [("c", p) for p in range(q + j - a, q + 1, -1)]
+        moves.append(("b", q))
+        moves += [("c", p) for p in range(q - 1, p0 + t - 1, -1)]
+    size[k], size[k + 1] = k - b + 1, k + 1 - a
 
 
 class KLRElement:
@@ -712,22 +739,22 @@ def relation_residues(ctx, nu):
     Returns a dict name -> KLRElement; every value must reduce to zero.
     Generators are summed over all color words of the weight and cut down
     by right multiplication with 1_nu, so both sides are honest products
-    of generator elements.
+    of generator elements.  Each product is folded from the right,
+    g_1 (g_2 (... (g_r 1_nu))), so only its 1_nu part is ever rewritten.
     """
     nu = tuple(nu)
     n = len(nu)
     beta = RootVector.from_word(nu)
     seqs = list(sequences(beta))
     one = KLRElement.idem(ctx, nu)
-
-    def x(k):
-        return klr_generator(ctx, "x", k, seqs)
-
-    def t(k):
-        return klr_generator(ctx, "tau", k, seqs)
+    xs = [None] + [klr_generator(ctx, "x", k, seqs) for k in range(1, n + 1)]
+    ts = [None] + [klr_generator(ctx, "tau", k, seqs) for k in range(1, n)]
 
     def prod(*els):
-        return klr_multiply_many(*els, KLRElement.idem(ctx, nu))
+        out = one
+        for g in reversed(els):
+            out = klr_multiply(g, out)
+        return out
 
     out = {}
     out["idem_square"] = klr_multiply(one, one) - one
@@ -738,29 +765,29 @@ def relation_residues(ctx, nu):
             break
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
-            out[f"x_commute_{k}_{l}"] = prod(x(k), x(l)) - prod(x(l), x(k))
+            out[f"x_commute_{k}_{l}"] = prod(xs[k], xs[l]) - prod(xs[l], xs[k])
     for k in range(1, n):
         snu = list(nu)
         snu[k - 1], snu[k] = snu[k], snu[k - 1]
-        tk = prod(t(k))
+        tk = prod(ts[k])
         out[f"tau_idem_{k}"] = klr_multiply(
             KLRElement.idem(ctx, tuple(snu)), tk) - tk
         qel = _poly_on_strands(ctx, nu, (k, k + 1),
                                ctx.q_poly(nu[k - 1], nu[k]))
-        out[f"tau_square_{k}"] = prod(t(k), t(k)) - qel
+        out[f"tau_square_{k}"] = prod(ts[k], ts[k]) - qel
         for l in range(1, n + 1):
             if l not in (k, k + 1):
                 out[f"tau_x_far_{k}_{l}"] = \
-                    prod(t(k), x(l)) - prod(x(l), t(k))
+                    prod(ts[k], xs[l]) - prod(xs[l], ts[k])
         delta = one if nu[k - 1] == nu[k] else KLRElement(ctx, n)
         out[f"mixed_left_{k}"] = \
-            prod(t(k), x(k + 1)) - prod(x(k), t(k)) - delta
+            prod(ts[k], xs[k + 1]) - prod(xs[k], ts[k]) - delta
         out[f"mixed_right_{k}"] = \
-            prod(x(k + 1), t(k)) - prod(t(k), x(k)) - delta
+            prod(xs[k + 1], ts[k]) - prod(ts[k], xs[k]) - delta
         for l in range(k + 2, n):
-            out[f"tau_far_{k}_{l}"] = prod(t(k), t(l)) - prod(t(l), t(k))
+            out[f"tau_far_{k}_{l}"] = prod(ts[k], ts[l]) - prod(ts[l], ts[k])
     for k in range(1, n - 1):
-        lhs = prod(t(k + 1), t(k), t(k + 1)) - prod(t(k), t(k + 1), t(k))
+        lhs = prod(ts[k + 1], ts[k], ts[k + 1]) - prod(ts[k], ts[k + 1], ts[k])
         if nu[k - 1] == nu[k + 1]:
             q = ctx.q_poly(nu[k - 1], nu[k])
             err = {}

@@ -116,20 +116,20 @@ def is_reduced(word, n=None):
 def canonical_word(g):
     """The fixed reduced word of a permutation.
 
-    Recursive rule: peel the strand ending at the top position; if
-    r = g^-1(n) then word(g) = word(g') ++ [n-1, n-2, ..., r] where g'
-    is g with the top strand removed.  Words for block permutations are
-    the concatenation of the blocks' words, so diamond products of basis
+    Rule: peel the strand ending at the top position; if r = g^-1(n)
+    then word(g) = word(g') ++ [n-1, n-2, ..., r] where g' is g with the
+    top strand removed.  The strands are peeled in a loop, top first, and
+    the runs joined bottom first.  Words for block permutations are the
+    concatenation of the blocks' words, so diamond products of basis
     monomials stay basis-aligned.
     """
-    n = g.n
-    if n == 0:
-        return ()
     im = list(g.images)
-    r = im.index(n) + 1
-    rest = [q for q in im if q != n]
-    sub = Perm._trusted(tuple(rest))
-    return canonical_word(sub) + tuple(range(n - 1, r - 1, -1))
+    runs = []
+    for top in range(len(im), 0, -1):
+        r = im.index(top) + 1
+        del im[r - 1]
+        runs.append(range(top - 1, r - 1, -1))
+    return tuple(k for run in reversed(runs) for k in run)
 
 
 def longest_word(k, l):

@@ -2,6 +2,7 @@
 graded bases, central elements, and the crossing-product identities."""
 
 import itertools
+import math
 import random
 import time
 from collections import deque
@@ -69,6 +70,80 @@ def test_defining_relations_height_3(which, ctx_a2, ctx_b2, ctx_b2r):
     for nu in all_words(3):
         for name, res in relation_residues(ctx, nu).items():
             assert res.is_zero(), (which, nu, name)
+
+
+def oracle_relation_residues(ctx, nu):
+    """relation_residues with every product folded from the left,
+    (((g_1 g_2) ...) g_r) 1_nu, and each generator built at each use."""
+    nu = tuple(nu)
+    n = len(nu)
+    seqs = list(sequences(RootVector.from_word(nu)))
+    one = KLRElement.idem(ctx, nu)
+
+    def x(k):
+        return klr_generator(ctx, "x", k, seqs)
+
+    def t(k):
+        return klr_generator(ctx, "tau", k, seqs)
+
+    def prod(*els):
+        return klr_multiply_many(*els, KLRElement.idem(ctx, nu))
+
+    out = {"idem_square": klr_multiply(one, one) - one}
+    for mu in seqs:
+        if mu != nu:
+            out["idem_orthogonal"] = klr_multiply(KLRElement.idem(ctx, mu), one)
+            break
+    for k in range(1, n + 1):
+        for l in range(k + 1, n + 1):
+            out[f"x_commute_{k}_{l}"] = prod(x(k), x(l)) - prod(x(l), x(k))
+    for k in range(1, n):
+        snu = list(nu)
+        snu[k - 1], snu[k] = snu[k], snu[k - 1]
+        tk = prod(t(k))
+        out[f"tau_idem_{k}"] = klr_multiply(
+            KLRElement.idem(ctx, tuple(snu)), tk) - tk
+        qel = _poly_on_strands(ctx, nu, (k, k + 1),
+                               ctx.q_poly(nu[k - 1], nu[k]))
+        out[f"tau_square_{k}"] = prod(t(k), t(k)) - qel
+        for l in range(1, n + 1):
+            if l not in (k, k + 1):
+                out[f"tau_x_far_{k}_{l}"] = \
+                    prod(t(k), x(l)) - prod(x(l), t(k))
+        delta = one if nu[k - 1] == nu[k] else KLRElement(ctx, n)
+        out[f"mixed_left_{k}"] = \
+            prod(t(k), x(k + 1)) - prod(x(k), t(k)) - delta
+        out[f"mixed_right_{k}"] = \
+            prod(x(k + 1), t(k)) - prod(t(k), x(k)) - delta
+        for l in range(k + 2, n):
+            out[f"tau_far_{k}_{l}"] = prod(t(k), t(l)) - prod(t(l), t(k))
+    for k in range(1, n - 1):
+        lhs = prod(t(k + 1), t(k), t(k + 1)) - prod(t(k), t(k + 1), t(k))
+        if nu[k - 1] == nu[k + 1]:
+            q = ctx.q_poly(nu[k - 1], nu[k])
+            err = {}
+            for (a, b), c in q.terms.items():
+                for s in range(a):
+                    e = (s, b, a - 1 - s)
+                    err[e] = err.get(e, 0) + c
+            lhs = lhs - _poly_on_strands(ctx, nu, (k, k + 1, k + 2),
+                                         Poly(3, err))
+        out[f"braid_{k}"] = lhs
+    return out
+
+
+def test_defining_relations_height_4_g2_match_left_fold():
+    """On every height-4 colour word of G2 the residues vanish, and the
+    right-folded products give the same names in the same order as the
+    left-folded oracle, each residue equal to the oracle's."""
+    ctx = KLRContext(make_cartan(G2_DOT))
+    oracle_ctx = KLRContext(make_cartan(G2_DOT))
+    for nu in itertools.product(("i", "j"), repeat=4):
+        res = relation_residues(ctx, nu)
+        oracle = oracle_relation_residues(oracle_ctx, nu)
+        assert list(res) == list(oracle), nu
+        assert res == oracle, nu
+        assert all(r.is_zero() for r in res.values()), nu
 
 
 # -- crossing polynomial ------------------------------------------------
@@ -576,6 +651,59 @@ def test_move_path_rejects_bad_words(ctx_a2):
         ctx_a2.move_path((1, 2), (2, 1))
     with pytest.raises(ValueError):
         ctx_a2.move_path((1, 3), (1, 2))
+
+
+def test_word_move_memo_matches_canon_moves():
+    """The per-word memo, built from each word's one-letter-shorter
+    suffix, equals _canon_moves on every reduced word of S_n, n <= 5, and
+    on every one-letter extension of it: the same moves and runs, or a
+    ValueError from both.  Bad words raise through move_path too."""
+    ctx = KLRContext(make_cartan(A2_DOT))
+    words = extended = 0
+    for n in range(1, 6):
+        for g in all_perms(n):
+            for w in reduced_words(g):
+                moves, runs = _canon_moves(w)
+                assert ctx.word_moves(w) == (tuple(moves), tuple(runs)), w
+                words += 1
+                for k in range(1, n):
+                    try:
+                        moves, runs = _canon_moves((k,) + w)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            ctx.word_moves((k,) + w)
+                        continue
+                    assert ctx.word_moves((k,) + w) == \
+                        (tuple(moves), tuple(runs)), (k, w)
+                    extended += 1
+    assert words == 3137
+    assert extended > 0
+    for word in ((1, 1), (1, 2, 1, 2), (2, 3, 1, 2, 1, 2), (0,), (1, -1)):
+        with pytest.raises(ValueError):
+            ctx.move_path(word, word)
+        with pytest.raises(ValueError):
+            ctx.move_path((), word)
+
+
+def oracle_canonical_word(g):
+    """The recursive form of canonical_word: peel the top strand and
+    recurse on the permutation of the strands left."""
+    n = g.n
+    if n == 0:
+        return ()
+    im = list(g.images)
+    r = im.index(n) + 1
+    sub = Perm(q for q in im if q != n)
+    return oracle_canonical_word(sub) + tuple(range(n - 1, r - 1, -1))
+
+
+def test_canonical_word_matches_recursive_oracle():
+    count = 0
+    for n in range(0, 8):
+        for g in all_perms(n):
+            assert canonical_word(g) == oracle_canonical_word(g), g
+            count += 1
+    assert count == sum(math.factorial(n) for n in range(8))
 
 
 def _oracle_context(dot, monkeypatch):
