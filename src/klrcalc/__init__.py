@@ -6,10 +6,9 @@ from .qring import (DegreeWindow, LaurentPoly, RatFunc, quantum_binomial,
                     quantum_factorial, quantum_integer, series_window, sigma,
                     zeta)
 from .rootdata import (CartanDatum, CartanValidationError, RootVector,
-                       dot_weight, height, pairing, reflect, sequences)
+                       height, pairing, reflect, sequences)
 from .polycalc import (Perm, Poly, act, canonical_word, demazure,
-                       demazure_seq, is_reduced, longest_word, perm_of_word,
-                       q_multi)
+                       demazure_seq, longest_word, perm_of_word, q_multi)
 from .nilhecke import NilHeckeElement, idempotent_e, nh_act, nh_multiply
 from .klr import (KLRContext, KLRElement, diamond, graded_basis,
                   idempotent_e_klr, klr_generator, klr_multiply,

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .klr import (KLRContext, klr_generator, klr_multiply_many,
                   relation_residues)
-from .qring import DegreeWindow, LaurentPoly, RatFunc
+from .qring import DegreeWindow, LaurentPoly, RatFunc, hilbert_denominator
 from .rootdata import (CartanDatum, CartanValidationError, RootVector,
                        pairing, sequences)
 
@@ -364,8 +364,7 @@ def _suite_uplus(cfg):
     i = labels[0]
     ei = WordVector.generator(i)
     di = cartan.d(i)
-    expected = RatFunc(LaurentPoly.one(),
-                       LaurentPoly.one() - LaurentPoly.q(2 * di))
+    expected = RatFunc(LaurentPoly.one(), hilbert_denominator(cartan, (i,)))
     checks.append({
         "id": "uplus/generator-norm",
         "inputs": {"i": i},

@@ -197,8 +197,9 @@ class KLRContext:
         """The Hilbert numerators of H 1_nu, as {lam: {deg: count}}: P_lam
         counts the rows u of pbw_cosets(nu) with u(nu) = lam by the degree
         of tau_u 1_nu.  The x's on the strands contribute 1 / D(beta) with
-        D(beta) the product over the letters c of nu of (1 - q^{(c, c)}),
-        so 1_lam H 1_nu has Hilbert series P_lam / D(beta)."""
+        D(beta) = qring.hilbert_denominator(cartan, nu), the product over
+        the letters c of nu of (1 - q^{(c, c)}), so 1_lam H 1_nu has
+        Hilbert series P_lam / D(beta)."""
         out = {}
         for lam, _, _, deg in self.pbw_cosets(nu):
             row = out.setdefault(lam, {})

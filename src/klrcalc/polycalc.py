@@ -106,13 +106,6 @@ def perm_of_word(word, n):
     return Perm._trusted(tuple(im))
 
 
-def is_reduced(word, n=None):
-    """True iff the word's length equals the length of its permutation."""
-    if n is None:
-        n = max(word) + 1 if word else 1
-    return perm_of_word(word, n).length() == len(word)
-
-
 def canonical_word(g):
     """The fixed reduced word of a permutation.
 

@@ -5,7 +5,12 @@ stored zero coefficients.  The constructor, scalar products and every
 division store an integral coefficient as an int (polycalc.exact), so
 integer data stays in integer arithmetic; a Fraction comes in only from
 a non-integral input or a true division, and every division goes
-through _div, so no coefficient is a float.
+through _div, so no coefficient is a float.  There is one product loop
+(_add_product, on dicts exponent -> coefficient), which LaurentPoly and
+the form layer share, and one long division of polynomials in q
+(_divmod), which exact_div and the gcd share.  hilbert_denominator
+builds D(beta) = prod (1 - q^{(c, c)}) over the letters c of a word, the
+denominator of the Hilbert series of R(beta) and of the word pairings.
 
 Rational functions are gcd-reduced pairs of Laurent polynomials with
 the denominator normalized to lowest exponent 0 and leading coefficient
@@ -114,14 +119,7 @@ class LaurentPoly:
             res.coeffs = {e: exact(c * other) for e, c in self.coeffs.items()}
             return res
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+        _add_product(out, self.coeffs, other.coeffs)
         res = LaurentPoly.__new__(LaurentPoly)
         res.coeffs = out
         return res
@@ -141,32 +139,27 @@ class LaurentPoly:
         return res
 
     def exact_div(self, other):
-        """Exact division; raises ValueError if the division has a remainder."""
+        """Exact division; raises ValueError if the division has a remainder.
+
+        Both operands are shifted to lowest exponent 0 and divided as
+        polynomials in q: the lowest exponents of Laurent polynomials add,
+        so self / other is a Laurent polynomial iff that division is exact,
+        and its quotient is q^{min self - min other} times the polynomial
+        quotient."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if self.is_zero():
             return LaurentPoly()
-        rem = dict(self.coeffs)
-        out = {}
-        dtop = other.max_exp()
-        dlead = other.coeffs[dtop]
-        while rem:
-            top = max(rem)
-            e = top - dtop
-            c = _div(rem[top], dlead)
-            out[e] = c
-            for de, dc in other.coeffs.items():
-                k = de + e
-                s = rem.get(k, 0) - dc * c
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-            if rem and max(rem) >= top:
-                raise ValueError("non-exact division")
-        return LaurentPoly(out)
+        lo, olo = min(self.coeffs), min(other.coeffs)
+        quo, rem = _divmod(_lowered(self.coeffs, lo),
+                           _lowered(other.coeffs, olo))
+        if rem:
+            raise ValueError("non-exact division")
+        res = LaurentPoly.__new__(LaurentPoly)
+        res.coeffs = _lowered(quo, olo - lo)
+        return res
 
-    # -- display / serialization ------------------------------------------
+    # -- display ---------------------------------------------------------
 
     def __repr__(self):
         if not self.coeffs:
@@ -182,14 +175,6 @@ class LaurentPoly:
                 parts.append(f"{c}*q^{e}" if c != 1 else f"q^{e}")
         return " + ".join(parts)
 
-    def to_json_obj(self):
-        """JSON object: exponent (decimal string) -> coefficient "p/q", keys ascending."""
-        return {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs)}
-
-    @staticmethod
-    def from_json_obj(obj):
-        return LaurentPoly({int(e): Fraction(c) for e, c in obj.items()})
-
 
 def _div(a, b):
     """The exact quotient a / b of two rational scalars, as an int when it
@@ -200,35 +185,80 @@ def _div(a, b):
 
 
 def _divide_coeffs(p, c):
-    """p with every coefficient divided by the scalar c."""
+    """The Laurent polynomial of the dict p with every coefficient divided
+    by the scalar c."""
     res = LaurentPoly.__new__(LaurentPoly)
-    res.coeffs = {e: _div(x, c) for e, x in p.coeffs.items()}
+    res.coeffs = {e: _div(x, c) for e, x in p.items()}
     return res
 
 
+def _add_product(acc, a, b):
+    """acc += a * b for sparse Laurent polynomials given as dicts
+    exponent -> coefficient; acc drops the coefficients that cancel.  The
+    one product loop of the package."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            k = e1 + e2
+            s = acc.get(k, 0) + c1 * c2
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+
+
+def _lowered(p, lo):
+    """The dict p with every exponent lowered by lo."""
+    return {e - lo: c for e, c in p.items()} if lo else p
+
+
+def _divmod(a, b):
+    """Long division of the polynomials a and b in q (dicts exponent ->
+    coefficient, b nonzero): (quo, rem) as dicts with a = quo * b + rem
+    and deg rem < deg b.  The one long division of the package."""
+    rem = dict(a)
+    quo = {}
+    btop = max(b)
+    blead = b[btop]
+    while rem:
+        top = max(rem)
+        if top < btop:
+            break
+        c = _div(rem[top], blead)
+        e = top - btop
+        quo[e] = c
+        for de, dc in b.items():
+            k = de + e
+            s = rem.get(k, 0) - dc * c
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return quo, rem
+
+
 def _poly_gcd(a, b):
-    """Monic gcd of two nonzero Laurent polynomials (up to units q^k)."""
-    a = a.shift(-a.min_exp())
-    b = b.shift(-b.min_exp())
+    """Monic gcd of two nonzero Laurent polynomials (up to units q^k):
+    Euclid over Q on the two shifted to lowest exponent 0."""
+    a = _lowered(a.coeffs, min(a.coeffs))
+    b = _lowered(b.coeffs, min(b.coeffs))
     while b:
-        # remainder of a by b in the ordinary polynomial ring
-        r = dict(a.coeffs)
-        btop = b.max_exp()
-        blead = b.coeffs[btop]
-        while r and max(r) >= btop:
-            top = max(r)
-            c = _div(r[top], blead)
-            for de, dc in b.coeffs.items():
-                k = de + top - btop
-                s = r.get(k, 0) - dc * c
-                if s:
-                    r[k] = s
-                else:
-                    r.pop(k, None)
-        a, b = b, LaurentPoly(r)
-        if b:
-            b = b.shift(-b.min_exp())
-    return _divide_coeffs(a, a.coeffs[a.max_exp()])
+        _, r = _divmod(a, b)
+        a, b = b, _lowered(r, min(r)) if r else r
+    return _divide_coeffs(a, a[max(a)])
+
+
+def hilbert_denominator(cartan, word):
+    """D(beta) = the product over the letters c of word of (1 - q^{(c, c)}),
+    beta the weight of word: the denominator of the Hilbert series of the
+    KLR algebra R(beta) and of the word pairings of weight beta."""
+    out = {0: 1}
+    for c in word:
+        nxt = {}
+        _add_product(nxt, out, {0: 1, cartan.dot(c, c): -1})
+        out = nxt
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.coeffs = out
+    return res
 
 
 class RatFunc:
@@ -258,7 +288,8 @@ class RatFunc:
         num = num.shift(-k)
         lead = den.coeffs[den.max_exp()]
         if lead != 1:
-            den, num = _divide_coeffs(den, lead), _divide_coeffs(num, lead)
+            den, num = (_divide_coeffs(den.coeffs, lead),
+                        _divide_coeffs(num.coeffs, lead))
         self.num, self.den = num, den
 
     @staticmethod

@@ -127,12 +127,6 @@ def pairing(cartan, i, beta):
     return sum(cartan.cartan(i, j) * c for j, c in beta.coeffs.items())
 
 
-def dot_weight(cartan, i, beta):
-    """i . beta extended linearly."""
-    cartan.check_index(i)
-    return sum(cartan.dot(i, j) * c for j, c in beta.coeffs.items())
-
-
 def reflect(cartan, i, beta):
     """s_i(beta) = beta - <i^,beta> i, as (coeff map, in_Qplus flag)."""
     out = dict(beta.coeffs)

@@ -14,7 +14,8 @@ words of the same weight), never through a presentation of the quotient
 algebra.
 """
 
-from .qring import LaurentPoly, RatFunc, quantum_factorial
+from .qring import (LaurentPoly, RatFunc, _add_product, hilbert_denominator,
+                    quantum_factorial)
 from .rootdata import RootVector, pairing, sequences
 
 __all__ = [
@@ -114,22 +115,22 @@ class GramCache:
 
     with N((), ()) = 1; words of different weights get N = 0.  N is
     memoized as a dict exponent -> int, under both argument orders since
-    the form is symmetric, and D once per sorted letter tuple.  The dicts
-    in the memo are shared and must not be modified.  pair_words builds
-    one RatFunc per call; pair and the zero tests read N and D directly.
+    the form is symmetric.  The dicts in the memo are shared and must not
+    be modified.  D is qring.hilbert_denominator of either word, built
+    per call.  pair_words builds one RatFunc per call; pair and the zero
+    tests read N directly.
     """
 
     def __init__(self, cartan):
         self.cartan = cartan
         self._num = {((), ()): {0: 1}}
-        self._den = {}
 
     def pair_words(self, u, v):
         u, v = tuple(u), tuple(v)
         if len(u) != len(v):
             return RatFunc.zero()
         return RatFunc(LaurentPoly(self._numerator(u, v)),
-                       self._denominator(v))
+                       hilbert_denominator(self.cartan, v))
 
     def _numerator(self, u, v):
         """N(u, v) for two words of one length."""
@@ -149,18 +150,6 @@ class GramCache:
         self._num[(u, v)] = self._num[(v, u)] = acc
         return acc
 
-    def _denominator(self, word):
-        """D of the weight of word, as a LaurentPoly."""
-        key = tuple(sorted(word))
-        got = self._den.get(key)
-        if got is None:
-            got = LaurentPoly.one()
-            for j in key:
-                got = got * (LaurentPoly.one()
-                             - LaurentPoly.q(self.cartan.dot(j, j)))
-            self._den[key] = got
-        return got
-
 
 def pair(u, v, cache):
     """The bilinear form on two WordVectors (0 if the weights differ).
@@ -179,8 +168,8 @@ def pair(u, v, cache):
         for w2, b in vs:
             _add_product(inner, b, num_of(w1, w2))
         _add_product(acc, a, inner)
-    return RatFunc(LaurentPoly(acc),
-                   lu * lv * cache._denominator(next(iter(v.terms))))
+    return RatFunc(LaurentPoly(acc), lu * lv * hilbert_denominator(
+        cache.cartan, next(iter(v.terms))))
 
 
 def _over_common_denominator(x):
@@ -194,19 +183,6 @@ def _over_common_denominator(x):
     cofactor = {d: big.exact_div(d) for d in dens}
     return big, [(w, (c.num * cofactor[c.den]).coeffs)
                  for w, c in x.terms.items()]
-
-
-def _add_product(acc, a, b):
-    """acc += a * b for sparse Laurent polynomials given as dicts
-    exponent -> coefficient; acc drops the coefficients that cancel."""
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            k = e1 + e2
-            s = acc.get(k, 0) + c1 * c2
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
 
 
 def is_zero_mod_serre(v, cache):

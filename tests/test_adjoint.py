@@ -16,6 +16,7 @@ from klrcalc import (
     KLRContext,
     KLRElement,
     LaurentPoly,
+    RatFunc,
     RootVector,
     build_ad_complex,
     build_divided_complex,
@@ -29,6 +30,7 @@ from klrcalc import (
     product_dims,
     sequences,
     series_window,
+    serre_exactness_check,
     ses_identity_check,
     tau_embed,
     underlying_degree,
@@ -414,6 +416,30 @@ def test_divided_adjoint_rank_formula(which, n, ctx_a2, ctx_b2):
         assert got[d] == expect.coeff(d), (which, n, d)
 
 
+def parent_grk_ad_divided_Ej(n, i, j, cartan):
+    """The closed formula with its denominator written out as
+    (1 - q^{2 d_j}) (1 - q^{2 d_i})^n."""
+    di, dj = cartan.d(i), cartan.d(j)
+    cij = cartan.cartan(i, j)
+    num = LaurentPoly.q(di * n * (n - 1) // 2)
+    for k in range(n):
+        num = num * (LaurentPoly.one()
+                     - LaurentPoly.q(2 * di * (-cij - k)))
+    den = LaurentPoly.one() - LaurentPoly.q(2 * dj)
+    for _ in range(n):
+        den = den * (LaurentPoly.one() - LaurentPoly.q(2 * di))
+    return RatFunc(num, den)
+
+
+def test_grk_ad_divided_Ej_matches_written_out_formula(ctx_a2, ctx_b2,
+                                                       ctx_b2r, ctx_g2):
+    for ctx in (ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
+        for i, j in (("i", "j"), ("j", "i")):
+            for n in range(5):
+                assert grk_ad_divided_Ej(n, i, j, ctx) == \
+                    parent_grk_ad_divided_Ej(n, i, j, ctx.cartan), (i, j, n)
+
+
 def test_adjoint_module_grows_forever(ctx_a2):
     """The weight-space count of ad(E_j) is supported in every even degree:
     the module is infinite dimensional in the graded sense."""
@@ -640,6 +666,17 @@ def test_serre_report_carries_lower_cohomology(ctx_a2, monkeypatch):
     rep = adjoint.serre_exactness_check(1, 1, "i", "j", DegreeWindow(0, 4),
                                         ctx_a2)
     assert rep["lower_cohomology"] == {"-1@2": 1}
+    assert rep["ok"] is False
+
+
+def test_serre_report_fails_without_h0_where_h0_is_expected(ctx_a2):
+    """A2 (1, 1) is not expected exact; on a window below its cohomology
+    H^0 is empty, so the observed vanishing disagrees and the check fails."""
+    rep = serre_exactness_check(1, 1, "i", "j", DegreeWindow(-30, -20),
+                                ctx_a2)
+    assert rep["expected_exact"] is False
+    assert rep["h0_dims"] == {} and rep["lower_cohomology"] == {}
+    assert rep["observed_exact"] is True
     assert rep["ok"] is False
 
 

@@ -2,6 +2,7 @@
 combinatorics."""
 
 import itertools
+import signal
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,20 @@ from klrcalc import (
     sigma,
     zeta,
 )
+from klrcalc.qring import _divmod, hilbert_denominator
 
 laurent_dicts = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
     st.integers(min_value=-9, max_value=9),
     max_size=6,
 )
+
+# the same polynomials with coefficients divided by 1..4: Fraction
+# coefficients wherever the quotient is not integral
+fraction_dicts = st.tuples(laurent_dicts, st.integers(min_value=1,
+                                                      max_value=4)).map(
+    lambda t: LaurentPoly({e: Fraction(c, t[1])
+                           for e, c in t[0].items()}).coeffs)
 
 
 def lp(d):
@@ -79,9 +88,92 @@ def test_basic_identities():
     assert p.bar() == LaurentPoly({2: Fraction(1, 2), -3: -1})
 
 
-def test_json_round_trip():
-    p = LaurentPoly({-1: Fraction(2, 3), 4: -5})
-    assert LaurentPoly.from_json_obj(p.to_json_obj()) == p
+# -- long division ------------------------------------------------------
+
+
+def bounded(fn, seconds=1.0):
+    """fn(), failing with TimeoutError if it has not returned in time."""
+    def on_alarm(signum, frame):
+        raise TimeoutError("call did not return")
+
+    old = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_non_exact_division_raises():
+    """1 / (1 + q) and (1 + 2q^3) / (1 + q) have no Laurent polynomial
+    quotient: exact_div raises instead of running on."""
+    one_plus_q = LaurentPoly({0: 1, 1: 1})
+    for a in (LaurentPoly.one(), LaurentPoly({0: 1, 3: 2})):
+        with pytest.raises(ValueError, match="non-exact"):
+            bounded(lambda: a.exact_div(one_plus_q))
+    with pytest.raises(ValueError, match="non-exact"):
+        bounded(lambda: LaurentPoly({-2: 1}).exact_div(one_plus_q))
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly.one().exact_div(LaurentPoly.zero())
+
+
+def polynomial_in_q(d):
+    """d shifted to lowest exponent 0."""
+    lo = min(d, default=0)
+    return {e - lo: c for e, c in d.items()}
+
+
+@settings(max_examples=80)
+@given(st.one_of(laurent_dicts, fraction_dicts),
+       st.one_of(laurent_dicts, fraction_dicts))
+def test_divmod_is_division_with_remainder(a, b):
+    """a = quo * b + rem with deg rem < deg b, on int and Fraction
+    coefficients."""
+    a = polynomial_in_q(LaurentPoly(a).coeffs)
+    b = polynomial_in_q(LaurentPoly(b).coeffs) or {2: 3}
+    quo, rem = _divmod(a, b)
+    assert lp(quo) * lp(b) + lp(rem) == lp(a)
+    assert not rem or max(rem) < max(b)
+    assert 0 not in quo.values() and 0 not in rem.values()
+
+
+@settings(max_examples=80)
+@given(st.one_of(laurent_dicts, fraction_dicts), laurent_dicts,
+       st.integers(min_value=-6, max_value=6))
+def test_exact_div_inverts_multiplication(a, b, s):
+    """exact_div(a b, b) == a for Laurent polynomials with negative
+    exponents, and the quotient stores canonical coefficients."""
+    a, b = lp(a).shift(s), lp(b)
+    if b.is_zero():
+        b = LaurentPoly({-3: 2, 1: -1})
+    got = (a * b).exact_div(b)
+    assert got == a
+    assert canonical_coeffs(got)
+
+
+# -- the Hilbert series denominator -------------------------------------
+
+
+def subset_sum_denominator(cartan, word):
+    """prod (1 - q^{(c, c)}) over the letters of word, expanded as the
+    signed sum over subsets of the letter positions."""
+    out = LaurentPoly()
+    for r in range(len(word) + 1):
+        for sub in itertools.combinations(word, r):
+            out = out + LaurentPoly({sum(cartan.dot(c, c) for c in sub):
+                                     (-1) ** r})
+    return out
+
+
+def test_hilbert_denominator_matches_subset_sum(cartan_a2, cartan_b2,
+                                                cartan_b2r, cartan_g2):
+    for cartan in (cartan_a2, cartan_b2, cartan_b2r, cartan_g2):
+        for n in range(5):
+            for word in itertools.product("ij", repeat=n):
+                got = hilbert_denominator(cartan, word)
+                assert got == subset_sum_denominator(cartan, word), word
+                assert all_int(got)
 
 
 # -- rational functions -------------------------------------------------
