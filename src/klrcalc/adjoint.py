@@ -92,10 +92,20 @@ def _matrix_rank(columns):
     elimination with `_echelon_insert`.  Any totally ordered hashable keys
     will do; the complexes pass the packed int keys of
     ProjComplex._word_prod, whose pivot order follows first-seen target
-    ids, and the rank does not depend on that order.  The columns are
-    consumed: each is reduced in place."""
+    ids, and the rank does not depend on that order.
+
+    Empty columns are dropped and the rest are eliminated in increasing
+    order of their number of entries (a stable sort, so ties keep their
+    order).  The rank does not depend on the column order either, but the
+    work does: the cost of a block is fill, the entries a reduction adds,
+    and not coefficient growth.  Sparse columns become rows first, and a
+    denser column that reduces against them picks up little fill; on a
+    block whose dense columns come first, each later singleton is reduced
+    against the grown rows.  The sort holds all columns of a block at
+    once.  The columns are consumed: each is reduced in place."""
     rows = {}
-    return sum(_echelon_insert(rows, col) for col in columns)
+    return sum(_echelon_insert(rows, col)
+               for col in sorted(filter(None, columns), key=len))
 
 
 # ---------------------------------------------------------------------------

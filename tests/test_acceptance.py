@@ -194,11 +194,12 @@ def test_criterion_4_divided_adjoint_graded_rank(dot, n):
 
 def test_criterion_5_concentration():
     """No cohomology below degree zero for the in-scope complexes (color
-    words avoiding the adjoint color).  The undivided family is checked to
-    total height 4 and the divided family to total height 5; the one
-    remaining height-5 divided complex (n=4, m=1) is covered at the wider
-    window inside the exactness grid test, whose per-cell verdict also
-    requires the absence of lower cohomology."""
+    words avoiding the adjoint color).  The undivided family is checked
+    here to total height 4 (A2 at height 5 follows in the next test) and
+    the divided family to total height 5; the one remaining height-5
+    divided complex (n=4, m=1) is covered at the wider window inside the
+    exactness grid test, whose per-cell verdict also requires the absence
+    of lower cohomology."""
     w = DegreeWindow(0, 8)
     for dot, hmax in ((A2_DOT, 5), (B2_DOT, 4)):
         ctx = ctx_for(dot)
@@ -216,6 +217,20 @@ def test_criterion_5_concentration():
             gdt = cohomology_dims(cplx, w)
             bad = {kd: v for kd, v in gdt.dims.items() if kd[0] != 0 and v}
             assert not bad, (dot, label)
+
+
+def test_criterion_5_concentration_height_5():
+    """Criterion 5 for the undivided A2 complexes of total height 5, n + m
+    = 5, on the window 0:6: no cohomology outside degree zero.  A test of
+    its own, so that its duration shows."""
+    t0 = time.time()
+    w = DegreeWindow(0, 6)
+    ctx = ctx_for(A2_DOT)
+    for n, m in ((1, 4), (2, 3), (3, 2), (4, 1)):
+        gdt = cohomology_dims(build_ad_complex(n, ("j",) * m, "i", ctx), w)
+        bad = {kd: v for kd, v in gdt.dims.items() if kd[0] != 0 and v}
+        assert not bad, (n, m)
+    assert time.time() - t0 < 120.0
 
 
 # -- 6: exactness of the Serre-threshold complexes ----------------------

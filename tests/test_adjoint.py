@@ -35,6 +35,7 @@ from klrcalc import (
     tau_embed,
     underlying_degree,
 )
+from klrcalc import adjoint
 from klrcalc.adjoint import _echelon_insert, _matrix_rank, _pack
 from klrcalc.klr import (_tau_word_times, graded_basis, idempotent_e_klr,
                          klr_multiply_many, tau_word_degree)
@@ -754,8 +755,9 @@ def int_columns(columns):
 
 
 def test_matrix_rank_exact(ctx_a2, ctx_b2):
-    """_matrix_rank equals the Fraction oracle on seeded random matrices
-    and on every block of the plain and divided complexes with n + m <= 4
+    """_matrix_rank equals the Fraction oracle on seeded random matrices,
+    in their own column order, a seeded shuffle of it and its reverse, and
+    on every block of the plain and divided complexes with n + m <= 4
     on A2 and B2 in degrees 0..4."""
     assert _matrix_rank([{(0, "a"): 1, (1, "b"): 2},
                          {(0, "a"): 2, (1, "b"): 4},
@@ -766,7 +768,12 @@ def test_matrix_rank_exact(ctx_a2, ctx_b2):
     rng = random.Random(20201)
     for _ in range(400):
         cols = random_columns(rng)
-        assert _matrix_rank(int_columns(cols)) == oracle_rank(cols), cols
+        want = oracle_rank(cols)
+        assert _matrix_rank(int_columns(cols)) == want, cols
+        shuffled = int_columns(cols)
+        rng.shuffle(shuffled)
+        assert _matrix_rank(shuffled) == want, cols
+        assert _matrix_rank(int_columns(cols[::-1])) == want, cols
     for ctx in (ctx_a2, ctx_b2):
         for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
             for cplx in (build_ad_complex(n, ("j",) * m, "i", ctx),
@@ -777,6 +784,28 @@ def test_matrix_rank_exact(ctx_a2, ctx_b2):
                             cols = list(cplx._raw_columns(k, d, lam))
                             want = oracle_rank(cols)
                             assert _matrix_rank(cols) == want
+
+
+def test_matrix_rank_reduces_sparse_columns_first(monkeypatch):
+    """On an arrowhead matrix, one dense column over keys 0..50 listed
+    before the 51 singletons {k: 1}, the rank is 51 and the rows found at
+    the keys of the incoming columns hold at most 102 entries in all: the
+    singletons are reduced first.  Taking the columns as they come reads
+    51 + 50 + ... + 1 = 1326 entries, since each singleton meets the
+    remainder of the dense column."""
+    real = adjoint._echelon_insert
+    read = []
+
+    def counted(rows, v):
+        read.append(sum(len(rows[k]) for k in v if k in rows))
+        return real(rows, v)
+
+    monkeypatch.setattr(adjoint, "_echelon_insert", counted)
+    keys = range(51)
+    cols = [{k: 1 for k in keys}] + [{k: 1} for k in keys]
+    assert _matrix_rank(cols) == 51
+    assert len(read) == 52
+    assert sum(read) <= 102, sum(read)
 
 
 def klr_columns(cplx, k, d, lam):
