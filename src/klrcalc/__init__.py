@@ -2,9 +2,8 @@
 divided powers, adjoint-functor complexes with graded cohomology, and a
 quantum-group bilinear-form oracle."""
 
-from .qring import (DegreeWindow, LaurentPoly, RatFunc, quantum_binomial,
-                    quantum_factorial, quantum_integer, series_window, sigma,
-                    zeta)
+from .qring import (DegreeWindow, LaurentPoly, RatFunc, quantum_factorial,
+                    quantum_integer, series_window, sigma, zeta)
 from .rootdata import (CartanDatum, CartanValidationError, RootVector,
                        height, pairing, reflect, sequences)
 from .polycalc import (Perm, Poly, act, canonical_word, demazure,
@@ -18,7 +17,7 @@ from .adjoint import (CyclicProjective, DimTable, GradedDimTable, ProjComplex,
                       cohomology_dims, dims_E_word, grk_ad_divided_Ej,
                       induced_graded_dim, is_quotient_zero,
                       mackey_shadow_check, nderivation_check, product_dims,
-                      serre_exactness_check, ses_identity_check, tau_embed,
+                      serre_exactness_check, ses_identity_check,
                       underlying_degree)
 from .uplus import (GramCache, WordVector, ad_e, ad_e_divided,
                     higher_serre_check, is_zero_mod_serre,

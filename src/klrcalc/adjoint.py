@@ -14,7 +14,7 @@ from operator import itemgetter
 
 from .qring import (DegreeWindow, LaurentPoly, RatFunc, hilbert_denominator,
                     quantum_integer, series_window, sigma, zeta)
-from .rootdata import RootVector, height, pairing, reflect, sequences
+from .rootdata import RootVector, pairing, reflect
 from .klr import (KLRElement, _tau_times_element, _tau_word_times, diamond,
                   idempotent_e_klr, klr_multiply, tau_word_degree)
 
@@ -232,23 +232,20 @@ class ProjComplex:
                     raise ValueError("differential entry not idempotent-framed")
                 if z.degree() != tgt.shift - src.shift:
                     raise ValueError("differential entry has the wrong degree")
-        # d^2 = 0
+        # d^2 = 0: compose each entry of d_k with the entries of d_{k-1}
+        # out of its target, summed per (source, target) pair
         for k in range(2, len(self.terms)):
-            upper = self.diffs[k - 1]
             lower = self.diffs[k - 2]
-            for si in range(len(self.terms[k])):
+            sums = {}
+            for (si, m), z1 in self.diffs[k - 1].items():
                 for ti in range(len(self.terms[k - 2])):
-                    acc = None
-                    for (a, m), z1 in upper.items():
-                        if a != si:
-                            continue
-                        z2 = lower.get((m, ti))
-                        if z2 is None:
-                            continue
+                    z2 = lower.get((m, ti))
+                    if z2 is not None:
                         prod = klr_multiply(z1, z2)
-                        acc = prod if acc is None else acc + prod
-                    if acc is not None and acc.terms:
-                        raise ValueError("differential does not square to zero")
+                        acc = sums.get((si, ti))
+                        sums[(si, ti)] = prod if acc is None else acc + prod
+            if any(acc.terms for acc in sums.values()):
+                raise ValueError("differential does not square to zero")
 
     def length(self):
         return len(self.terms)
@@ -392,22 +389,8 @@ def cohomology_dims(cplx, window):
 
 
 # ---------------------------------------------------------------------------
-# the tau-embedding element and the two complexes
+# the two complexes
 # ---------------------------------------------------------------------------
-
-def tau_embed(beta, i, ctx):
-    """The element tau_[1..r] 1_{i,beta} (r = height of beta) whose right
-    multiplication realizes the embedding q_i^w M E_i -> E_i M."""
-    r = height(beta)
-    word = _asc(1, r)
-    el = KLRElement(ctx, r + 1)
-    for nu in sequences(beta):
-        key = (tuple(nu) + (i,), word, (0,) * (r + 1))
-        el.terms[key] = 1
-    if r == 0:
-        return KLRElement.idem(ctx, (i,))
-    return el
-
 
 def is_quotient_zero(beta, i, ctx):
     """Whether the i-adapted quotient algebra at weight beta vanishes:
@@ -420,71 +403,55 @@ def _word_weight_w(ctx, i, nu_pos):
     return sum(ctx.cartan.cartan(i, c) for c in nu_pos)
 
 
-def _ad_complex_words(n, r):
-    """Differential words of the binomial complex, built by iterated cones.
-
-    Returns (subsets, entries): subsets[k] lists the k-subsets of {1..n};
-    entries maps (S, S') with S' = S minus one element to (sign, word),
-    where the word is a single ascending run in the ambient strand letters.
-    The recursion: the next complex is the cone of the crossing morphism
-    from (previous complex with an extra bottom strand, shifted) to
-    (previous complex with an extra top strand).  Subsets containing the
-    new index come from the bottom-strand copy, whose differential words
-    shift up by one and change sign; the connecting entries are the runs
-    moving the new top strand to the bottom.
-    """
-    entries = {}
-    for m in range(1, n + 1):
-        new = {}
-        for (S, Sp), (sign, word) in entries.items():
-            # bottom-strand copy: letters shift up, sign flips
-            new[(S + (m,), Sp + (m,))] = (-sign, tuple(l + 1 for l in word))
-            # top-strand copy: unchanged
-            new[(S, Sp)] = (sign, word)
-        # connecting morphism: remove the new index m
-        for k in range(m):
-            for S in combinations(range(1, m), k):
-                new[(S + (m,), S)] = (1, _asc(1, m - 1 + r))
-        entries = new
-    subsets = [sorted(combinations(range(1, n + 1), k)) for k in range(n + 1)]
-    return subsets, entries
+def _complex(ctx, terms, entries):
+    """The complex on terms whose differential d_k has one entry
+    sign f_src tau_word f_tgt from summand si of terms[k] to summand ti of
+    terms[k-1] for each (k, si, ti, sign, word) in entries."""
+    diffs = [{} for _ in terms[1:]]
+    for k, si, ti, sign, word in entries:
+        tgt = terms[k - 1][ti]
+        z = KLRElement(ctx, tgt.n,
+                       _tau_word_times(ctx, word, tgt.f.terms, tgt.n))
+        z = klr_multiply(terms[k][si].f, z)
+        diffs[k - 1][(si, ti)] = -z if sign < 0 else z
+    return ProjComplex(ctx, terms, diffs)
 
 
 def build_ad_complex(n, nu, i, ctx):
     """The 2^n-term complex computing the n-th adjoint power applied to the
     cyclic module of the written color word nu (the binomial-shaped complex
-    indexed by subsets of {1..n})."""
+    indexed by subsets of {1..n}).
+
+    The complex is an iterated cone: the next complex is the cone of the
+    crossing morphism from (previous complex with an extra bottom strand,
+    shifted) to (previous complex with an extra top strand).  Subsets
+    containing the new index m come from the bottom-strand copy, whose
+    differential words shift up by one letter and change sign; the
+    connecting entries are the runs tau_(1, ..., m-1+r), r = len(nu), moving
+    the new top strand to the bottom.  Unwound, d has one entry from S to
+    S minus m for each m in S: with t the number of elements of S above m,
+    it is (-1)^t tau_(1+t, ..., m-1+r+t).
+    """
     nu = tuple(nu)
     pos_nu = tuple(reversed(nu))
     r = len(nu)
     w = _word_weight_w(ctx, i, pos_nu)
     di = ctx.cartan.d(i)
-    subsets, entries = _ad_complex_words(n, r)
+    subsets = [list(combinations(range(1, n + 1), k)) for k in range(n + 1)]
+    index = {S: si for col in subsets for si, S in enumerate(col)}
     terms = []
-    for k in range(n + 1):
-        col = []
-        for S in subsets[k]:
-            f = KLRElement.idem(ctx, (i,) * k + pos_nu + (i,) * (n - k))
-            shift = di * (k * w + 2 * (sum(S) - k))
-            col.append(CyclicProjective(ctx, f, shift))
-        terms.append(col)
-    diffs = []
-    for k in range(1, n + 1):
-        dk = {}
-        for si, S in enumerate(subsets[k]):
-            for ti, Sp in enumerate(subsets[k - 1]):
-                got = entries.get((S, Sp))
-                if got is None:
-                    continue
-                sign, word = got
-                tgt = terms[k - 1][ti]
-                z = KLRElement(ctx, tgt.n, _tau_word_times(
-                    ctx, word, tgt.f.terms, tgt.n))
-                if sign < 0:
-                    z = -z
-                dk[(si, ti)] = z
-        diffs.append(dk)
-    return ProjComplex(ctx, terms, diffs)
+    for k, col in enumerate(subsets):
+        word = (i,) * k + pos_nu + (i,) * (n - k)
+        terms.append([CyclicProjective(ctx, KLRElement.idem(ctx, word),
+                                       di * (k * w + 2 * (sum(S) - k)))
+                      for S in col])
+    # removing the elements of S from the largest down lists the targets in
+    # increasing order
+    entries = [(k, si, index[tuple(s for s in S if s != m)],
+                -1 if t % 2 else 1, _asc(1 + t, m - 1 + r + t))
+               for k in range(1, n + 1) for si, S in enumerate(subsets[k])
+               for t, m in enumerate(reversed(S))]
+    return _complex(ctx, terms, entries)
 
 
 def build_divided_complex(n, nu, i, ctx):
@@ -519,17 +486,9 @@ def build_divided_complex(n, nu, i, ctx):
                       - (n - k) * (n - k - 1) // 2
                       - k * (k - 1) // 2)
         terms.append([CyclicProjective(ctx, fk(k), shift)])
-    diffs = []
-    for k in range(1, n + 1):
-        src = terms[k][0]
-        tgt = terms[k - 1][0]
-        z = KLRElement(ctx, tgt.n, _tau_word_times(
-            ctx, _asc(k, n + r - 1), tgt.f.terms, tgt.n))
-        z = klr_multiply(src.f, z)
-        if (k - 1) % 2:
-            z = -z
-        diffs.append({(0, 0): z})
-    return ProjComplex(ctx, terms, diffs)
+    return _complex(ctx, terms, [(k, 0, 0, -1 if (k - 1) % 2 else 1,
+                                  _asc(k, n + r - 1))
+                                 for k in range(1, n + 1)])
 
 
 def grk_ad_divided_Ej(n, i, j, ctx):

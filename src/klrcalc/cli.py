@@ -23,7 +23,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .klr import (KLRContext, klr_generator, klr_multiply_many,
+from .klr import (KLRContext, KLRElement, klr_generator, klr_multiply_many,
                   relation_residues)
 from .qring import DegreeWindow, LaurentPoly, RatFunc, hilbert_denominator
 from .rootdata import (CartanDatum, CartanValidationError, RootVector,
@@ -183,8 +183,8 @@ def parse_expression(expr, ctx):
             if kind == "int":
                 coeff *= int(text)
             elif kind == "idem":
-                els.append(klr_generator(
-                    ctx, "idem", _parse_idem_word(text, at, ctx), None))
+                word = _parse_idem_word(text, at, ctx)
+                els.append(KLRElement.idem(ctx, tuple(reversed(word))))
             elif kind in ("x", "t"):
                 gen_kind = "x" if kind == "x" else "tau"
                 try:
@@ -195,7 +195,7 @@ def parse_expression(expr, ctx):
         if not els:
             raise CLIError("a bare integer is not an element")
         try:
-            el = klr_multiply_many(*els) if len(els) > 1 else els[0]
+            el = klr_multiply_many(*els)
         except ValueError as exc:
             raise CLIError(str(exc))
         el = el.scale(coeff)

@@ -443,13 +443,9 @@ def _check_compatible(u, v):
 def klr_generator(ctx, kind, arg, beta_or_sequences):
     """A generator as a normal-form element summed over color words.
 
-    kind 'idem': arg is the written color word (nu_r, ..., nu_1);
     kind 'x', 'tau': arg is the strand index, summed over the given
     color words (an iterable of position-order tuples).
     """
-    if kind == "idem":
-        nu = tuple(reversed(tuple(arg)))
-        return KLRElement.idem(ctx, nu)
     seqs = [tuple(s) for s in beta_or_sequences]
     if not seqs:
         raise ValueError("no color words supplied")
@@ -485,7 +481,7 @@ def _add_term(acc, key, c):
         acc.pop(key, None)
 
 
-def _mult_poly_terms(poly_terms, terms, n, acc, scale=1):
+def _mult_poly_terms(poly_terms, terms, acc, scale=1):
     """Accumulate (polynomial * element) given the polynomial's monomials."""
     for e, ce in poly_terms.items():
         for (nu, word, exps), c in terms.items():
@@ -536,7 +532,7 @@ def _mult_tau_word(ctx, k, word, nu, n):
         if rho[k - 1] != rho[k]:
             qp = ctx.q_poly(rho[k - 1], rho[k])
             qn = qp.subst_vars({1: k, 2: k + 1}, n)
-            _mult_poly_terms(qn.terms, {(nu, v, (0,) * n): 1}, n, acc)
+            _mult_poly_terms(qn.terms, {(nu, v, (0,) * n): 1}, acc)
         if corr:
             for key, cc in _tau_times_element(ctx, k, corr, n).items():
                 _add_term(acc, key, cc)
@@ -597,7 +593,7 @@ def _rewrite_word(ctx, src, dst, nu, n):
             continue
         tail = _nf_reduced(ctx, suffix, nu, n)
         mid = {}
-        _mult_poly_terms(perr.terms, tail, n, mid, scale=sign)
+        _mult_poly_terms(perr.terms, tail, mid, scale=sign)
         mid = _tau_word_times(ctx, prefix, mid, n)
         for key, cc in mid.items():
             _add_term(acc, key, cc)
@@ -630,9 +626,12 @@ def klr_multiply(u, v):
 
 
 def klr_multiply_many(*factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = klr_multiply(out, f)
+    """The product of the factors, folded from the right: f_1 (f_2 (...
+    (f_{r-1} f_r))).  A product that ends in an idempotent 1_nu is then
+    cut down to 1_nu before any other factor is rewritten."""
+    out = factors[-1]
+    for f in reversed(factors[:-1]):
+        out = klr_multiply(f, out)
     return out
 
 
@@ -750,13 +749,6 @@ def relation_residues(ctx, nu):
     one = KLRElement.idem(ctx, nu)
     xs = [None] + [klr_generator(ctx, "x", k, seqs) for k in range(1, n + 1)]
     ts = [None] + [klr_generator(ctx, "tau", k, seqs) for k in range(1, n)]
-
-    def prod(*els):
-        out = one
-        for g in reversed(els):
-            out = klr_multiply(g, out)
-        return out
-
     out = {}
     out["idem_square"] = klr_multiply(one, one) - one
     for mu in seqs:
@@ -766,29 +758,35 @@ def relation_residues(ctx, nu):
             break
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
-            out[f"x_commute_{k}_{l}"] = prod(xs[k], xs[l]) - prod(xs[l], xs[k])
+            out[f"x_commute_{k}_{l}"] = \
+                klr_multiply_many(xs[k], xs[l], one) \
+                - klr_multiply_many(xs[l], xs[k], one)
     for k in range(1, n):
         snu = list(nu)
         snu[k - 1], snu[k] = snu[k], snu[k - 1]
-        tk = prod(ts[k])
+        tk = klr_multiply_many(ts[k], one)
         out[f"tau_idem_{k}"] = klr_multiply(
             KLRElement.idem(ctx, tuple(snu)), tk) - tk
         qel = _poly_on_strands(ctx, nu, (k, k + 1),
                                ctx.q_poly(nu[k - 1], nu[k]))
-        out[f"tau_square_{k}"] = prod(ts[k], ts[k]) - qel
+        out[f"tau_square_{k}"] = klr_multiply_many(ts[k], ts[k], one) - qel
         for l in range(1, n + 1):
             if l not in (k, k + 1):
                 out[f"tau_x_far_{k}_{l}"] = \
-                    prod(ts[k], xs[l]) - prod(xs[l], ts[k])
+                    klr_multiply_many(ts[k], xs[l], one) \
+                    - klr_multiply_many(xs[l], ts[k], one)
         delta = one if nu[k - 1] == nu[k] else KLRElement(ctx, n)
-        out[f"mixed_left_{k}"] = \
-            prod(ts[k], xs[k + 1]) - prod(xs[k], ts[k]) - delta
-        out[f"mixed_right_{k}"] = \
-            prod(xs[k + 1], ts[k]) - prod(ts[k], xs[k]) - delta
+        out[f"mixed_left_{k}"] = klr_multiply_many(ts[k], xs[k + 1], one) \
+            - klr_multiply_many(xs[k], ts[k], one) - delta
+        out[f"mixed_right_{k}"] = klr_multiply_many(xs[k + 1], ts[k], one) \
+            - klr_multiply_many(ts[k], xs[k], one) - delta
         for l in range(k + 2, n):
-            out[f"tau_far_{k}_{l}"] = prod(ts[k], ts[l]) - prod(ts[l], ts[k])
+            out[f"tau_far_{k}_{l}"] = \
+                klr_multiply_many(ts[k], ts[l], one) \
+                - klr_multiply_many(ts[l], ts[k], one)
     for k in range(1, n - 1):
-        lhs = prod(ts[k + 1], ts[k], ts[k + 1]) - prod(ts[k], ts[k + 1], ts[k])
+        lhs = klr_multiply_many(ts[k + 1], ts[k], ts[k + 1], one) \
+            - klr_multiply_many(ts[k], ts[k + 1], ts[k], one)
         if nu[k - 1] == nu[k + 1]:
             q = ctx.q_poly(nu[k - 1], nu[k])
             err = {}

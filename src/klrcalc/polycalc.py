@@ -79,9 +79,6 @@ class Perm:
         return sum(1 for a in range(len(im)) for b in range(a + 1, len(im))
                    if im[a] > im[b])
 
-    def is_identity(self):
-        return all(q == p for p, q in enumerate(self.images, start=1))
-
     def permute_tuple(self, t):
         """Left color word of tau_w 1_nu for w with word-permutation self:
         position self(r) carries the color of right position r."""

@@ -396,15 +396,6 @@ def quantum_factorial(k, d):
     return out
 
 
-def quantum_binomial(n, k, d):
-    """Quantum binomial [n choose k]_i via the factorial ratio."""
-    if not 0 <= k <= n:
-        raise ValueError(f"quantum binomial needs 0 <= k <= n, got ({n}, {k})")
-    num = quantum_factorial(n, d)
-    den = quantum_factorial(k, d) * quantum_factorial(n - k, d)
-    return num.exact_div(den)
-
-
 def zeta(k):
     """Number of ones in the binary expansion of k."""
     if k < 0:

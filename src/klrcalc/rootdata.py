@@ -106,9 +106,6 @@ class RootVector:
             out[lab] = out.get(lab, 0) + c
         return RootVector(out)
 
-    def get(self, i):
-        return self.coeffs.get(i, 0)
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

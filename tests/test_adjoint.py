@@ -16,6 +16,7 @@ from klrcalc import (
     KLRContext,
     KLRElement,
     LaurentPoly,
+    ProjComplex,
     RatFunc,
     RootVector,
     build_ad_complex,
@@ -32,7 +33,6 @@ from klrcalc import (
     series_window,
     serre_exactness_check,
     ses_identity_check,
-    tau_embed,
     underlying_degree,
 )
 from klrcalc import adjoint
@@ -68,6 +68,98 @@ def test_divided_complex_builds(n, m, ctx_a2, ctx_b2):
     for ctx in (ctx_a2, ctx_b2):
         cplx = build_divided_complex(n, ("j",) * m, "i", ctx)
         assert cplx.length() == n + 1
+
+
+def oracle_ad_complex_words(n, r):
+    """Differential words of the binomial complex, built by iterated cones.
+
+    Returns (subsets, entries): subsets[k] lists the k-subsets of {1..n};
+    entries maps (S, S') with S' = S minus one element to (sign, word),
+    where the word is a single ascending run in the ambient strand letters.
+    The recursion: the next complex is the cone of the crossing morphism
+    from (previous complex with an extra bottom strand, shifted) to
+    (previous complex with an extra top strand).  Subsets containing the
+    new index come from the bottom-strand copy, whose differential words
+    shift up by one and change sign; the connecting entries are the runs
+    moving the new top strand to the bottom.
+    """
+    entries = {}
+    for m in range(1, n + 1):
+        new = {}
+        for (S, Sp), (sign, word) in entries.items():
+            # bottom-strand copy: letters shift up, sign flips
+            new[(S + (m,), Sp + (m,))] = (-sign, tuple(l + 1 for l in word))
+            # top-strand copy: unchanged
+            new[(S, Sp)] = (sign, word)
+        # connecting morphism: remove the new index m
+        for k in range(m):
+            for S in itertools.combinations(range(1, m), k):
+                new[(S + (m,), S)] = (1, tuple(range(1, m + r)))
+        entries = new
+    subsets = [sorted(itertools.combinations(range(1, n + 1), k))
+               for k in range(n + 1)]
+    return subsets, entries
+
+
+@pytest.mark.parametrize("which", ["a2", "b2", "b2r", "g2"])
+def test_ad_complex_entries_match_iterated_cones(which, ctx_a2, ctx_b2,
+                                                 ctx_b2r, ctx_g2):
+    """For n <= 4 and every i/j word nu with |nu| <= 2, the closed-form
+    differential of the binomial complex has exactly the entries of the
+    iterated cones, each the oracle's +-tau_word 1_mu with mu the color
+    word of its target."""
+    ctx = {"a2": ctx_a2, "b2": ctx_b2, "b2r": ctx_b2r, "g2": ctx_g2}[which]
+    for n in range(1, 5):
+        for r in range(3):
+            subsets, entries = oracle_ad_complex_words(n, r)
+            for nu in itertools.product("ij", repeat=r):
+                cplx = build_ad_complex(n, nu, "i", ctx)
+                assert [len(col) for col in cplx.terms] == \
+                    [len(col) for col in subsets]
+                got = {(subsets[k][si], subsets[k - 1][ti]): z
+                       for k, dk in enumerate(cplx.diffs, start=1)
+                       for (si, ti), z in dk.items()}
+                assert got.keys() == entries.keys(), (n, nu)
+                pos_nu = tuple(reversed(nu))
+                for (S, Sp), (sign, word) in entries.items():
+                    k = len(Sp)
+                    mu = ("i",) * k + pos_nu + ("i",) * (n - k)
+                    want = KLRElement(ctx, n + r, _tau_word_times(
+                        ctx, word, KLRElement.idem(ctx, mu).terms, n + r))
+                    assert got[(S, Sp)] == (want if sign > 0 else -want), \
+                        (n, nu, S, Sp)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("negate", "square to zero"),
+    ("dot", "wrong degree"),
+    ("frame", "idempotent-framed"),
+    ("drop", "one differential per consecutive pair"),
+])
+def test_projcomplex_rejects_each_fault(fault, message, ctx_a2):
+    """Rebuilding a valid complex with one fault raises that fault's
+    ValueError: a negated d_2 entry breaks d^2 = 0, x_1 on the left of an
+    entry shifts its degree, 1_mu added to an entry leaves f_src H f_tgt,
+    and a missing differential leaves a pair of terms unconnected."""
+    cplx = build_ad_complex(2, ("j",), "i", ctx_a2)
+    terms, diffs = cplx.terms, cplx.diffs
+    ProjComplex(ctx_a2, terms, diffs)
+    (si, ti), z = next(iter(diffs[0].items()))
+    lam = terms[1][si].nu
+    if fault == "negate":
+        key, z2 = next(iter(diffs[1].items()))
+        diffs[1][key] = -z2
+    elif fault == "dot":
+        x1 = KLRElement.monomial(ctx_a2, lam, (), (1,) + (0,) * (len(lam) - 1))
+        diffs[0][(si, ti)] = klr_multiply(x1, z)
+    elif fault == "frame":
+        mu = next(mu for mu in sequences(RootVector.from_word(lam))
+                  if mu != lam)
+        diffs[0][(si, ti)] = z + KLRElement.idem(ctx_a2, mu)
+    else:
+        diffs = diffs[:1]
+    with pytest.raises(ValueError, match=message):
+        ProjComplex(ctx_a2, terms, diffs)
 
 
 def test_component_matrix_shapes_and_ranks(ctx_a2):
@@ -565,17 +657,7 @@ def test_dims_E_word_rows_times_denominator_are_coset_polynomials(
     assert dims_E_word(ctx_a2, ("i", "j"), -5).table == {}
 
 
-# -- the crossing embedding and quotient test ---------------------------
-
-
-def test_tau_embed_degree(ctx_a2, ctx_b2):
-    for ctx in (ctx_a2, ctx_b2):
-        for word in [("j",), ("j", "j"), ("i", "j")]:
-            beta = RootVector.from_word(word)
-            el = tau_embed(beta, "i", ctx)
-            dot = ctx.cartan.dot
-            expected = -sum(dot("i", c) * beta.get(c) for c in ("i", "j"))
-            assert el.degree() == expected
+# -- the quotient test ---------------------------------------------------
 
 
 def test_is_quotient_zero_examples(ctx_a2):

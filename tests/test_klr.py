@@ -87,7 +87,10 @@ def oracle_relation_residues(ctx, nu):
         return klr_generator(ctx, "tau", k, seqs)
 
     def prod(*els):
-        return klr_multiply_many(*els, KLRElement.idem(ctx, nu))
+        out = els[0]
+        for g in els[1:] + (KLRElement.idem(ctx, nu),):
+            out = klr_multiply(out, g)
+        return out
 
     out = {"idem_square": klr_multiply(one, one) - one}
     for mu in seqs:
@@ -144,6 +147,25 @@ def test_defining_relations_height_4_g2_match_left_fold():
         assert list(res) == list(oracle), nu
         assert res == oracle, nu
         assert all(r.is_zero() for r in res.values()), nu
+
+
+def test_multiply_many_folds_from_the_right(ctx_g2, monkeypatch):
+    """klr_multiply_many(t_1, t_2, t_1, 1_nu) multiplies onto 1_nu first:
+    every right operand of klr_multiply has right color word nu, and the
+    product equals the left fold."""
+    from klrcalc import klr
+    nu = ("i", "i", "j")
+    seqs = list(sequences(RootVector.from_word(nu)))
+    t1, t2 = (klr_generator(ctx_g2, "tau", k, seqs) for k in (1, 2))
+    one = KLRElement.idem(ctx_g2, nu)
+    left = klr_multiply(klr_multiply(klr_multiply(t1, t2), t1), one)
+    real = klr.klr_multiply
+    rights = []
+    monkeypatch.setattr(klr, "klr_multiply",
+                        lambda u, v: rights.append(v) or real(u, v))
+    assert klr_multiply_many(t1, t2, t1, one) == left
+    assert len(rights) == 3
+    assert all(key[0] == nu for v in rights for key in v.terms)
 
 
 # -- crossing polynomial ------------------------------------------------
@@ -562,7 +584,7 @@ def apply_moves(word, moves):
 
 def reduced_words(g):
     """Every reduced word of g, by peeling off left descents."""
-    if g.is_identity():
+    if g == Perm.identity(g.n):
         yield ()
         return
     for k in range(1, g.n):
@@ -575,7 +597,7 @@ def reduced_words(g):
 def random_reduced_word(rng, g):
     """A seeded random reduced word of g."""
     word = []
-    while not g.is_identity():
+    while g != Perm.identity(g.n):
         k = rng.choice([k for k in range(1, g.n)
                         if (Perm.s(k, g.n) * g).length() < g.length()])
         word.append(k)

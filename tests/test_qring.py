@@ -15,7 +15,6 @@ from klrcalc import (
     LaurentPoly,
     RatFunc,
     RootVector,
-    quantum_binomial,
     quantum_factorial,
     quantum_integer,
     sequences,
@@ -362,27 +361,6 @@ def test_quantum_factorial_recursion():
         for k in range(1, 6):
             acc = acc * quantum_integer(k, d)
             assert quantum_factorial(k, d) == acc
-
-
-def qbinom_subset_sum(n, k, d):
-    """q_i^{-k(n+1)} times the sum over k-subsets S of {1..n} of
-    q_i^{2 sum(S)}: an independent route to the quantum binomial."""
-    out = LaurentPoly()
-    for s in itertools.combinations(range(1, n + 1), k):
-        out = out + LaurentPoly({d * (2 * sum(s) - k * (n + 1)): 1})
-    return out
-
-
-def test_quantum_binomial_values_and_routes():
-    """The library's factorial ratio against the subset sum."""
-    assert quantum_binomial(4, 2, 1) == \
-        LaurentPoly({-4: 1, -2: 1, 0: 2, 2: 1, 4: 1})
-    for n in range(7):
-        for k in range(n + 1):
-            for d in (1, 2, 3):
-                a = quantum_binomial(n, k, d)
-                assert a == qbinom_subset_sum(n, k, d), (n, k, d)
-                assert quantum_binomial(n, n - k, d) == a
 
 
 def test_zeta_sigma():

@@ -57,7 +57,7 @@ def test_root_vectors():
     b = RootVector.from_word(("i", "j", "i"))
     assert b == RootVector({"i": 2, "j": 1})
     assert height(b) == 3
-    assert b.get("i") == 2 and b.get("j") == 1 and b.get("k") == 0
+    assert b.coeffs == {"i": 2, "j": 1}
     assert b + RootVector.simple("j") == RootVector({"i": 2, "j": 2})
     assert RootVector() == RootVector({})
     assert height(RootVector()) == 0
