@@ -8,19 +8,24 @@ a non-integral input or a true division, and every division goes
 through _div, so no coefficient is a float.  There is one product loop
 (_add_product, on dicts exponent -> coefficient), which LaurentPoly and
 the form layer share, and one long division of polynomials in q
-(_divmod), which exact_div and the gcd share.  hilbert_denominator
-builds D(beta) = prod (1 - q^{(c, c)}) over the letters c of a word, the
-denominator of the Hilbert series of R(beta) and of the word pairings.
+(_divmod), which exact_div and the gcd share: the gcd is Euclid on
+pseudo-remainders, the dividend scaled so that every step of _divmod
+divides ints exactly, so it stays in integer arithmetic.
+hilbert_denominator builds D(beta) = prod (1 - q^{(c, c)}) over the
+letters c of a word, the denominator of the Hilbert series of R(beta)
+and of the word pairings.
 
-Rational functions are gcd-reduced pairs of Laurent polynomials with
-the denominator normalized to lowest exponent 0 and leading coefficient
-1, so equal values have equal parts, equality is structural and values
-are safe to use as cache keys.
+Rational functions are pairs of Laurent polynomials divided by their
+primitive gcd (by Gauss's lemma both quotients of integer inputs are
+integral), with the denominator normalized to lowest exponent 0 and
+leading coefficient 1, so equal values have equal parts, equality is
+structural and values are safe to use as cache keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .polycalc import exact
 
@@ -192,6 +197,11 @@ def _divide_coeffs(p, c):
     return res
 
 
+def _all_int(p):
+    """Whether every coefficient of the dict p is an int."""
+    return all(type(c) is int for c in p.values())
+
+
 def _add_product(acc, a, b):
     """acc += a * b for sparse Laurent polynomials given as dicts
     exponent -> coefficient; acc drops the coefficients that cancel.  The
@@ -236,15 +246,35 @@ def _divmod(a, b):
     return quo, rem
 
 
+def _primitive(p):
+    """The primitive part of the nonzero polynomial p in q (a dict
+    exponent -> coefficient): p times the positive rational that makes
+    its coefficients coprime integers.  Fraction coefficients have their
+    denominators cleared here, once."""
+    if not _all_int(p):
+        den = lcm(*(c.denominator for c in p.values()))
+        p = {e: c.numerator * (den // c.denominator) for e, c in p.items()}
+    g = gcd(*p.values())
+    return {e: c // g for e, c in p.items()} if g != 1 else p
+
+
 def _poly_gcd(a, b):
-    """Monic gcd of two nonzero Laurent polynomials (up to units q^k):
-    Euclid over Q on the two shifted to lowest exponent 0."""
-    a = _lowered(a.coeffs, min(a.coeffs))
-    b = _lowered(b.coeffs, min(b.coeffs))
+    """The gcd of two nonzero Laurent polynomials (up to units q^k and
+    sign) as a primitive integer polynomial in q: coprime integer
+    coefficients, lowest exponent 0.  Euclid on pseudo-remainders: the
+    dividend is scaled by lead(b)^(deg a - deg b + 1), so every quotient
+    coefficient of _divmod is an exact int division, and each remainder
+    is replaced by its primitive part."""
+    a = _primitive(_lowered(a.coeffs, min(a.coeffs)))
+    b = _primitive(_lowered(b.coeffs, min(b.coeffs)))
+    if max(a) < max(b):
+        a, b = b, a
     while b:
-        _, r = _divmod(a, b)
-        a, b = b, _lowered(r, min(r)) if r else r
-    return _divide_coeffs(a, a[max(a)])
+        top = max(b)
+        scale = b[top] ** (max(a) - top + 1)
+        _, r = _divmod({e: c * scale for e, c in a.items()}, b)
+        a, b = b, _primitive(_lowered(r, min(r))) if r else r
+    return a
 
 
 def hilbert_denominator(cartan, word):
@@ -278,16 +308,22 @@ class RatFunc:
         if num.is_zero():
             self.num, self.den = LaurentPoly(), LaurentPoly.one()
             return
-        g = _poly_gcd(num, den)
-        if g != LaurentPoly.one():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        # normalize: den lowest exponent 0, leading (top) coefficient 1
+        # a single term c q^k is a unit times a scalar, so the gcd of a
+        # monomial and anything is 1; a primitive gcd other than +-1 has
+        # two terms or more
+        if len(num.coeffs) > 1 and len(den.coeffs) > 1:
+            g = _poly_gcd(num, den)
+            if len(g) > 1:
+                g = LaurentPoly(g)
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+        # normalize: den lowest exponent 0, leading (top) coefficient 1,
+        # and every integral coefficient an int
         k = den.min_exp()
         den = den.shift(-k)
         num = num.shift(-k)
         lead = den.coeffs[den.max_exp()]
-        if lead != 1:
+        if lead != 1 or not (_all_int(num.coeffs) and _all_int(den.coeffs)):
             den, num = (_divide_coeffs(den.coeffs, lead),
                         _divide_coeffs(num.coeffs, lead))
         self.num, self.den = num, den

@@ -4,9 +4,10 @@ combinatorics."""
 import itertools
 import signal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from klrcalc import (
@@ -22,6 +23,7 @@ from klrcalc import (
     sigma,
     zeta,
 )
+from klrcalc import qring
 from klrcalc.qring import _divmod, hilbert_denominator
 
 laurent_dicts = st.dictionaries(
@@ -327,6 +329,161 @@ def test_ratfunc_of_int_and_fraction_inputs_agree(a, b):
     assert r.num * lp(b) == lp(a) * r.den
     for x in (r.num, r.den, f.num, f.den):
         assert canonical_coeffs(x)
+
+
+def test_ratfunc_parts_store_integral_coefficients_as_int():
+    """LaurentPoly products keep an integral Fraction such as 3/2 * 2 as
+    it comes; the RatFunc normalisation stores it as an int."""
+    r = RatFunc(LaurentPoly({0: Fraction(3, 2), 1: 1})) * \
+        RatFunc(LaurentPoly({0: 2}))
+    assert r.num.coeffs == {0: 3, 1: 2} and all_int(r.num)
+    r = RatFunc(LaurentPoly({0: Fraction(6, 2)}),
+                LaurentPoly({0: Fraction(4, 4), 1: 1}))
+    assert r.num.coeffs == {0: 3} and all_int(r.num) and all_int(r.den)
+
+
+# -- RatFunc against Euclid over Q ------------------------------------------
+
+
+def euclid_over_q_parts(num, den):
+    """The parts of RatFunc(num, den) reduced by a monic gcd from Euclid
+    over Q, then normalized (den lowest exponent 0, leading coefficient
+    1) and stored canonically: the reduction that the pseudo-remainder
+    gcd replaced, kept here as the oracle."""
+    if num.is_zero():
+        return {}, {0: 1}
+    a = polynomial_in_q(num.coeffs)
+    b = polynomial_in_q(den.coeffs)
+    while b:
+        _, r = _divmod(a, b)
+        a, b = b, polynomial_in_q(r)
+    g = LaurentPoly({e: Fraction(c) / a[max(a)] for e, c in a.items()})
+    if g != LaurentPoly.one():
+        num, den = num.exact_div(g), den.exact_div(g)
+    k = den.min_exp()
+    num, den = num.shift(-k), den.shift(-k)
+    lead = Fraction(den.coeffs[den.max_exp()])
+    return (LaurentPoly({e: c / lead for e, c in num.coeffs.items()}).coeffs,
+            LaurentPoly({e: c / lead for e, c in den.coeffs.items()}).coeffs)
+
+
+def typed(p):
+    """The dict p with each coefficient paired with its type, so that
+    3 and Fraction(3, 1) differ."""
+    return {e: (c, type(c)) for e, c in p.items()}
+
+
+nonzero_dicts = st.one_of(laurent_dicts, fraction_dicts).filter(
+    lambda d: any(d.values()))
+monomial_dicts = st.tuples(
+    st.integers(min_value=-6, max_value=6),
+    st.one_of(st.integers(min_value=-9, max_value=9).filter(bool),
+              st.fractions(min_value=-9, max_value=9, max_denominator=6)
+              .filter(bool))).map(lambda t: {t[0]: t[1]})
+# D(beta)-shaped denominators: products of factors 1 - q^m
+dbeta = st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=1,
+                 max_size=4).map(
+    lambda ms: _product(LaurentPoly({0: 1, m: -1}) for m in ms))
+
+
+def _product(polys):
+    out = LaurentPoly.one()
+    for p in polys:
+        out = out * p
+    return out
+
+
+shared_factor_pairs = st.tuples(st.one_of(nonzero_dicts, monomial_dicts),
+                                nonzero_dicts, nonzero_dicts).map(
+    lambda t: (lp(t[0]) * lp(t[2]), lp(t[1]) * lp(t[2])))
+dbeta_pairs = st.tuples(st.one_of(nonzero_dicts, monomial_dicts),
+                        st.sampled_from(({0: 1, 1: 1}, {0: 1, 1: -1})),
+                        dbeta, st.integers(min_value=-3, max_value=3)).map(
+    lambda t: (lp(t[0]) * lp(t[1]), t[2].shift(t[3])))
+monomial_pairs = st.one_of(
+    st.tuples(monomial_dicts.map(lp), nonzero_dicts.map(lp)),
+    st.tuples(nonzero_dicts.map(lp), monomial_dicts.map(lp)))
+
+
+@settings(max_examples=300)
+@given(st.one_of(shared_factor_pairs, dbeta_pairs, monomial_pairs),
+       st.booleans(), st.booleans())
+@example((lp({0: 1, 1: 1}), lp({0: 1, 2: -1})), False, False)
+@example((lp({0: 2, 1: 2}), lp({0: 3, 2: -3})), False, True)
+@example((lp({0: 1, 3: -2}), lp({1: 3, 4: 5})), True, False)
+def test_ratfunc_matches_euclid_over_q(pair, neg_num, neg_den):
+    """RatFunc(num, den) has the parts of the Euclid-over-Q reduction,
+    value for value and type for type: on products with a shared factor,
+    D(beta)-shaped denominators over numerators with a factor 1 + q or
+    1 - q, Fraction coefficients, negative leads and monomials."""
+    num, den = pair
+    if neg_num:
+        num = -num
+    if neg_den:
+        den = -den
+    r = RatFunc(num, den)
+    want_num, want_den = euclid_over_q_parts(num, den)
+    assert typed(r.num.coeffs) == typed(want_num)
+    assert typed(r.den.coeffs) == typed(want_den)
+
+
+# -- integer work stays integral ------------------------------------------
+
+
+class DivTypes:
+    """Records the type of every quotient qring._div returns while
+    active."""
+
+    def __init__(self):
+        self.types = set()
+        self._div = qring._div
+
+    def _record(self, a, b):
+        out = self._div(a, b)
+        self.types.add(type(out))
+        return out
+
+    def __enter__(self):
+        self._patch = mock.patch.object(qring, "_div", self._record)
+        self._patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.stop()
+
+
+def test_word_pairings_divide_only_ints(cartan_a2, cartan_b2, cartan_b2r,
+                                        cartan_g2):
+    """Every division that GramCache.pair_words makes, over every word
+    pair of heights 3 and 4, is an int division with an int quotient."""
+    with DivTypes() as seen:
+        for cartan in (cartan_a2, cartan_b2, cartan_b2r, cartan_g2):
+            cache = GramCache(cartan)
+            for n in (3, 4):
+                for ni in range(n + 1):
+                    words = sequences(RootVector({"i": ni, "j": n - ni}))
+                    for u in words:
+                        for v in words:
+                            cache.pair_words(u, v)
+    assert seen.types == {int}
+
+
+@settings(max_examples=150)
+@given(laurent_dicts, laurent_dicts, laurent_dicts,
+       st.sampled_from((1, -1)))
+@example({0: 1, 2: 3}, {0: 1, 1: 1}, {0: 1, 1: 2}, 1)
+def test_ratfunc_of_integer_inputs_divides_only_ints(a, b, g, unit):
+    """RatFunc(a g, b g) with integer a, b, g and b of leading
+    coefficient +-1 divides only ints: the gcd's pseudo-remainders, the
+    division by the gcd and the division by the leading coefficient of
+    the reduced denominator are all exact."""
+    b = dict(b)
+    b[max(b, default=-1) + 1] = unit
+    g = lp(g) or lp({1: 3, 2: -2})
+    with DivTypes() as seen:
+        r = RatFunc(lp(a) * g, lp(b) * g)
+    assert seen.types <= {int}
+    assert all_int(r.num) and all_int(r.den)
 
 
 # -- degree windows -----------------------------------------------------
