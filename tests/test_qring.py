@@ -1,6 +1,7 @@
 """Exact Laurent polynomial / rational function arithmetic and quantum
 combinatorics."""
 
+import contextlib
 import itertools
 import signal
 from fractions import Fraction
@@ -342,7 +343,7 @@ def test_ratfunc_parts_store_integral_coefficients_as_int():
     assert r.num.coeffs == {0: 3} and all_int(r.num) and all_int(r.den)
 
 
-# -- RatFunc against Euclid over Q ------------------------------------------
+# -- RatFunc against Euclid over Q -------------------------------------
 
 
 def euclid_over_q_parts(num, den):
@@ -380,19 +381,19 @@ monomial_dicts = st.tuples(
     st.one_of(st.integers(min_value=-9, max_value=9).filter(bool),
               st.fractions(min_value=-9, max_value=9, max_denominator=6)
               .filter(bool))).map(lambda t: {t[0]: t[1]})
-# D(beta)-shaped denominators: products of factors 1 - q^m
-dbeta = st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=1,
-                 max_size=4).map(
-    lambda ms: _product(LaurentPoly({0: 1, m: -1}) for m in ms))
 
 
-def _product(polys):
+def product_of(polys):
     out = LaurentPoly.one()
     for p in polys:
         out = out * p
     return out
 
 
+# D(beta)-shaped denominators: products of factors 1 - q^m
+dbeta = st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=1,
+                 max_size=4).map(
+    lambda ms: product_of(LaurentPoly({0: 1, m: -1}) for m in ms))
 shared_factor_pairs = st.tuples(st.one_of(nonzero_dicts, monomial_dicts),
                                 nonzero_dicts, nonzero_dicts).map(
     lambda t: (lp(t[0]) * lp(t[2]), lp(t[1]) * lp(t[2])))
@@ -427,36 +428,30 @@ def test_ratfunc_matches_euclid_over_q(pair, neg_num, neg_den):
     assert typed(r.den.coeffs) == typed(want_den)
 
 
-# -- integer work stays integral ------------------------------------------
+# -- integer work stays integral ---------------------------------------
 
 
-class DivTypes:
-    """Records the type of every quotient qring._div returns while
-    active."""
+@contextlib.contextmanager
+def div_types():
+    """The set of the types of the quotients qring._div returns inside the
+    with block."""
+    types = set()
+    div = qring._div
 
-    def __init__(self):
-        self.types = set()
-        self._div = qring._div
-
-    def _record(self, a, b):
-        out = self._div(a, b)
-        self.types.add(type(out))
+    def recording(a, b):
+        out = div(a, b)
+        types.add(type(out))
         return out
 
-    def __enter__(self):
-        self._patch = mock.patch.object(qring, "_div", self._record)
-        self._patch.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._patch.stop()
+    with mock.patch.object(qring, "_div", recording):
+        yield types
 
 
 def test_word_pairings_divide_only_ints(cartan_a2, cartan_b2, cartan_b2r,
                                         cartan_g2):
     """Every division that GramCache.pair_words makes, over every word
     pair of heights 3 and 4, is an int division with an int quotient."""
-    with DivTypes() as seen:
+    with div_types() as seen:
         for cartan in (cartan_a2, cartan_b2, cartan_b2r, cartan_g2):
             cache = GramCache(cartan)
             for n in (3, 4):
@@ -465,7 +460,7 @@ def test_word_pairings_divide_only_ints(cartan_a2, cartan_b2, cartan_b2r,
                     for u in words:
                         for v in words:
                             cache.pair_words(u, v)
-    assert seen.types == {int}
+    assert seen == {int}
 
 
 @settings(max_examples=150)
@@ -480,9 +475,9 @@ def test_ratfunc_of_integer_inputs_divides_only_ints(a, b, g, unit):
     b = dict(b)
     b[max(b, default=-1) + 1] = unit
     g = lp(g) or lp({1: 3, 2: -2})
-    with DivTypes() as seen:
+    with div_types() as seen:
         r = RatFunc(lp(a) * g, lp(b) * g)
-    assert seen.types <= {int}
+    assert seen <= {int}
     assert all_int(r.num) and all_int(r.den)
 
 
