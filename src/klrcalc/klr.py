@@ -19,14 +19,13 @@ emit polynomial error terms - or split off tau_k^2 = Q(x_k, x_{k+1}).
 Every error term strictly drops the crossing count, so the rewriting
 terminates; results are memoized on the context.
 
-A reduced word is rewritten into another one of the same permutation
-along a path of commute and braid moves built in closed form
-(KLRContext.move_path): each word is taken to the canonical word by
-inserting its letters right to left, one letter costing O(n^2) moves
-however many reduced words the permutation has, and the second word's
-path is run backwards.  The moves of each word are memoized on the
-context, and a new word's moves extend those of its suffix one letter
-shorter by a single insertion (KLRContext.word_moves).
+Every product tau_k tau_w 1_nu with w canonical is one letter insertion.
+When k lengthens w, the word (k,) + w is taken to the canonical word of
+s_k w along commute and braid moves built in closed form from the runs
+of w (_insertion_moves), O(n^2) moves however many reduced words the
+permutation has.  When k is a descent, v = canon(s_k w) is the shorter
+word, the insertion of k into v gives tau_k tau_v = tau_w + E, and
+tau_k tau_w = Q(x_k, x_{k+1}) tau_v - tau_k E.
 """
 
 from __future__ import annotations
@@ -66,19 +65,30 @@ class KLRContext:
     def __init__(self, cartan, q_config=None):
         self.cartan = cartan
         self.q_config = q_config or {}
-        self._validate_q_config()
+        units, extra = self._validate_q_config()
         self._qpolys = {}
+        for i in cartan.index_set:
+            for j in cartan.index_set:
+                terms = {} if i == j else {
+                    (-cartan.cartan(i, j), 0): units.get((i, j), 1),
+                    (0, -cartan.cartan(j, i)): units.get((j, i), 1),
+                    **extra.get((i, j), {})}
+                self._qpolys[i, j] = Poly(2, terms)
         self._canon = {}
         self._perm_of_word = {}
         self._mult_tau = {}
-        self._nf_reduced = {}
-        self._moves = {}
         self._exp_vectors = {}
         self._pbw_cosets = {}
 
     # -- configuration -----------------------------------------------------
 
     def _validate_q_config(self):
+        """The units and extra terms of q_config, validated: units
+        {(i, j): t_(i,j)} and extra terms {(i, j): {(s, t): c}}, the
+        terms of each entry also stored mirrored under (j, i), since
+        Q_{i,j}(u, v) = Q_{j,i}(v, u); when both orders are given they
+        must agree."""
+        units, extra = {}, {}
         for (i, j), cfg in self.q_config.items():
             self.cartan.check_index(i)
             self.cartan.check_index(j)
@@ -87,6 +97,7 @@ class KLRContext:
             t = _q_scalar(cfg.get("t", 1), f"unit t_({i},{j})")
             if t == 0:
                 raise ValueError(f"unit t_({i},{j}) must be invertible, got 0")
+            units[i, j] = t
             di, dj = self.cartan.d(i), self.cartan.d(j)
             target = -self.cartan.dot(i, j)
             for s, tt, coeff in cfg.get("terms", ()):
@@ -99,40 +110,21 @@ class KLRContext:
                 if di * s + dj * tt != target:
                     raise ValueError(
                         f"extra Q term u^{s}v^{tt} for ({i},{j}) breaks homogeneity")
-        # q_poly reads the extra terms of Q_{i,j} from the (i,j) entry, or
-        # mirrors the (j,i) entry; when both are given they must agree
-        for (i, j), cfg in self.q_config.items():
-            other = self.q_config.get((j, i), {}).get("terms")
-            if cfg.get("terms") and other and (
-                    _q_terms(cfg["terms"])
-                    != {(tt, s): c for (s, tt), c in _q_terms(other).items()}):
+            if not cfg.get("terms"):
+                continue
+            terms = _q_terms(cfg["terms"])
+            mirrored = {(tt, s): c for (s, tt), c in terms.items()}
+            if extra.setdefault((i, j), terms) != terms or \
+                    extra.setdefault((j, i), mirrored) != mirrored:
                 raise ValueError(
                     f"extra Q terms for ({i},{j}) and ({j},{i}) are not "
                     f"mirror images, so Q_{{{i},{j}}}(u,v) != "
                     f"Q_{{{j},{i}}}(v,u)")
+        return units, extra
 
     def q_poly(self, i, j):
         """Q_{i,j}(u, v) as a Poly in two variables (u = x_1, v = x_2)."""
-        key = (i, j)
-        if key in self._qpolys:
-            return self._qpolys[key]
-        if i == j:
-            p = Poly.zero(2)
-        else:
-            cij = self.cartan.cartan(i, j)
-            cji = self.cartan.cartan(j, i)
-            tij = exact(self.q_config.get((i, j), {}).get("t", 1))
-            tji = exact(self.q_config.get((j, i), {}).get("t", 1))
-            p = Poly(2, {(-cij, 0): tij, (0, -cji): tji})
-            # extra middle terms; the (j,i) block mirrors via Q_{i,j}(u,v)=Q_{j,i}(v,u)
-            seen = self.q_config.get((i, j), {}).get("terms", ())
-            mirrored = [(tt, s, c) for s, tt, c in
-                        self.q_config.get((j, i), {}).get("terms", ())]
-            terms = list(seen) or mirrored
-            for s, tt, c in terms:
-                p = p + Poly(2, {(s, tt): c})
-        self._qpolys[key] = p
-        return p
+        return self._qpolys[i, j]
 
     # -- word caches -------------------------------------------------------
 
@@ -206,60 +198,6 @@ class KLRContext:
             row[deg] = row.get(deg, 0) + 1
         return out
 
-    def move_path(self, src, dst):
-        """Coxeter moves that turn the reduced word src into dst, a reduced
-        word of the same permutation, built in closed form (no search).
-
-        Moves: ('c', p) swaps commuting letters at positions p, p+1;
-        ('b', p) applies the braid move to the triple at p, p+1, p+2.
-        Every move is its own inverse, so the path is src's moves to the
-        canonical word followed by dst's in reverse (see _canon_moves),
-        both read from the per-word memo (word_moves).  In products one
-        of the two words is canonical, so the path is one letter
-        insertion or its reverse.  Raises ValueError when a word is not
-        reduced or the two words belong to different permutations.
-        """
-        to_src, runs_src = self.word_moves(src)
-        to_dst, runs_dst = self.word_moves(dst)
-        if runs_src != runs_dst:
-            raise ValueError(
-                f"{src} and {dst} are not words of the same permutation")
-        return to_src + to_dst[::-1]
-
-    def word_moves(self, word):
-        """_canon_moves(word) as a pair of tuples, memoized per word.  A new
-        word's entry is built from the entry of its one-letter-shorter
-        suffix word[1:]: the suffix's moves shifted one position right,
-        then the insertion of the letter word[0]."""
-        out = self._moves.get(word)
-        if out is None:
-            if not word:
-                out = ((), (0, 0))
-            else:
-                moves, runs = self.word_moves(word[1:])
-                moves = [(m, p + 1) for m, p in moves]
-                size = list(runs)
-                size += [0] * (word[0] + 2 - len(size))
-                _insert_letter(word, 0, size, moves)
-                out = (tuple(moves), tuple(size))
-            self._moves[word] = out
-        return out
-
-
-def _canon_moves(word):
-    """Coxeter moves from a reduced word to its canonical word, and the
-    lengths of that word's runs.
-
-    The canonical word is R_2 R_3 ... R_n with R_m = (m-1, ..., r_m)
-    (empty when r_m = m).  Letters are inserted right to left into the
-    canonical word of the suffix after them (see _insert_letter).
-    """
-    size = [0] * (max(word, default=0) + 2)     # size[m] = len(R_m)
-    moves = []
-    for base in range(len(word) - 1, -1, -1):
-        _insert_letter(word, base, size, moves)
-    return moves, size
-
 
 def _insert_letter(word, base, size, moves):
     """Append to moves the Coxeter moves that put the letter k = word[base]
@@ -290,6 +228,29 @@ def _insert_letter(word, base, size, moves):
         moves.append(("b", q))
         moves += [("c", p) for p in range(q - 1, p0 + t - 1, -1)]
     size[k], size[k + 1] = k - b + 1, k + 1 - a
+
+
+def _insertion_moves(word):
+    """The Coxeter moves that turn word = (k,) + w, w a canonical word,
+    into the canonical word of s_k w.
+
+    Moves: ('c', p) swaps commuting letters at positions p, p+1;
+    ('b', p) applies the braid move to the triple at p, p+1, p+2.  The
+    canonical word is R_2 R_3 ... R_n with R_m = (m-1, ..., r_m) (empty
+    when r_m = m), so the nonempty R_m are the maximal runs of w falling
+    by one, R_m the one that starts with m-1; the moves are one letter
+    insertion (_insert_letter) into those runs.  Raises ValueError when
+    k does not lengthen w.
+    """
+    size = [0] * (max(word) + 2)    # size[m] = len(R_m)
+    m = 0
+    for p in range(1, len(word)):
+        if p == 1 or word[p] != word[p - 1] - 1:
+            m = word[p] + 1
+        size[m] += 1
+    moves = []
+    _insert_letter(word, 0, size, moves)
+    return moves
 
 
 class KLRElement:
@@ -519,41 +480,25 @@ def _mult_tau_word(ctx, k, word, nu, n):
     g = ctx.word_perm(word, n)
     if g.images.index(k) < g.images.index(k + 1):
         # s_k g is longer than g
-        res = _nf_reduced(ctx, (k,) + word, nu, n)
+        res = _insert(ctx, k, word, nu, n)
     else:
-        # word has a reduced expression starting with k
+        # inserting k into v = canon(s_k g) gives tau_k tau_v = tau_word + E,
+        # so tau_k tau_word = Q(x_k, x_{k+1}) tau_v - tau_k E
         v = ctx.canon(Perm.s(k, n) * g)
-        target = (k,) + v
-        corr = _rewrite_word(ctx, word, target, nu, n)
-        acc = {}
-        # tau_k tau_k tau_v 1_nu = Q(x_k, x_{k+1}) tau_v 1_nu
-        gv = ctx.word_perm(v, n)
-        rho = gv.permute_tuple(nu)
+        main = (nu, word, (0,) * n)
+        res = {}
+        rho = ctx.word_perm(v, n).permute_tuple(nu)
         if rho[k - 1] != rho[k]:
             qp = ctx.q_poly(rho[k - 1], rho[k])
             qn = qp.subst_vars({1: k, 2: k + 1}, n)
-            _mult_poly_terms(qn.terms, {(nu, v, (0,) * n): 1}, acc)
-        if corr:
-            for key, cc in _tau_times_element(ctx, k, corr, n).items():
-                _add_term(acc, key, cc)
-        res = acc
+            _mult_poly_terms(qn.terms, {(nu, v, (0,) * n): 1}, res)
+        err = {key: -c for key, c in _mult_tau_word(ctx, k, v, nu, n).items()
+               if key != main}
+        if err:
+            for key, c in _tau_times_element(ctx, k, err, n).items():
+                _add_term(res, key, c)
     ctx._mult_tau[ck] = res
     return res
-
-
-def _nf_reduced(ctx, word, nu, n):
-    """Normal form of tau_word 1_nu for an arbitrary reduced word."""
-    ck = (word, nu)
-    hit = ctx._nf_reduced.get(ck)
-    if hit is not None:
-        return hit
-    target = ctx.canon(ctx.word_perm(word, n))
-    acc = {(nu, target, (0,) * n): 1}
-    corr = _rewrite_word(ctx, word, target, nu, n)
-    for key, c in corr.items():
-        _add_term(acc, key, c)
-    ctx._nf_reduced[ck] = acc
-    return acc
 
 
 def _tau_word_times(ctx, word, terms, n):
@@ -567,11 +512,17 @@ def _tau_word_times(ctx, word, terms, n):
     return terms
 
 
-def _rewrite_word(ctx, src, dst, nu, n):
-    """Error terms E with tau_src 1_nu = tau_dst 1_nu + E, in normal form."""
+def _insert(ctx, k, word, nu, n):
+    """Normal form of tau_k * (tau_word 1_nu) for a canonical word that k
+    lengthens: the walk along _insertion_moves((k,) + word) to the
+    canonical word of s_k w, where each braid move whose outer strands
+    have equal colours emits a polynomial error term, plus the main term
+    tau_{canon(s_k w)} 1_nu.  Raises RuntimeError when the walk does not
+    end on that word."""
     acc = {}
-    cur = src
-    for move, p in ctx.move_path(src, dst):
+    cur = (k,) + word
+    target = ctx.canon(ctx.word_perm(cur, n))
+    for move, p in _insertion_moves(cur):
         if move == "c":
             cur = cur[:p] + (cur[p + 1], cur[p]) + cur[p + 2:]
             continue
@@ -591,14 +542,15 @@ def _rewrite_word(ctx, src, dst, nu, n):
         perr = demazure(c0, c0 + 2, qn)
         if perr.is_zero():
             continue
-        tail = _nf_reduced(ctx, suffix, nu, n)
+        tail = _tau_word_times(ctx, suffix, {(nu, (), (0,) * n): 1}, n)
         mid = {}
         _mult_poly_terms(perr.terms, tail, mid, scale=sign)
         mid = _tau_word_times(ctx, prefix, mid, n)
         for key, cc in mid.items():
             _add_term(acc, key, cc)
-    if cur != dst:
-        raise RuntimeError("move path did not land on the target word")
+    if cur != target:
+        raise RuntimeError("insertion did not land on the canonical word")
+    _add_term(acc, (nu, target, (0,) * n), 1)
     return acc
 
 

@@ -1,7 +1,7 @@
 """Exact arithmetic in Z[q, q^-1] and Q(q), plus quantum combinatorics.
 
 Laurent polynomials are sparse maps exponent -> coefficient with no
-stored zero coefficients.  The constructor, scalar products and every
+stored zero coefficients.  The constructor, sums, products and every
 division store an integral coefficient as an int (polycalc.exact), so
 integer data stays in integer arithmetic; a Fraction comes in only from
 a non-integral input or a true division, and every division goes
@@ -102,9 +102,7 @@ class LaurentPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = out
-        return res
+        return _from_result(out, self.coeffs, other.coeffs)
 
     def __neg__(self):
         res = LaurentPoly.__new__(LaurentPoly)
@@ -125,9 +123,7 @@ class LaurentPoly:
             return res
         out = {}
         _add_product(out, self.coeffs, other.coeffs)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = out
-        return res
+        return _from_result(out, self.coeffs, other.coeffs)
 
     __rmul__ = __mul__
 
@@ -200,6 +196,18 @@ def _divide_coeffs(p, c):
 def _all_int(p):
     """Whether every coefficient of the dict p is an int."""
     return all(type(c) is int for c in p.values())
+
+
+def _from_result(out, a, b):
+    """The Laurent polynomial of the dict out, a sum or product of the
+    dicts a and b.  Ints add and multiply to ints, so only when an operand
+    holds a Fraction is each integral coefficient of out stored as an
+    int."""
+    if not (_all_int(a) and _all_int(b)):
+        out = {e: exact(c) for e, c in out.items()}
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.coeffs = out
+    return res
 
 
 def _add_product(acc, a, b):

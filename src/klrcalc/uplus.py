@@ -223,10 +223,11 @@ def ad_e_divided(n, i, v, cartan):
     i^{n-k} u i^k gets c_u (-1)^k q_i^{k(n-1+w)} / ([n-k]_i! [k]_i!)."""
     di = cartan.d(i)
     w = pairing(cartan, i, v.beta)
+    facts = [quantum_factorial(k, di) for k in range(n + 1)]
     out = {}
     for k in range(n + 1):
         c = RatFunc(LaurentPoly({di * k * (n - 1 + w): (-1) ** k}),
-                    quantum_factorial(n - k, di) * quantum_factorial(k, di))
+                    facts[n - k] * facts[k])
         for u, cu in v.terms.items():
             word = (i,) * (n - k) + u + (i,) * k
             out[word] = out[word] + cu * c if word in out else cu * c

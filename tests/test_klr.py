@@ -32,7 +32,8 @@ from klrcalc import (
     sequences,
     tau_word_degree,
 )
-from klrcalc.klr import _canon_moves, _poly_on_strands
+from klrcalc import klr
+from klrcalc.klr import _insert_letter, _insertion_moves, _poly_on_strands
 from klrcalc.polycalc import all_perms, canonical_word
 
 from conftest import A2_DOT, B2R_DOT, G2_DOT, HALF_UNITS, make_cartan
@@ -153,7 +154,6 @@ def test_multiply_many_folds_from_the_right(ctx_g2, monkeypatch):
     """klr_multiply_many(t_1, t_2, t_1, 1_nu) multiplies onto 1_nu first:
     every right operand of klr_multiply has right color word nu, and the
     product equals the left fold."""
-    from klrcalc import klr
     nu = ("i", "i", "j")
     seqs = list(sequences(RootVector.from_word(nu)))
     t1, t2 = (klr_generator(ctx_g2, "tau", k, seqs) for k in (1, 2))
@@ -188,7 +188,8 @@ def test_q_poly_basics(ctx_a2, ctx_b2):
 def test_q_terms_of_both_orders_must_mirror():
     """Extra Q terms given for both (i,j) and (j,i) must be mirror images,
     so that Q_{i,j}(u,v) = Q_{j,i}(v,u); mirror images are accepted, in any
-    order and split, and give that identity."""
+    order and split, and give that identity, as do terms given for (i,j)
+    alone."""
     cartan = make_cartan([[2, -4], [-4, 2]])
     with pytest.raises(ValueError, match="not mirror images"):
         KLRContext(cartan, {("i", "j"): {"terms": [[1, 3, 1]]},
@@ -202,6 +203,9 @@ def test_q_terms_of_both_orders_must_mirror():
     q, qr = ctx.q_poly("i", "j"), ctx.q_poly("j", "i")
     assert q.terms == {(4, 0): 1, (0, 4): 1, (1, 3): 1, (2, 2): 5}
     assert {(b, a): c for (a, b), c in qr.terms.items()} == q.terms
+    one = KLRContext(cartan, {("i", "j"): {"terms": [[1, 3, 1], [2, 2, 5]]}})
+    assert one.q_poly("i", "j").terms == q.terms
+    assert one.q_poly("j", "i").terms == qr.terms
 
 
 # -- normal form / basis ------------------------------------------------
@@ -317,7 +321,6 @@ def test_pbw_cosets_match_brute_force(ctx_a2, ctx_b2, ctx_g2):
 
 def test_graded_basis_reuses_the_coset_table(cartan_a2, monkeypatch):
     """Only the first graded_basis call on a colour word enumerates S_n."""
-    from klrcalc import klr
     calls = []
     real = klr.all_perms
     monkeypatch.setattr(klr, "all_perms", lambda n: calls.append(n) or real(n))
@@ -617,7 +620,7 @@ def word_moves(w):
 
 def oracle_move_path(src, dst):
     """A shortest move path, found by breadth-first search over the
-    reduced words of the permutation: the oracle for KLRContext.move_path."""
+    reduced words of the permutation."""
     seen = {src: None}
     queue = deque([src])
     while queue:
@@ -635,10 +638,39 @@ def oracle_move_path(src, dst):
     raise RuntimeError(f"no move path between {src} and {dst}")
 
 
+def oracle_insertion_moves(word):
+    """A shortest move path from a reduced word to its canonical word: the
+    oracle for klr._insertion_moves."""
+    return oracle_move_path(
+        word, canonical_word(perm_of_word(word, max(word) + 1)))
+
+
+def _canon_moves(word):
+    """Coxeter moves from a reduced word to its canonical word, and the
+    lengths of that word's runs: its letters inserted right to left, each
+    into the canonical word of the suffix after it (klr._insert_letter)."""
+    size = [0] * (max(word, default=0) + 2)     # size[m] = len(R_m)
+    moves = []
+    for base in range(len(word) - 1, -1, -1):
+        _insert_letter(word, base, size, moves)
+    return moves, size
+
+
+def _insertions(max_n):
+    """(k, g, canonical word of g, whether k lengthens g) for every letter
+    k of S_n, n <= max_n."""
+    for n in range(1, max_n + 1):
+        for g in all_perms(n):
+            canon = canonical_word(g)
+            for k in range(1, n):
+                yield k, g, canon, (Perm.s(k, n) * g).length() > g.length()
+
+
 def test_move_paths_are_legal_and_canonical():
     """Every reduced word in S_n, n <= 5, reaches its canonical word by
-    legal moves; a letter that is not an ascent raises ValueError; and
-    move_path joins seeded pairs of reduced words in S_6."""
+    the legal moves of _canon_moves, and every insertion of a letter k
+    that lengthens g in S_n, n <= 6, lands on the canonical word of s_k g
+    by legal moves."""
     words = 0
     for n in range(1, 6):
         for g in all_perms(n):
@@ -647,64 +679,56 @@ def test_move_paths_are_legal_and_canonical():
                 moves, _ = _canon_moves(w)
                 assert apply_moves(w, moves) == canon, w
                 words += 1
-            for k in range(1, n):
-                if (Perm.s(k, n) * g).length() > g.length():
-                    moves, _ = _canon_moves((k,) + canon)
-                    assert apply_moves((k,) + canon, moves) == \
-                        canonical_word(Perm.s(k, n) * g)
-                else:
-                    with pytest.raises(ValueError):
-                        _canon_moves((k,) + canon)
     assert words == 3137
-    ctx = KLRContext(make_cartan(A2_DOT))
-    rng = random.Random(61)
-    perms = list(all_perms(6))
-    for _ in range(300):
-        g = rng.choice(perms)
-        src, dst = random_reduced_word(rng, g), random_reduced_word(rng, g)
-        assert apply_moves(src, ctx.move_path(src, dst)) == dst, (src, dst)
+    ascents = 0
+    for k, g, canon, ascent in _insertions(6):
+        if ascent:
+            assert apply_moves((k,) + canon, _insertion_moves((k,) + canon)) \
+                == canonical_word(Perm.s(k, g.n) * g), (k, canon)
+            ascents += 1
+    assert ascents == 2083
 
 
-def test_move_path_rejects_bad_words(ctx_a2):
+def test_move_path_rejects_bad_words():
+    """_insertion_moves raises ValueError on every letter k that does not
+    lengthen g in S_n, n <= 6, and on a letter 0; _canon_moves raises it
+    on words that are not reduced."""
+    descents = 0
+    for k, g, canon, ascent in _insertions(6):
+        if not ascent:
+            with pytest.raises(ValueError):
+                _insertion_moves((k,) + canon)
+            descents += 1
+    assert descents == 2083
+    for word in ((0,), (0, 1)):
+        with pytest.raises(ValueError):
+            _insertion_moves(word)
     for word in ((1, 1), (1, 2, 1, 2), (2, 3, 1, 2, 1, 2), (0,), (1, -1)):
         with pytest.raises(ValueError):
             _canon_moves(word)
-    with pytest.raises(ValueError):
-        ctx_a2.move_path((1, 2), (2, 1))
-    with pytest.raises(ValueError):
-        ctx_a2.move_path((1, 3), (1, 2))
 
 
-def test_word_move_memo_matches_canon_moves():
-    """The per-word memo, built from each word's one-letter-shorter
-    suffix, equals _canon_moves on every reduced word of S_n, n <= 5, and
-    on every one-letter extension of it: the same moves and runs, or a
-    ValueError from both.  Bad words raise through move_path too."""
+def test_insertion_moves_match_canon_moves():
+    """The moves built from the runs of a canonical word are those of the
+    letter-by-letter reference, on every insertion in S_n, n <= 6."""
+    for k, _, canon, ascent in _insertions(6):
+        if ascent:
+            assert _insertion_moves((k,) + canon) == \
+                _canon_moves((k,) + canon)[0], (k, canon)
+
+
+def test_insertion_must_land_on_the_canonical_word(monkeypatch):
+    """A move path cut short leaves the walk off the canonical word, and
+    the product raises rather than store a word that is not canonical."""
     ctx = KLRContext(make_cartan(A2_DOT))
-    words = extended = 0
-    for n in range(1, 6):
-        for g in all_perms(n):
-            for w in reduced_words(g):
-                moves, runs = _canon_moves(w)
-                assert ctx.word_moves(w) == (tuple(moves), tuple(runs)), w
-                words += 1
-                for k in range(1, n):
-                    try:
-                        moves, runs = _canon_moves((k,) + w)
-                    except ValueError:
-                        with pytest.raises(ValueError):
-                            ctx.word_moves((k,) + w)
-                        continue
-                    assert ctx.word_moves((k,) + w) == \
-                        (tuple(moves), tuple(runs)), (k, w)
-                    extended += 1
-    assert words == 3137
-    assert extended > 0
-    for word in ((1, 1), (1, 2, 1, 2), (2, 3, 1, 2, 1, 2), (0,), (1, -1)):
-        with pytest.raises(ValueError):
-            ctx.move_path(word, word)
-        with pytest.raises(ValueError):
-            ctx.move_path((), word)
+    real = klr._insertion_moves
+    monkeypatch.setattr(klr, "_insertion_moves",
+                        lambda word: real(word)[:-1])
+    nu = ("i", "i", "i")
+    # (2, 1, 2) needs a braid move to reach the canonical word (1, 2, 1)
+    with pytest.raises(RuntimeError):
+        klr_multiply(KLRElement.monomial(ctx, nu, (2,), (0, 0, 0)),
+                     KLRElement.monomial(ctx, nu, (1, 2), (0, 0, 0)))
 
 
 def oracle_canonical_word(g):
@@ -726,12 +750,6 @@ def test_canonical_word_matches_recursive_oracle():
             assert canonical_word(g) == oracle_canonical_word(g), g
             count += 1
     assert count == sum(math.factorial(n) for n in range(8))
-
-
-def _oracle_context(dot, monkeypatch):
-    ctx = KLRContext(make_cartan(dot))
-    monkeypatch.setattr(ctx, "move_path", oracle_move_path)
-    return ctx
 
 
 def _tau_times_monomials(ctx, n):
@@ -775,11 +793,12 @@ def test_constructive_paths_match_bfs_oracle(dot, monkeypatch):
     """Normal forms computed along the constructive move paths equal those
     computed along the breadth-first oracle's paths, on fresh contexts."""
     ctx = KLRContext(make_cartan(dot))
-    oracle = _oracle_context(dot, monkeypatch)
-    for n in range(2, 5):
-        assert _tau_times_monomials(ctx, n) == _tau_times_monomials(oracle, n)
-    assert _random_monomial_products(ctx, 5, 30, seed=5) == \
-        _random_monomial_products(oracle, 5, 30, seed=5)
+    expected = ([_tau_times_monomials(ctx, n) for n in range(2, 5)],
+                _random_monomial_products(ctx, 5, 30, seed=5))
+    monkeypatch.setattr(klr, "_insertion_moves", oracle_insertion_moves)
+    oracle = KLRContext(make_cartan(dot))
+    assert ([_tau_times_monomials(oracle, n) for n in range(2, 5)],
+            _random_monomial_products(oracle, 5, 30, seed=5)) == expected
 
 
 @pytest.mark.parametrize("dot", [B2R_DOT, G2_DOT], ids=["b2r", "g2"])
@@ -847,13 +866,14 @@ def test_tau_w0_on_six_strands_matches_bfs_oracle(monkeypatch):
     """The ascending-run word of w0 and seeded random reduced words of w0
     (whose braid moves emit error terms) on six alternating strands."""
     ctx = KLRContext(make_cartan(A2_DOT))
-    oracle = _oracle_context(A2_DOT, monkeypatch)
     nu = _alternating(6)
     rng = random.Random(3)
     w0 = perm_of_word(_ascending_runs(6), 6)
     words = [_ascending_runs(6)] + [random_reduced_word(rng, w0)
                                     for _ in range(5)]
     results = [_tau_letter_by_letter(ctx, nu, w) for w in words]
+    monkeypatch.setattr(klr, "_insertion_moves", oracle_insertion_moves)
+    oracle = KLRContext(make_cartan(A2_DOT))
     assert results == [_tau_letter_by_letter(oracle, nu, w) for w in words]
     assert max(len(el.terms) for el in results) > 1
 
@@ -941,10 +961,9 @@ def test_default_units_keep_int_coefficients(dot):
             assert res.is_zero(), (nu, name)
     for i, j in itertools.product("ij", repeat=2):
         _assert_int_coefficients(ctx.q_poly(i, j).terms, (i, j))
-    for memo in (ctx._mult_tau, ctx._nf_reduced):
-        assert memo
-        for key, terms in memo.items():
-            _assert_int_coefficients(terms, key)
+    assert ctx._mult_tau
+    for key, terms in ctx._mult_tau.items():
+        _assert_int_coefficients(terms, key)
     for u, v, w in _random_triples(ctx, 20, seed=17):
         _assert_int_coefficients(klr_multiply(klr_multiply(u, v), w).terms,
                                  (u, v, w))

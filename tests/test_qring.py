@@ -333,14 +333,32 @@ def test_ratfunc_of_int_and_fraction_inputs_agree(a, b):
 
 
 def test_ratfunc_parts_store_integral_coefficients_as_int():
-    """LaurentPoly products keep an integral Fraction such as 3/2 * 2 as
-    it comes; the RatFunc normalisation stores it as an int."""
+    """The RatFunc normalisation stores an integral coefficient of its
+    parts as an int."""
     r = RatFunc(LaurentPoly({0: Fraction(3, 2), 1: 1})) * \
         RatFunc(LaurentPoly({0: 2}))
     assert r.num.coeffs == {0: 3, 1: 2} and all_int(r.num)
     r = RatFunc(LaurentPoly({0: Fraction(6, 2)}),
                 LaurentPoly({0: Fraction(4, 4), 1: 1}))
     assert r.num.coeffs == {0: 3} and all_int(r.num) and all_int(r.den)
+
+
+def test_laurent_arithmetic_stores_integral_coefficients_as_int():
+    """A sum, difference or product of Laurent polynomials with Fraction
+    coefficients stores an integral coefficient such as 3/2 * 2 as an int
+    and keeps a non-integral one as a Fraction."""
+    half = LaurentPoly({0: Fraction(3, 2), 1: Fraction(1, 3)})
+    third = Fraction(2, 3)
+    for r, expected in (
+            (half * LaurentPoly({0: 2}), {0: 3, 1: third}),
+            (half * LaurentPoly({0: 6}), {0: 9, 1: 2}),
+            (half + half, {0: 3, 1: third}),
+            (half - LaurentPoly({0: Fraction(-1, 2), 1: Fraction(1, 3)}),
+             {0: 2}),
+            (LaurentPoly({0: 1, 1: third}) + half, {0: Fraction(5, 2), 1: 1})):
+        assert r.coeffs == expected
+        assert {e: type(c) for e, c in r.coeffs.items()} == \
+            {e: type(c) for e, c in expected.items()}, r.coeffs
 
 
 # -- RatFunc against Euclid over Q -------------------------------------

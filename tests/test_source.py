@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import klrcalc
@@ -140,3 +141,46 @@ def test_layer_guard_sees_every_import_form():
                      "    from .nilhecke import NilHeckeElement\n")
     assert _package_imports(tree) == {"adjoint", "cli", "uplus", "qring",
                                       "nilhecke"}
+
+
+def _readme_dotted_names(text):
+    """The leading dotted name of each code span of the markdown text,
+    fenced blocks aside: `KLRContext.pbw_cosets(ν)` gives
+    KLRContext.pbw_cosets, and `cohomology_dims` gives nothing."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    names = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        m = re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+        if m:
+            names.append(m.group())
+    return names
+
+
+def test_readme_names_resolve():
+    """Every dotted name in backticks in README.md whose head is klrcalc,
+    one of its modules or one of its classes names something that
+    exists, so the overview cannot keep naming deleted code."""
+    modules = {p.stem: importlib.import_module(f"klrcalc.{p.stem}")
+               for p in SRC.glob("*.py") if p.stem != "__init__"}
+    classes = {name: obj for mod in modules.values()
+               for name, obj in vars(mod).items()
+               if isinstance(obj, type)
+               and obj.__module__.startswith("klrcalc")}
+    checked, missing = 0, []
+    for name in _readme_dotted_names((ROOT / "README.md").read_text()):
+        head, *rest = name.split(".")
+        if head == "klrcalc":
+            obj = klrcalc
+        elif head in modules:
+            obj = modules[head]
+        elif head in classes:
+            obj = classes[head]
+        else:
+            continue
+        checked += 1
+        for attr in rest:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert checked
+    assert not missing, missing
