@@ -145,6 +145,8 @@ class CyclicProjective:
     w0 = ()).  Since tau_w0 x^delta tau_w0 = tau_w0, H·f = H·tau_w0 1_nu,
     whose degree-d component has the basis x^a tau_u tau_w0 1_nu of degree
     d + shift, u running over the minimal coset representatives of S_n/S_B.
+    That basis is the context's (KLRContext.basis), shared by every
+    module with the same nu and w0.
     """
 
     def __init__(self, ctx, f, shift=0):
@@ -169,26 +171,18 @@ class CyclicProjective:
             raise ValueError("the word of f must be the longest word of a "
                              "parabolic subgroup whose blocks carry one color")
         self._w0_degree = tau_word_degree(ctx, w0, nu)
-        self._cosets = ctx.pbw_cosets(nu, w0)
-        self._blocks = {}
+        # the coset table is built here, when the complex is, and not
+        # inside the first rank computation that needs a basis
+        ctx.pbw_cosets(nu, w0)
 
     def blocks(self, d):
         """Basis of the degree-d component, as a dict sorted by left color
         word lam -> list of (word, exps), each standing for the vector
-        x^exps tau_word 1_nu with word = (reduced word of u) + w0."""
-        out = self._blocks.get(d)
-        if out is None:
-            e = underlying_degree(self.shift, d) - self._w0_degree
-            found = {}
-            for lam, word, weights, deg in self._cosets:
-                exps = self.ctx.exp_vectors(weights, e - deg)
-                if exps:
-                    word += self.w0
-                    found.setdefault(lam, []).extend(
-                        (word, a) for a in exps)
-            out = {lam: found[lam] for lam in sorted(found)}
-            self._blocks[d] = out
-        return out
+        x^exps tau_word 1_nu with word = (reduced word of u) + w0: the
+        context's basis of the vectors of degree d + shift."""
+        return self.ctx.basis(self.nu, self.w0,
+                              underlying_degree(self.shift, d)
+                              - self._w0_degree)
 
     def dim(self, d, lam=None):
         blocks = self.blocks(d)
@@ -666,7 +660,7 @@ def _cohomology_h0_refined(cplx, hi):
     """
     lo = 0
     for p in cplx.terms[0]:
-        m = min(deg for _, _, _, deg in p.ctx.pbw_cosets(p.nu))
+        m = min(min(row) for row in p.ctx.coset_polynomials(p.nu).values())
         lo = min(lo, m - p.shift)
     table = {}
     for d in range(lo, hi + 1):

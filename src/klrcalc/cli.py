@@ -429,12 +429,7 @@ def _suite_k0(cfg):
     for h in range(1, bound + 1):
         for combo in itertools.combinations_with_replacement(labels, h):
             betas.append(RootVector.from_word(combo))
-    seen = set()
     for beta in betas:
-        key = tuple(sorted(beta.coeffs.items()))
-        if key in seen:
-            continue
-        seen.add(key)
         try:
             rep = k0_isometry_calibrate(beta, cfg.window, ctx)
             ok, shift = True, rep["shift"]

@@ -79,6 +79,7 @@ class KLRContext:
         self._mult_tau = {}
         self._exp_vectors = {}
         self._pbw_cosets = {}
+        self._basis = {}
 
     # -- configuration -----------------------------------------------------
 
@@ -87,7 +88,9 @@ class KLRContext:
         {(i, j): t_(i,j)} and extra terms {(i, j): {(s, t): c}}, the
         terms of each entry also stored mirrored under (j, i), since
         Q_{i,j}(u, v) = Q_{j,i}(v, u); when both orders are given they
-        must agree."""
+        must agree.  For orthogonal colours (c_ij = c_ji = 0) Q_{i,j} is
+        the constant unit itself, so a unit given for one order is also
+        stored for the other, and two different units are refused."""
         units, extra = {}, {}
         for (i, j), cfg in self.q_config.items():
             self.cartan.check_index(i)
@@ -97,6 +100,12 @@ class KLRContext:
             t = _q_scalar(cfg.get("t", 1), f"unit t_({i},{j})")
             if t == 0:
                 raise ValueError(f"unit t_({i},{j}) must be invertible, got 0")
+            if self.cartan.cartan(i, j) == 0 and \
+                    units.setdefault((j, i), t) != t:
+                raise ValueError(
+                    f"units t_({i},{j}) and t_({j},{i}) of orthogonal colours "
+                    f"must agree, since Q_{{{i},{j}}} = Q_{{{j},{i}}} is that "
+                    f"one unit")
             units[i, j] = t
             di, dj = self.cartan.d(i), self.cartan.d(j)
             target = -self.cartan.dot(i, j)
@@ -166,10 +175,9 @@ class KLRContext:
         coset representative u of S_n/S_B (no letter of w0 is a descent of
         u), in all_perms order: lam = u(nu) is the left color word, word the
         canonical word of u, weights the degrees (lam_k, lam_k) of the x's
-        and deg the degree of tau_u 1_nu.  The basis vectors of degree
-        d + deg(tau_w0 1_nu) are then those with a in
-        exp_vectors(weights, d - deg).  w0 = () gives the PBW basis of
-        H 1_nu.  Memoized per (nu, w0)."""
+        and deg the degree of tau_u 1_nu; basis reads the vectors of each
+        degree from it.  w0 = () gives the PBW basis of H 1_nu.  Memoized
+        per (nu, w0)."""
         key = (nu, w0)
         out = self._pbw_cosets.get(key)
         if out is None:
@@ -183,6 +191,24 @@ class KLRContext:
                 out.append((lam, word, tuple(dot(c, c) for c in lam),
                             tau_word_degree(self, word, nu)))
             out = self._pbw_cosets[key] = tuple(out)
+        return out
+
+    def basis(self, nu, w0, e):
+        """The basis vectors x^a tau_u tau_w0 1_nu of H tau_w0 1_nu of
+        degree e + deg(tau_w0 1_nu), as a dict sorted by left color word
+        lam -> list of (canon(u) + w0, a), the rows u in pbw_cosets order
+        and each row's a in exp_vectors(weights, e - deg) order.  Memoized
+        per (nu, w0, e) and shared by its callers, who must not change it."""
+        key = (nu, w0, e)
+        out = self._basis.get(key)
+        if out is None:
+            found = {}
+            for lam, word, weights, deg in self.pbw_cosets(nu, w0):
+                exps = self.exp_vectors(weights, e - deg)
+                if exps:
+                    word += w0
+                    found.setdefault(lam, []).extend((word, a) for a in exps)
+            out = self._basis[key] = {lam: found[lam] for lam in sorted(found)}
         return out
 
     def coset_polynomials(self, nu):
@@ -442,14 +468,6 @@ def _add_term(acc, key, c):
         acc.pop(key, None)
 
 
-def _mult_poly_terms(poly_terms, terms, acc, scale=1):
-    """Accumulate (polynomial * element) given the polynomial's monomials."""
-    for e, ce in poly_terms.items():
-        for (nu, word, exps), c in terms.items():
-            key = (nu, word, tuple(map(add, exps, e)))
-            _add_term(acc, key, ce * c * scale)
-
-
 def _tau_times_element(ctx, k, terms, n):
     """Normal form of tau_k * (element given by PBW terms)."""
     acc = {}
@@ -489,9 +507,8 @@ def _mult_tau_word(ctx, k, word, nu, n):
         res = {}
         rho = ctx.word_perm(v, n).permute_tuple(nu)
         if rho[k - 1] != rho[k]:
-            qp = ctx.q_poly(rho[k - 1], rho[k])
-            qn = qp.subst_vars({1: k, 2: k + 1}, n)
-            _mult_poly_terms(qn.terms, {(nu, v, (0,) * n): 1}, res)
+            qn = ctx.q_poly(rho[k - 1], rho[k]).subst_vars({1: k, 2: k + 1}, n)
+            res = {(nu, v, e): c for e, c in qn.terms.items()}
         err = {key: -c for key, c in _mult_tau_word(ctx, k, v, nu, n).items()
                if key != main}
         if err:
@@ -517,8 +534,10 @@ def _insert(ctx, k, word, nu, n):
     lengthens: the walk along _insertion_moves((k,) + word) to the
     canonical word of s_k w, where each braid move whose outer strands
     have equal colours emits a polynomial error term, plus the main term
-    tau_{canon(s_k w)} 1_nu.  Raises RuntimeError when the walk does not
-    end on that word."""
+    tau_{canon(s_k w)} 1_nu.  Along these moves every braid's suffix is
+    canonical, so its error term sign tau_prefix P tau_suffix 1_nu needs
+    only tau_prefix multiplied out.  Raises RuntimeError when the walk
+    does not end on that word."""
     acc = {}
     cur = (k,) + word
     target = ctx.canon(ctx.word_perm(cur, n))
@@ -540,13 +559,8 @@ def _insert(ctx, k, word, nu, n):
             continue
         qn = qp.subst_vars({1: c0 + 2, 2: c0 + 1}, n)
         perr = demazure(c0, c0 + 2, qn)
-        if perr.is_zero():
-            continue
-        tail = _tau_word_times(ctx, suffix, {(nu, (), (0,) * n): 1}, n)
-        mid = {}
-        _mult_poly_terms(perr.terms, tail, mid, scale=sign)
-        mid = _tau_word_times(ctx, prefix, mid, n)
-        for key, cc in mid.items():
+        mid = {(nu, suffix, e): sign * c for e, c in perr.terms.items()}
+        for key, cc in _tau_word_times(ctx, prefix, mid, n).items():
             _add_term(acc, key, cc)
     if cur != target:
         raise RuntimeError("insertion did not land on the canonical word")
@@ -651,14 +665,13 @@ def tau_word_degree(ctx, word, nu):
 
 def graded_basis(ctx, mu_filter, nu, d):
     """All PBW monomial keys x^a tau_w 1_nu of degree d whose left color
-    word matches mu_filter (None for no filter), as a sorted list."""
+    word matches mu_filter (None for no filter), as a sorted list: a view
+    of ctx.basis(nu, (), d)."""
     nu = tuple(nu)
-    if mu_filter is not None:
-        mu_filter = tuple(mu_filter)
-    return sorted((nu, word, a) for lam, word, weights, deg
-                  in ctx.pbw_cosets(nu)
-                  if mu_filter is None or lam == mu_filter
-                  for a in ctx.exp_vectors(weights, d - deg))
+    blocks = ctx.basis(nu, (), d)
+    rows = (blocks.values() if mu_filter is None
+            else [blocks.get(tuple(mu_filter), ())])
+    return sorted((nu, word, a) for block in rows for word, a in block)
 
 
 def idempotent_e_klr(ctx, i, m):

@@ -297,6 +297,34 @@ def test_blocks_match_keywise_construction(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
                                 (build.__name__, n, m, p.nu, d)
 
 
+def test_modules_with_one_idempotent_share_one_basis(ctx_a2, ctx_b2):
+    """Summands with the same nu and w0 return the identical basis object
+    at equal underlying degree, the context's ctx.basis: the C(n, k)
+    summands of a column of an undivided complex, and the terms of two
+    divided complexes built alike.  graded_basis lists the keys of
+    ctx.basis(nu, (), d), sorted, filtered by left colour word."""
+    for ctx in (ctx_a2, ctx_b2):
+        cplx = build_ad_complex(3, ("j",), "i", ctx)
+        for col in cplx.terms[1:-1]:
+            assert len(col) == 3 and len({p.shift for p in col}) > 1
+            for e in range(-2, 8):
+                got = [p.blocks(e - p.shift) for p in col]
+                assert all(b is ctx.basis(col[0].nu, (), e) for b in got)
+        first, again = (build_divided_complex(2, ("j",), "i", ctx)
+                        for _ in range(2))
+        assert any(p.w0 for p, in first.terms)
+        for (p,), (q,) in zip(first.terms, again.terms):
+            assert all(p.blocks(d) is q.blocks(d) for d in range(-2, 8))
+        for nu in (("i", "j", "i"), ("j", "j", "i")):
+            for d in range(-6, 8):
+                basis = ctx.basis(nu, (), d)
+                assert graded_basis(ctx, None, nu, d) == sorted(
+                    (nu, w, a) for block in basis.values() for w, a in block)
+                for lam in set(itertools.permutations(nu)):
+                    assert graded_basis(ctx, lam, nu, d) == sorted(
+                        (nu, w, a) for w, a in basis.get(lam, ()))
+
+
 def word_products(cplx, k, si, word):
     """tau_word 1_nu . z by klr_multiply for every entry z of d_k out of
     summand si, as a dict (ti, PBW key) -> coefficient."""
@@ -359,7 +387,7 @@ def test_word_prod_matches_klr_multiply(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
                 cplx = build(n, ("j",) * m, "i", ctx)
                 for k in range(1, cplx.length()):
                     for si, src in enumerate(cplx.terms[k]):
-                        for _, word, _, _ in src._cosets:
+                        for _, word, _, _ in ctx.pbw_cosets(src.nu, src.w0):
                             word += src.w0
                             scale, want = scaled_word_products(
                                 cplx, k, si, word)
@@ -386,7 +414,7 @@ def test_differential_products_keep_int_coefficients(ctx_a2, ctx_b2):
                     assert flat_word_prod(cplx, k, si, word) == want
 
 
-def test_packed_fields_hold_exponents_below_2_31(ctx_a2):
+def test_packed_fields_hold_exponents_below_2_31(ctx_a2, monkeypatch):
     """An exponent up to 2^31 - 1 packs into its 32-bit field exactly, and
     two such fields add with no carry; 2^31 or a negative exponent raises
     ValueError, from _pack and from a column whose basis vector carries
@@ -410,7 +438,8 @@ def test_packed_fields_hold_exponents_below_2_31(ctx_a2):
                             for lam, block in src.blocks(d).items()
                             for word, _ in block
                             if cplx._word_prod(1, 0, word))
-        src._blocks[d] = {lam: [(word, (big,) * src.n)]}
+        monkeypatch.setattr(src, "blocks",
+                            lambda _: {lam: [(word, (big,) * src.n)]})
         return cplx, word, list(cplx._raw_columns(1, d, lam))
 
     cplx, word, (col,) = columns_with(top)

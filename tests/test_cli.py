@@ -118,6 +118,8 @@ def test_unknown_label_in_q_table(tmp_path, capsys):
     # both orders give extra terms, and they are not mirror images
     {"dot": [[2, -4], [-4, 2]], "q": {"i,j": {"terms": [[1, 3, 1]]},
                                       "j,i": {"terms": [[2, 2, 5]]}}},
+    # orthogonal colours, whose one constant Q is given two different units
+    {"dot": [[2, 0], [0, 2]], "q": {"i,j": {"t": 5}, "j,i": {"t": 3}}},
 ])
 def test_malformed_cartan_file_is_usage_error(entry, tmp_path, capsys):
     cfg = {"labels": ["i", "j"], "dot": [[2, -1], [-1, 2]], **entry}
@@ -126,6 +128,20 @@ def test_malformed_cartan_file_is_usage_error(entry, tmp_path, capsys):
     code, _, err = run(capsys, "nf", "1[i,j]", "--cartan", str(path))
     assert code == 2
     assert "error" in err
+
+
+def test_orthogonal_colours_share_one_unit(tmp_path, capsys):
+    """For orthogonal colours one unit serves both orders of Q, so
+    tau_1^2 is that unit on 1[i,j] and on 1[j,i]."""
+    cfg = {"labels": ["i", "j"], "dot": [[2, 0], [0, 2]],
+           "q": {"i,j": {"t": 5}}}
+    path = tmp_path / "orth.json"
+    path.write_text(json.dumps(cfg))
+    for idem in ("1[i,j]", "1[j,i]"):
+        code, out, _ = run(capsys, "nf", f"t1 t1 {idem}", "--table",
+                           "--cartan", str(path))
+        assert code == 0
+        assert out.strip() == f"5*{idem}"
 
 
 def test_mackey_needs_two_labels(tmp_path, capsys):

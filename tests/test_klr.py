@@ -7,6 +7,7 @@ import random
 import time
 from collections import deque
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -183,6 +184,27 @@ def test_q_poly_basics(ctx_a2, ctx_b2):
     # Q_{ij}(u,v) = Q_{ji}(v,u)
     qr = ctx_a2.q_poly("j", "i")
     assert {(b, a): c for (a, b), c in qr.terms.items()} == q.terms
+
+
+def test_orthogonal_colours_share_one_unit():
+    """For orthogonal colours (c_ij = c_ji = 0) Q_{i,j} = Q_{j,i} is the
+    constant unit: a unit given for either order serves both, the same
+    unit given for both orders is accepted, the defining relations hold,
+    and two different units are refused."""
+    cartan = make_cartan([[2, 0], [0, 2]])
+    assert KLRContext(cartan).q_poly("i", "j").terms == {(0, 0): 1}
+    for cfg in ({("i", "j"): {"t": 5}}, {("j", "i"): {"t": 5}},
+                {("i", "j"): {"t": 5}, ("j", "i"): {"t": "5"}}):
+        ctx = KLRContext(cartan, cfg)
+        for i, j in (("i", "j"), ("j", "i")):
+            assert ctx.q_poly(i, j).terms == {(0, 0): 5}, (cfg, i, j)
+        for nu in all_words(3):
+            for name, res in relation_residues(ctx, nu).items():
+                assert res.is_zero(), (cfg, nu, name)
+    for cfg in ({("i", "j"): {"t": 5}, ("j", "i"): {"t": 3}},
+                {("j", "i"): {"t": 3}, ("i", "j"): {"t": 5}}):
+        with pytest.raises(ValueError, match="orthogonal colours must agree"):
+            KLRContext(cartan, cfg)
 
 
 def test_q_terms_of_both_orders_must_mirror():
@@ -645,6 +667,40 @@ def oracle_insertion_moves(word):
         word, canonical_word(perm_of_word(word, max(word) + 1)))
 
 
+def oracle_insert(ctx, k, word, nu, n):
+    """klr._insert walked along the breadth-first oracle's moves, whose
+    braid suffixes need not be canonical: each error term's tail
+    tau_suffix 1_nu is rewritten letter by letter, then multiplied by the
+    polynomial and by tau_prefix."""
+    acc = {}
+    cur = (k,) + word
+    for move, p in oracle_insertion_moves(cur):
+        if move == "c":
+            cur = cur[:p] + (cur[p + 1], cur[p]) + cur[p + 2:]
+            continue
+        a, b = cur[p], cur[p + 1]
+        c0 = min(a, b)
+        sign = 1 if a == c0 + 1 else -1
+        prefix, suffix = cur[:p], cur[p + 3:]
+        cur = prefix + (b, a, b) + suffix
+        mu = ctx.word_perm(suffix, n).permute_tuple(nu)
+        if mu[c0 - 1] != mu[c0 + 1]:
+            continue
+        qn = ctx.q_poly(mu[c0 - 1], mu[c0]).subst_vars(
+            {1: c0 + 2, 2: c0 + 1}, n)
+        tail = klr._tau_word_times(ctx, suffix, {(nu, (), (0,) * n): 1}, n)
+        mid = {}
+        for e, ce in demazure(c0, c0 + 2, qn).terms.items():
+            for (nu2, w2, exps), c in tail.items():
+                klr._add_term(mid, (nu2, w2, tuple(map(add, exps, e))),
+                              sign * ce * c)
+        for key, c in klr._tau_word_times(ctx, prefix, mid, n).items():
+            klr._add_term(acc, key, c)
+    assert cur == canonical_word(perm_of_word((k,) + word, n))
+    klr._add_term(acc, (nu, cur, (0,) * n), 1)
+    return acc
+
+
 def _canon_moves(word):
     """Coxeter moves from a reduced word to its canonical word, and the
     lengths of that word's runs: its letters inserted right to left, each
@@ -715,6 +771,27 @@ def test_insertion_moves_match_canon_moves():
         if ascent:
             assert _insertion_moves((k,) + canon) == \
                 _canon_moves((k,) + canon)[0], (k, canon)
+
+
+def test_insertion_braid_suffixes_are_canonical():
+    """Along the moves of every insertion in S_n, n <= 6, the part of the
+    word right of each braid triple is a canonical word, so _insert may
+    take the tail tau_suffix 1_nu of an error term as one monomial.  Each
+    triple is (c+1, c, c+1), so each error term has sign +1."""
+    braids = 0
+    for k, g, canon, ascent in _insertions(6):
+        if not ascent:
+            continue
+        cur = (k,) + canon
+        for move, p in _insertion_moves(cur):
+            if move == "b":
+                assert cur[p] == cur[p + 1] + 1, (k, canon, p)
+                suffix = cur[p + 3:]
+                assert suffix == canonical_word(perm_of_word(suffix, g.n)), \
+                    (k, canon, p)
+                braids += 1
+            cur = apply_moves(cur, [(move, p)])
+    assert braids == 1333
 
 
 def test_insertion_must_land_on_the_canonical_word(monkeypatch):
@@ -791,11 +868,12 @@ def _random_monomial_products(ctx, n, count, seed):
                          ids=["a2", "b2r", "g2"])
 def test_constructive_paths_match_bfs_oracle(dot, monkeypatch):
     """Normal forms computed along the constructive move paths equal those
-    computed along the breadth-first oracle's paths, on fresh contexts."""
+    computed by oracle_insert along the breadth-first oracle's paths, on
+    fresh contexts."""
     ctx = KLRContext(make_cartan(dot))
     expected = ([_tau_times_monomials(ctx, n) for n in range(2, 5)],
                 _random_monomial_products(ctx, 5, 30, seed=5))
-    monkeypatch.setattr(klr, "_insertion_moves", oracle_insertion_moves)
+    monkeypatch.setattr(klr, "_insert", oracle_insert)
     oracle = KLRContext(make_cartan(dot))
     assert ([_tau_times_monomials(oracle, n) for n in range(2, 5)],
             _random_monomial_products(oracle, 5, 30, seed=5)) == expected
@@ -872,7 +950,7 @@ def test_tau_w0_on_six_strands_matches_bfs_oracle(monkeypatch):
     words = [_ascending_runs(6)] + [random_reduced_word(rng, w0)
                                     for _ in range(5)]
     results = [_tau_letter_by_letter(ctx, nu, w) for w in words]
-    monkeypatch.setattr(klr, "_insertion_moves", oracle_insertion_moves)
+    monkeypatch.setattr(klr, "_insert", oracle_insert)
     oracle = KLRContext(make_cartan(A2_DOT))
     assert results == [_tau_letter_by_letter(oracle, nu, w) for w in words]
     assert max(len(el.terms) for el in results) > 1
