@@ -7,7 +7,7 @@ from .qring import (DegreeWindow, LaurentPoly, RatFunc, quantum_factorial,
 from .rootdata import (CartanDatum, CartanValidationError, RootVector,
                        height, pairing, reflect, sequences)
 from .polycalc import (Perm, Poly, act, canonical_word, demazure,
-                       demazure_seq, longest_word, perm_of_word, q_multi)
+                       demazure_seq, longest_word, perm_of_word)
 from .nilhecke import NilHeckeElement, idempotent_e, nh_act, nh_multiply
 from .klr import (KLRContext, KLRElement, diamond, graded_basis,
                   idempotent_e_klr, klr_generator, klr_multiply,

@@ -312,20 +312,23 @@ class ProjComplex:
 
     def _raw_columns(self, k, d, lam):
         """Columns of d_k on the (d, lam) block, one per source basis
-        vector, each a fresh sparse vector of nonzero ints over the packed
-        int keys of _word_prod: the column of x^a tau_word 1_nu adds
-        _pack(a) to every key of the word's product, and each exponent
-        vector a is packed once per complex.  No field carries, since
-        _pack keeps every exponent below 2^31.  The target basis vectors
-        are independent and each column is a positive multiple of the
-        image of its basis vector, so the rank of these columns is the
-        rank of the block."""
+        vector whose word has a nonzero product (the other vectors map to
+        zero and give no column), each a fresh sparse vector of nonzero
+        ints over the packed int keys of _word_prod: the column of
+        x^a tau_word 1_nu adds _pack(a) to every key of the word's
+        product, and each exponent vector a is packed once per complex.
+        No field carries, since _pack keeps every exponent below 2^31.
+        The target basis vectors are independent and each column is a
+        positive multiple of the image of its basis vector, so the rank
+        of these columns is the rank of the block."""
         packed = self._packed
         for si, src in enumerate(self.terms[k]):
             # blocks lists the vectors of one word next to each other
             for word, vecs in groupby(src.blocks(d).get(lam, ()),
                                       itemgetter(0)):
                 prod = self._word_prod(k, si, word)
+                if not prod:
+                    continue
                 for _, exps in vecs:
                     a = packed.get(exps)
                     if a is None:

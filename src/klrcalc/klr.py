@@ -26,13 +26,21 @@ of w (_insertion_moves), O(n^2) moves however many reduced words the
 permutation has.  When k is a descent, v = canon(s_k w) is the shorter
 word, the insertion of k into v gives tau_k tau_v = tau_w + E, and
 tau_k tau_w = Q(x_k, x_{k+1}) tau_v - tau_k E.
+
+The Coxeter side of tau_k tau_w depends only on (k, w): the branch, v,
+the braid moves of the walk and the right positions of the strands they
+cross.  It is computed once per (k, w) as a plan (_plan), which holds for
+any number of strands, and replayed for each colour word nu, which only
+decides which braids emit an error term and which Q_{i,j} appears.  The
+products themselves are memoized per (k, w, nu), and each Q_{i,j} placed
+on strands once per (i, j, strand, n).
 """
 
 from __future__ import annotations
 
 from operator import add
 
-from .polycalc import (Perm, Poly, all_perms, canonical_word, demazure,
+from .polycalc import (Poly, all_perms, canonical_word, demazure,
                        demazure_monomial, exact, longest_word, perm_of_word)
 from .rootdata import RootVector, sequences
 
@@ -77,6 +85,8 @@ class KLRContext:
         self._canon = {}
         self._perm_of_word = {}
         self._mult_tau = {}
+        self._plans = {}
+        self._strand_qs = {}
         self._exp_vectors = {}
         self._pbw_cosets = {}
         self._basis = {}
@@ -469,8 +479,12 @@ def _add_term(acc, key, c):
 
 
 def _tau_times_element(ctx, k, terms, n):
-    """Normal form of tau_k * (element given by PBW terms)."""
+    """Normal form of tau_k * (element given by PBW terms): for each term
+    x^a tau_word 1_nu, tau_k tau_word 1_nu times x^(s_k a), plus the
+    Demazure term of x^a when the strands tau_k crosses, read at the right
+    positions r_k, r_k1 of the plan of (k, word), have equal colours."""
     acc = {}
+    plans = ctx._plans
     for (nu, word, exps), c in terms.items():
         # commute tau_k past x^exps (relation between tau and x)
         swapped = list(exps)
@@ -479,36 +493,96 @@ def _tau_times_element(ctx, k, terms, n):
                 ctx, k, word, nu, n).items():
             _add_term(acc, (nu2, word2, tuple(map(add, exps2, swapped))),
                       c * cc)
-        # strands k, k+1 on the left of tau_word 1_nu start at right
-        # positions g^-1(k), g^-1(k+1); equal colors emit a Demazure term
-        im = ctx.word_perm(word, n).images
-        if nu[im.index(k)] == nu[im.index(k + 1)]:
+        # strands k, k+1 on the left of tau_word 1_nu start at the right
+        # positions r_k, r_k1 of the plan, which the call above made;
+        # equal colors emit a Demazure term
+        plan = plans[k, word]
+        if nu[plan[0]] == nu[plan[1]]:
             sign, monos = demazure_monomial(k, k + 1, exps)
             for e in monos:
                 _add_term(acc, (nu, word, e), sign * c)
     return acc
 
 
+def _plan(ctx, k, word):
+    """The colour-independent part of tau_k * (tau_word 1_nu), word
+    canonical, as (r_k, r_k1, v, braids), memoized per (k, word).
+
+    r_k and r_k1 are the right positions (from 0) of the strands at left
+    positions k and k+1 of tau_word, so k lengthens word exactly when
+    r_k < r_k1; v is the canonical word of s_k w.  For a descent braids
+    is None.  For an ascent braids holds one entry (prefix, suffix, c,
+    r0, r1, r2) per braid move (c+1, c, c+1) -> (c, c+1, c) along
+    _insertion_moves((k,) + word), the word being prefix + triple +
+    suffix, and r0, r1, r2 the right positions of the strands at left
+    positions c, c+1, c+2 of tau_suffix; every braid of the walk has
+    that shape, so each error term has sign +1, and a braid of another
+    shape would leave the walk off v.  Strands above every letter are
+    fixed, so none of this depends on the number of strands.  Raises
+    RuntimeError when the walk does not end on v."""
+    n = max((k,) + word) + 1
+    im = perm_of_word(word, n).images
+    rk, rk1 = im.index(k), im.index(k + 1)
+    v = canonical_word(perm_of_word((k,) + word, n))
+    braids = None
+    if rk < rk1:
+        braids = []
+        cur = (k,) + word
+        for move, p in _insertion_moves(cur):
+            if move == "c":
+                cur = cur[:p] + (cur[p + 1], cur[p]) + cur[p + 2:]
+                continue
+            c = cur[p + 1]
+            prefix, suffix = cur[:p], cur[p + 3:]
+            cur = prefix + (c, c + 1, c) + suffix
+            h = perm_of_word(suffix, n).images
+            braids.append((prefix, suffix, c, h.index(c), h.index(c + 1),
+                           h.index(c + 2)))
+        if cur != v:
+            raise RuntimeError("insertion did not land on the canonical word")
+        braids = tuple(braids)
+    out = ctx._plans[k, word] = (rk, rk1, v, braids)
+    return out
+
+
+def _q_on_strands(ctx, a, b, k, n, braid):
+    """Q_{a,b}(x_k, x_{k+1}) on n strands, or for a braid (braid true) the
+    error term partial_{k,k+2} Q_{a,b}(x_{k+2}, x_{k+1}), as a tuple of
+    (exps, c); memoized per (a, b, k, n, braid)."""
+    key = (a, b, k, n, braid)
+    out = ctx._strand_qs.get(key)
+    if out is None:
+        q = ctx.q_poly(a, b)
+        if braid:
+            q = demazure(k, k + 2, q.subst_vars({1: k + 2, 2: k + 1}, n))
+        else:
+            q = q.subst_vars({1: k, 2: k + 1}, n)
+        out = ctx._strand_qs[key] = tuple(q.terms.items())
+    return out
+
+
 def _mult_tau_word(ctx, k, word, nu, n):
-    """Normal form of tau_k * (tau_word 1_nu) for a canonical word."""
+    """Normal form of tau_k * (tau_word 1_nu) for a canonical word,
+    memoized per (k, word, nu); the plan of (k, word) says which branch
+    and where the colours of nu are read."""
     ck = (k, word, nu)
     hit = ctx._mult_tau.get(ck)
     if hit is not None:
         return hit
-    g = ctx.word_perm(word, n)
-    if g.images.index(k) < g.images.index(k + 1):
-        # s_k g is longer than g
+    rk, rk1, v, _ = ctx._plans.get((k, word)) or _plan(ctx, k, word)
+    if rk < rk1:
+        # s_k w is longer than w
         res = _insert(ctx, k, word, nu, n)
     else:
-        # inserting k into v = canon(s_k g) gives tau_k tau_v = tau_word + E,
-        # so tau_k tau_word = Q(x_k, x_{k+1}) tau_v - tau_k E
-        v = ctx.canon(Perm.s(k, n) * g)
+        # inserting k into v = canon(s_k w) gives tau_k tau_v = tau_word + E,
+        # so tau_k tau_word = Q(x_k, x_{k+1}) tau_v - tau_k E; in tau_v the
+        # strands at left positions k, k+1 start at r_k1, r_k
         main = (nu, word, (0,) * n)
         res = {}
-        rho = ctx.word_perm(v, n).permute_tuple(nu)
-        if rho[k - 1] != rho[k]:
-            qn = ctx.q_poly(rho[k - 1], rho[k]).subst_vars({1: k, 2: k + 1}, n)
-            res = {(nu, v, e): c for e, c in qn.terms.items()}
+        a, b = nu[rk1], nu[rk]
+        if a != b:
+            res = {(nu, v, e): c
+                   for e, c in _q_on_strands(ctx, a, b, k, n, False)}
         err = {key: -c for key, c in _mult_tau_word(ctx, k, v, nu, n).items()
                if key != main}
         if err:
@@ -531,39 +605,22 @@ def _tau_word_times(ctx, word, terms, n):
 
 def _insert(ctx, k, word, nu, n):
     """Normal form of tau_k * (tau_word 1_nu) for a canonical word that k
-    lengthens: the walk along _insertion_moves((k,) + word) to the
-    canonical word of s_k w, where each braid move whose outer strands
-    have equal colours emits a polynomial error term, plus the main term
-    tau_{canon(s_k w)} 1_nu.  Along these moves every braid's suffix is
-    canonical, so its error term sign tau_prefix P tau_suffix 1_nu needs
-    only tau_prefix multiplied out.  Raises RuntimeError when the walk
-    does not end on that word."""
+    lengthens: the main term tau_v 1_nu, v = canon(s_k w), plus one
+    polynomial error term for each braid of the plan of (k, word) whose
+    outer strands have equal colours in nu.  The suffix right of each
+    braid is canonical, so its error term tau_prefix P tau_suffix 1_nu
+    needs only tau_prefix multiplied out."""
     acc = {}
-    cur = (k,) + word
-    target = ctx.canon(ctx.word_perm(cur, n))
-    for move, p in _insertion_moves(cur):
-        if move == "c":
-            cur = cur[:p] + (cur[p + 1], cur[p]) + cur[p + 2:]
+    _, _, target, braids = ctx._plans.get((k, word)) or _plan(ctx, k, word)
+    for prefix, suffix, c, r0, r1, r2 in braids:
+        a = nu[r0]
+        if a != nu[r2]:
             continue
-        a, b = cur[p], cur[p + 1]
-        c0 = min(a, b)
-        sign = 1 if a == c0 + 1 else -1  # old triple (c+1,c,c+1) keeps +error
-        suffix = cur[p + 3:]
-        prefix = cur[:p]
-        cur = cur[:p] + (b, a, b) + cur[p + 3:]
-        mu = ctx.word_perm(suffix, n).permute_tuple(nu)
-        if mu[c0 - 1] != mu[c0 + 1]:
-            continue
-        qp = ctx.q_poly(mu[c0 - 1], mu[c0])
-        if qp.is_zero():
-            continue
-        qn = qp.subst_vars({1: c0 + 2, 2: c0 + 1}, n)
-        perr = demazure(c0, c0 + 2, qn)
-        mid = {(nu, suffix, e): sign * c for e, c in perr.terms.items()}
-        for key, cc in _tau_word_times(ctx, prefix, mid, n).items():
-            _add_term(acc, key, cc)
-    if cur != target:
-        raise RuntimeError("insertion did not land on the canonical word")
+        err = _q_on_strands(ctx, a, nu[r1], c, n, True)
+        if err:
+            mid = {(nu, suffix, e): cc for e, cc in err}
+            for key, cc in _tau_word_times(ctx, prefix, mid, n).items():
+                _add_term(acc, key, cc)
     _add_term(acc, (nu, target, (0,) * n), 1)
     return acc
 

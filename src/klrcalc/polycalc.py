@@ -344,24 +344,6 @@ def demazure_seq(word, p):
     return out
 
 
-# ---------------------------------------------------------------------------
-# the twist polynomials Q_{i,nu}
-# ---------------------------------------------------------------------------
-
-def q_multi(i, nu, ctx):
-    """Q_{i,nu}(u, v_1..v_n) = product over positions k with nu_k != i of
-    Q_{i,nu_k}(u, v_k), as a polynomial in n+1 variables with v_k = x_k
-    and u = x_{n+1}."""
-    n = len(nu)
-    out = Poly.one(n + 1)
-    for k, col in enumerate(nu, start=1):
-        if col == i:
-            continue
-        qp = ctx.q_poly(i, col)  # in vars (u, v)
-        out = out * qp.subst_vars({1: n + 1, 2: k}, n + 1)
-    return out
-
-
 def all_perms(n):
     """All permutations of S_n."""
     return [Perm(im) for im in itertools.permutations(range(1, n + 1))]

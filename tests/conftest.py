@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from klrcalc import CartanDatum, KLRContext
+from klrcalc import CartanDatum, KLRContext, Poly
 
 # Rank-two symmetrizable Cartan data, given by the symmetric dot form.
 A2_DOT = [[2, -1], [-1, 2]]
@@ -19,6 +19,20 @@ HALF_UNITS = {("i", "j"): {"t": Fraction(1, 2)}, ("j", "i"): {"t": -3}}
 
 def make_cartan(dot):
     return CartanDatum(["i", "j"], dot)
+
+
+def q_multi(i, nu, ctx):
+    """Q_{i,nu}(u, v_1..v_n) = product over positions k with nu_k != i of
+    Q_{i,nu_k}(u, v_k), as a polynomial in n+1 variables with v_k = x_k
+    and u = x_{n+1}: the oracle side of the crossing identities."""
+    n = len(nu)
+    out = Poly.one(n + 1)
+    for k, col in enumerate(nu, start=1):
+        if col == i:
+            continue
+        qp = ctx.q_poly(i, col)  # in vars (u, v)
+        out = out * qp.subst_vars({1: n + 1, 2: k}, n + 1)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -46,7 +46,6 @@ from klrcalc import (
     nh_act,
     nh_multiply,
     pair,
-    q_multi,
     relation_residues,
     sequences,
     series_window,
@@ -56,7 +55,7 @@ from klrcalc import (
 from klrcalc.klr import _poly_on_strands
 from klrcalc.polycalc import all_perms
 
-from conftest import A2_DOT, B2_DOT, B2R_DOT, G2_DOT, make_cartan
+from conftest import A2_DOT, B2_DOT, B2R_DOT, G2_DOT, make_cartan, q_multi
 
 
 def ctx_for(dot):

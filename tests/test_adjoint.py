@@ -163,16 +163,26 @@ def test_projcomplex_rejects_each_fault(fault, message, ctx_a2):
 
 
 def test_component_matrix_shapes_and_ranks(ctx_a2):
+    """Each block has one nonzero column per basis vector whose word has
+    a nonzero product, and none for the others: the columns plus the
+    vectors with a zero product are the block's dimension."""
     cplx = build_ad_complex(2, ("j",), "i", ctx_a2)
+    skipped_some = False
     for d in range(0, 7):
         for lam in sorted(cplx.left_color_words(d)):
             for k in (1, 2):
                 cols = list(cplx._raw_columns(k, d, lam))
-                assert len(cols) == cplx.term_dim(k, d, lam)
+                assert all(cols)
+                zero = sum(1 for si, src in enumerate(cplx.terms[k])
+                           for word, _ in src.blocks(d).get(lam, ())
+                           if not cplx._word_prod(k, si, word))
+                assert len(cols) + zero == cplx.term_dim(k, d, lam)
+                skipped_some |= zero > 0
                 rank = cplx.block_rank(k, d, lam)
                 assert rank == _matrix_rank(cols)
                 assert rank <= min(cplx.term_dim(k, d, lam),
                                    cplx.term_dim(k - 1, d, lam))
+    assert skipped_some
 
 
 # -- the closed-form basis of H·f against the echelon oracle -------------

@@ -12,6 +12,7 @@ from operator import add
 import pytest
 
 from klrcalc import (
+    CartanDatum,
     KLRContext,
     KLRElement,
     NilHeckeElement,
@@ -27,7 +28,6 @@ from klrcalc import (
     klr_multiply_many,
     nh_multiply,
     perm_of_word,
-    q_multi,
     relation_residues,
     rev,
     sequences,
@@ -35,9 +35,10 @@ from klrcalc import (
 )
 from klrcalc import klr
 from klrcalc.klr import _insert_letter, _insertion_moves, _poly_on_strands
-from klrcalc.polycalc import all_perms, canonical_word
+from klrcalc.polycalc import all_perms, canonical_word, demazure_monomial
 
-from conftest import A2_DOT, B2R_DOT, G2_DOT, HALF_UNITS, make_cartan
+from conftest import (A2_DOT, B2R_DOT, G2_DOT, HALF_UNITS, make_cartan,
+                      q_multi)
 
 
 def all_words(h, letters=("i", "j")):
@@ -806,6 +807,135 @@ def test_insertion_must_land_on_the_canonical_word(monkeypatch):
     with pytest.raises(RuntimeError):
         klr_multiply(KLRElement.monomial(ctx, nu, (2,), (0, 0, 0)),
                      KLRElement.monomial(ctx, nu, (1, 2), (0, 0, 0)))
+
+
+# -- colour-independent plans against the per-colour-word walk ----------
+
+# C3 by its dot form: j-k is a double bond, (k, k) = 2, and i, k are
+# orthogonal; the units make Q_{j,k} and the orthogonal Q_{i,k} = 2 differ
+# from the defaults.
+C3_DOT = [[4, -2, 0], [-2, 4, -2], [0, -2, 2]]
+C3_UNITS = {("i", "k"): {"t": 2}, ("j", "k"): {"t": -3}}
+
+
+def walk_tau_times(ctx, memo, k, terms, n):
+    """tau_k * (PBW terms), rewritten by walk_mult_tau_word."""
+    acc = {}
+    for (nu, word, exps), c in terms.items():
+        swapped = list(exps)
+        swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
+        for (nu2, w2, e2), cc in walk_mult_tau_word(
+                ctx, memo, k, word, nu, n).items():
+            klr._add_term(acc, (nu2, w2, tuple(map(add, e2, swapped))),
+                          c * cc)
+        im = perm_of_word(word, n).images
+        if nu[im.index(k)] == nu[im.index(k + 1)]:
+            sign, monos = demazure_monomial(k, k + 1, exps)
+            for e in monos:
+                klr._add_term(acc, (nu, word, e), sign * c)
+    return acc
+
+
+def walk_tau_word_times(ctx, memo, word, terms, n):
+    for k in reversed(word):
+        terms = walk_tau_times(ctx, memo, k, terms, n)
+    return terms
+
+
+def walk_mult_tau_word(ctx, memo, k, word, nu, n):
+    """tau_k * (tau_word 1_nu), word canonical, worked out afresh for each
+    colour word nu, memoized per (k, word, nu) in memo only: the branch
+    from the permutation of word on n strands; for an ascent the walk
+    along _insertion_moves, each braid (a, b, a) -> (b, a, b) with
+    c = min(a, b) reading the colours of tau_suffix 1_nu at c, c+1, c+2
+    and emitting sign tau_prefix partial_{c,c+2} Q(x_{c+2}, x_{c+1})
+    tau_suffix 1_nu, sign +1 exactly when a = c+1; for a descent
+    Q(x_k, x_{k+1}) read from the colours of tau_v 1_nu, v = canon(s_k w),
+    minus tau_k times the error of the insertion of k into v."""
+    key = (k, word, nu)
+    if key in memo:
+        return memo[key]
+    g = perm_of_word(word, n)
+    v = canonical_word(Perm.s(k, n) * g)
+    res = {}
+    if g.images.index(k) < g.images.index(k + 1):
+        cur = (k,) + word
+        for move, p in _insertion_moves(cur):
+            if move == "c":
+                cur = cur[:p] + (cur[p + 1], cur[p]) + cur[p + 2:]
+                continue
+            a, b = cur[p], cur[p + 1]
+            c0 = min(a, b)
+            sign = 1 if a == c0 + 1 else -1
+            prefix, suffix = cur[:p], cur[p + 3:]
+            cur = prefix + (b, a, b) + suffix
+            mu = perm_of_word(suffix, n).permute_tuple(nu)
+            if mu[c0 - 1] != mu[c0 + 1]:
+                continue
+            qn = ctx.q_poly(mu[c0 - 1], mu[c0]).subst_vars(
+                {1: c0 + 2, 2: c0 + 1}, n)
+            mid = {(nu, suffix, e): sign * c
+                   for e, c in demazure(c0, c0 + 2, qn).terms.items()}
+            for key2, c in walk_tau_word_times(ctx, memo, prefix, mid,
+                                               n).items():
+                klr._add_term(res, key2, c)
+        assert cur == v
+        klr._add_term(res, (nu, v, (0,) * n), 1)
+    else:
+        rho = perm_of_word(v, n).permute_tuple(nu)
+        if rho[k - 1] != rho[k]:
+            qn = ctx.q_poly(rho[k - 1], rho[k]).subst_vars({1: k, 2: k + 1}, n)
+            res = dict(((nu, v, e), c) for e, c in qn.terms.items())
+        main = (nu, word, (0,) * n)
+        err = {key2: -c for key2, c in walk_mult_tau_word(
+            ctx, memo, k, v, nu, n).items() if key2 != main}
+        for key2, c in walk_tau_times(ctx, memo, k, err, n).items():
+            klr._add_term(res, key2, c)
+    memo[key] = res
+    return res
+
+
+@pytest.mark.parametrize("labels, dot, units", [
+    (("i", "j"), A2_DOT, None),
+    (("i", "j"), B2R_DOT, None),
+    (("i", "j"), G2_DOT, None),
+    (("i", "j", "k"), C3_DOT, C3_UNITS),
+], ids=["a2", "b2r", "g2", "c3"])
+def test_plans_match_the_per_colour_walk(labels, dot, units):
+    """tau_k tau_w 1_nu from the plans equals the per-colour-word walk for
+    every canonical w in S_n, every k and every colour word nu, n = 2..5,
+    on one context filled in increasing n, so the plans made on few
+    strands serve more (a plan does not depend on n).  Both branches run, and each emits terms besides
+    its leading one (braid error terms, and Q with an error for a
+    descent)."""
+    ctx = KLRContext(CartanDatum(list(labels), dot), units)
+    memo = {}
+    seen = set()
+    for n in range(2, 6):
+        for g in all_perms(n):
+            w = canonical_word(g)
+            for k in range(1, n):
+                ascent = (Perm.s(k, n) * g).length() > g.length()
+                for nu in itertools.product(labels, repeat=n):
+                    got = klr._mult_tau_word(ctx, k, w, nu, n)
+                    assert got == walk_mult_tau_word(ctx, memo, k, w, nu, n), \
+                        (k, w, nu)
+                    seen.add((ascent, len(got) > 1))
+    assert seen == {(True, False), (True, True), (False, False),
+                    (False, True)}
+    # one plan per (k, w) of S_5: those of fewer strands are among them
+    assert len(ctx._plans) == math.factorial(5) * 4
+
+
+def test_plans_are_shared_across_colour_words(ctx_b2r):
+    """After the height-4 residues, fewer (k, w) plans serve the products
+    memoized per (k, w, nu), and every product's (k, w) has a plan."""
+    ctx = KLRContext(ctx_b2r.cartan)
+    for nu in all_words(4):
+        if len(nu) == 4:
+            relation_residues(ctx, nu)
+    assert 0 < len(ctx._plans) < len(ctx._mult_tau)
+    assert {(k, w) for k, w, _ in ctx._mult_tau} <= set(ctx._plans)
 
 
 def oracle_canonical_word(g):
