@@ -905,9 +905,9 @@ def test_plans_match_the_per_colour_walk(labels, dot, units):
     """tau_k tau_w 1_nu from the plans equals the per-colour-word walk for
     every canonical w in S_n, every k and every colour word nu, n = 2..5,
     on one context filled in increasing n, so the plans made on few
-    strands serve more (a plan does not depend on n).  Both branches run, and each emits terms besides
-    its leading one (braid error terms, and Q with an error for a
-    descent)."""
+    strands serve more (a plan does not depend on n).  Both branches
+    run, and each emits terms besides its leading one (braid error
+    terms, and Q with an error for a descent)."""
     ctx = KLRContext(CartanDatum(list(labels), dot), units)
     memo = {}
     seen = set()
