@@ -29,11 +29,13 @@ tau_k tau_w = Q(x_k, x_{k+1}) tau_v - tau_k E.
 
 The Coxeter side of tau_k tau_w depends only on (k, w): the branch, v,
 the braid moves of the walk and the right positions of the strands they
-cross.  It is computed once per (k, w) as a plan (_plan), which holds for
-any number of strands, and replayed for each colour word nu, which only
-decides which braids emit an error term and which Q_{i,j} appears.  The
-products themselves are memoized per (k, w, nu), and each Q_{i,j} placed
-on strands once per (i, j, strand, n).
+cross.  It is computed once per (k, w) as a plan (_plan) and kept in one
+process-wide table, _PLANS, keyed by (k, w) alone: a plan holds for any
+number of strands, any Cartan datum and any Q, so every context reads the
+same table.  It is replayed for each colour word nu, which only decides
+which braids emit an error term and which Q_{i,j} appears.  The products
+themselves are memoized per context and (k, w, nu), and each Q_{i,j}
+placed on strands once per context and (i, j, strand, n).
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ class KLRContext:
         self._canon = {}
         self._perm_of_word = {}
         self._mult_tau = {}
-        self._plans = {}
         self._strand_qs = {}
         self._exp_vectors = {}
         self._pbw_cosets = {}
@@ -470,6 +471,10 @@ def klr_generator(ctx, kind, arg, beta_or_sequences):
 # the rewriting engine
 # ---------------------------------------------------------------------------
 
+# The plan of every (k, word) met so far, by any context: see _plan.
+_PLANS = {}
+
+
 def _add_term(acc, key, c):
     s = acc.get(key, 0) + c
     if s:
@@ -484,7 +489,6 @@ def _tau_times_element(ctx, k, terms, n):
     Demazure term of x^a when the strands tau_k crosses, read at the right
     positions r_k, r_k1 of the plan of (k, word), have equal colours."""
     acc = {}
-    plans = ctx._plans
     for (nu, word, exps), c in terms.items():
         # commute tau_k past x^exps (relation between tau and x)
         swapped = list(exps)
@@ -496,7 +500,7 @@ def _tau_times_element(ctx, k, terms, n):
         # strands k, k+1 on the left of tau_word 1_nu start at the right
         # positions r_k, r_k1 of the plan, which the call above made;
         # equal colors emit a Demazure term
-        plan = plans[k, word]
+        plan = _PLANS[k, word]
         if nu[plan[0]] == nu[plan[1]]:
             sign, monos = demazure_monomial(k, k + 1, exps)
             for e in monos:
@@ -504,9 +508,26 @@ def _tau_times_element(ctx, k, terms, n):
     return acc
 
 
-def _plan(ctx, k, word):
+def _canonical_shape(word):
+    """Whether a word of positive letters is the canonical word of its
+    permutation: its maximal runs falling by one, R_m = (m-1, ..., r_m),
+    have strictly increasing first letters.  Each permutation has exactly
+    one word of that shape (polycalc.canonical_word), and such a word is
+    reduced."""
+    top = 0     # first letter of the run so far
+    for p, a in enumerate(word):
+        if p and a == word[p - 1] - 1:
+            continue
+        if a <= top:
+            return False
+        top = a
+    return True
+
+
+def _plan(k, word):
     """The colour-independent part of tau_k * (tau_word 1_nu), word
-    canonical, as (r_k, r_k1, v, braids), memoized per (k, word).
+    canonical, as (r_k, r_k1, v, braids), stored in _PLANS under
+    (k, word).
 
     r_k and r_k1 are the right positions (from 0) of the strands at left
     positions k and k+1 of tau_word, so k lengthens word exactly when
@@ -515,33 +536,48 @@ def _plan(ctx, k, word):
     r0, r1, r2) per braid move (c+1, c, c+1) -> (c, c+1, c) along
     _insertion_moves((k,) + word), the word being prefix + triple +
     suffix, and r0, r1, r2 the right positions of the strands at left
-    positions c, c+1, c+2 of tau_suffix; every braid of the walk has
-    that shape, so each error term has sign +1, and a braid of another
-    shape would leave the walk off v.  Strands above every letter are
-    fixed, so none of this depends on the number of strands.  Raises
-    RuntimeError when the walk does not end on v."""
+    positions c, c+1, c+2 of tau_suffix; each error term thus has sign
+    +1.  Strands above every letter are fixed, so none of this depends on
+    the number of strands, and none of it on the Cartan datum or Q: one
+    table serves every context.
+
+    The ascent walk is checked move by move: each commute must swap
+    letters that differ by at least 2, each braid triple must be
+    (c+1, c, c+1), and the word it ends on must have the canonical shape
+    (_canonical_shape).  Legal moves keep the permutation s_k w, which
+    has exactly one word of that shape, so this is as strong as comparing
+    the end of the walk with canon(s_k w).  Raises RuntimeError, storing
+    no plan, when a check fails."""
     n = max((k,) + word) + 1
     im = perm_of_word(word, n).images
     rk, rk1 = im.index(k), im.index(k + 1)
-    v = canonical_word(perm_of_word((k,) + word, n))
-    braids = None
     if rk < rk1:
         braids = []
-        cur = (k,) + word
-        for move, p in _insertion_moves(cur):
-            if move == "c":
-                cur = cur[:p] + (cur[p + 1], cur[p]) + cur[p + 2:]
+        cur = [k, *word]
+        last = len(cur) - 2     # the last position a commute may take
+        for move, p in _insertion_moves((k,) + word):
+            if move == "c" and 0 <= p <= last \
+                    and abs(cur[p] - cur[p + 1]) >= 2:
+                cur[p], cur[p + 1] = cur[p + 1], cur[p]
                 continue
+            if not (move == "b" and 0 <= p < last
+                    and cur[p] == cur[p + 2] == cur[p + 1] + 1):
+                raise RuntimeError(f"illegal move {move, p} on {tuple(cur)} "
+                                   f"inserting {k} into {word}")
             c = cur[p + 1]
-            prefix, suffix = cur[:p], cur[p + 3:]
-            cur = prefix + (c, c + 1, c) + suffix
+            cur[p:p + 3] = c, c + 1, c
+            suffix = tuple(cur[p + 3:])
             h = perm_of_word(suffix, n).images
-            braids.append((prefix, suffix, c, h.index(c), h.index(c + 1),
-                           h.index(c + 2)))
-        if cur != v:
+            braids.append((tuple(cur[:p]), suffix, c, h.index(c),
+                           h.index(c + 1), h.index(c + 2)))
+        v = tuple(cur)
+        if not _canonical_shape(v):
             raise RuntimeError("insertion did not land on the canonical word")
         braids = tuple(braids)
-    out = ctx._plans[k, word] = (rk, rk1, v, braids)
+    else:
+        v = canonical_word(perm_of_word((k,) + word, n))
+        braids = None
+    out = _PLANS[k, word] = (rk, rk1, v, braids)
     return out
 
 
@@ -569,7 +605,7 @@ def _mult_tau_word(ctx, k, word, nu, n):
     hit = ctx._mult_tau.get(ck)
     if hit is not None:
         return hit
-    rk, rk1, v, _ = ctx._plans.get((k, word)) or _plan(ctx, k, word)
+    rk, rk1, v, _ = _PLANS.get((k, word)) or _plan(k, word)
     if rk < rk1:
         # s_k w is longer than w
         res = _insert(ctx, k, word, nu, n)
@@ -611,7 +647,7 @@ def _insert(ctx, k, word, nu, n):
     braid is canonical, so its error term tau_prefix P tau_suffix 1_nu
     needs only tau_prefix multiplied out."""
     acc = {}
-    _, _, target, braids = ctx._plans.get((k, word)) or _plan(ctx, k, word)
+    _, _, target, braids = _PLANS.get((k, word)) or _plan(k, word)
     for prefix, suffix, c, r0, r1, r2 in braids:
         a = nu[r0]
         if a != nu[r2]:

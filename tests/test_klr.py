@@ -34,7 +34,8 @@ from klrcalc import (
     tau_word_degree,
 )
 from klrcalc import klr
-from klrcalc.klr import _insert_letter, _insertion_moves, _poly_on_strands
+from klrcalc.klr import (_canonical_shape, _insert_letter, _insertion_moves,
+                         _poly_on_strands)
 from klrcalc.polycalc import all_perms, canonical_word, demazure_monomial
 
 from conftest import (A2_DOT, B2R_DOT, G2_DOT, HALF_UNITS, make_cartan,
@@ -797,7 +798,10 @@ def test_insertion_braid_suffixes_are_canonical():
 
 def test_insertion_must_land_on_the_canonical_word(monkeypatch):
     """A move path cut short leaves the walk off the canonical word, and
-    the product raises rather than store a word that is not canonical."""
+    the product raises rather than store a word that is not canonical.
+    The plan table is emptied first: another test may have made the plan
+    of (2, (1, 2)) already, and then no walk would run."""
+    monkeypatch.setattr(klr, "_PLANS", {})
     ctx = KLRContext(make_cartan(A2_DOT))
     real = klr._insertion_moves
     monkeypatch.setattr(klr, "_insertion_moves",
@@ -807,6 +811,83 @@ def test_insertion_must_land_on_the_canonical_word(monkeypatch):
     with pytest.raises(RuntimeError):
         klr_multiply(KLRElement.monomial(ctx, nu, (2,), (0, 0, 0)),
                      KLRElement.monomial(ctx, nu, (1, 2), (0, 0, 0)))
+    assert (2, (1, 2)) not in klr._PLANS
+
+
+def test_canonical_shape_matches_canonical_word():
+    """The landing check of the plans: on every reduced word of S_n,
+    n <= 5, the shape test holds exactly when the word is the canonical
+    word of its permutation, so on one word per permutation."""
+    words = shaped = 0
+    for n in range(1, 6):
+        for g in all_perms(n):
+            for w in reduced_words(g):
+                assert _canonical_shape(w) == \
+                    (w == canonical_word(perm_of_word(w, n))), w
+                words += 1
+                shaped += _canonical_shape(w)
+    assert (words, shaped) == (3137, 1 + 2 + 6 + 24 + 120)
+    for word in ((1, 1), (2, 1, 2), (1, 3, 2, 3), (3, 2, 1, 2)):
+        assert not _canonical_shape(word), word
+
+
+def _adjacent_commute_twice(moves, word):
+    """The walk with two commutes of the first two neighbouring letters of
+    word that differ by one put in front: the word comes back unchanged,
+    so the walk still ends on the canonical word."""
+    p = next(p for p in range(len(word) - 1)
+             if abs(word[p] - word[p + 1]) == 1)
+    return [("c", p), ("c", p)] + moves
+
+
+def _wrapped_commute_twice(moves, word):
+    """The walk with two commutes at position -1 put in front, which a
+    list index would read as the last and the first letter of word."""
+    if abs(word[-1] - word[0]) < 2:
+        raise StopIteration
+    return [("c", -1), ("c", -1)] + moves
+
+
+def _first_braid_shifted(moves, word):
+    """The walk with its first braid move one position further right."""
+    t = next(t for t, (move, _) in enumerate(moves) if move == "b")
+    return moves[:t] + [("b", moves[t][1] + 1)] + moves[t + 1:]
+
+
+@pytest.mark.parametrize("break_walk, count", [
+    (_adjacent_commute_twice, 263),
+    (_wrapped_commute_twice, 83),
+    (_first_braid_shifted, 97),
+], ids=["adjacent-commute", "wrapped-commute", "shifted-braid"])
+def test_illegal_walks_are_refused(monkeypatch, break_walk, count):
+    """Every insertion in S_n, n <= 5, whose walk can be broken so (it has
+    neighbouring letters differing by one, first and last letters
+    differing by at least 2, or a braid), walked with an illegal move:
+    the product raises and no plan of its (k, w) is kept.
+    The pairs of commutes undo each other, so the walk still lands on the
+    canonical word and only the move check can refuse it."""
+    real = klr._insertion_moves
+    monkeypatch.setattr(klr, "_insertion_moves",
+                        lambda word: break_walk(real(word), word))
+    cases = 0
+    for k, g, canon, ascent in _insertions(5):
+        if not ascent:
+            continue
+        word = (k,) + canon
+        try:
+            break_walk(real(word), word)
+        except StopIteration:   # nothing of that kind to break
+            continue
+        monkeypatch.setattr(klr, "_PLANS", {})
+        n = g.n
+        nu = ("i",) * n
+        ctx = KLRContext(make_cartan(A2_DOT))
+        with pytest.raises(RuntimeError):
+            klr_multiply(KLRElement.monomial(ctx, nu, (k,), (0,) * n),
+                         KLRElement.monomial(ctx, nu, canon, (0,) * n))
+        assert (k, canon) not in klr._PLANS
+        cases += 1
+    assert cases == count
 
 
 # -- colour-independent plans against the per-colour-word walk ----------
@@ -901,13 +982,14 @@ def walk_mult_tau_word(ctx, memo, k, word, nu, n):
     (("i", "j"), G2_DOT, None),
     (("i", "j", "k"), C3_DOT, C3_UNITS),
 ], ids=["a2", "b2r", "g2", "c3"])
-def test_plans_match_the_per_colour_walk(labels, dot, units):
+def test_plans_match_the_per_colour_walk(monkeypatch, labels, dot, units):
     """tau_k tau_w 1_nu from the plans equals the per-colour-word walk for
     every canonical w in S_n, every k and every colour word nu, n = 2..5,
-    on one context filled in increasing n, so the plans made on few
-    strands serve more (a plan does not depend on n).  Both branches
-    run, and each emits terms besides its leading one (braid error
-    terms, and Q with an error for a descent)."""
+    on one context and an empty plan table filled in increasing n, so the
+    plans made on few strands serve more (a plan does not depend on n).
+    Both branches run, and each emits terms besides its leading one
+    (braid error terms, and Q with an error for a descent)."""
+    monkeypatch.setattr(klr, "_PLANS", {})
     ctx = KLRContext(CartanDatum(list(labels), dot), units)
     memo = {}
     seen = set()
@@ -924,18 +1006,50 @@ def test_plans_match_the_per_colour_walk(labels, dot, units):
     assert seen == {(True, False), (True, True), (False, False),
                     (False, True)}
     # one plan per (k, w) of S_5: those of fewer strands are among them
-    assert len(ctx._plans) == math.factorial(5) * 4
+    assert len(klr._PLANS) == math.factorial(5) * 4
 
 
-def test_plans_are_shared_across_colour_words(ctx_b2r):
-    """After the height-4 residues, fewer (k, w) plans serve the products
-    memoized per (k, w, nu), and every product's (k, w) has a plan."""
+def test_plans_are_shared_across_colour_words(monkeypatch, ctx_b2r):
+    """After the height-4 residues on an empty plan table, fewer (k, w)
+    plans serve the products memoized per (k, w, nu), and every product's
+    (k, w) has a plan."""
+    monkeypatch.setattr(klr, "_PLANS", {})
     ctx = KLRContext(ctx_b2r.cartan)
     for nu in all_words(4):
         if len(nu) == 4:
             relation_residues(ctx, nu)
-    assert 0 < len(ctx._plans) < len(ctx._mult_tau)
-    assert {(k, w) for k, w, _ in ctx._mult_tau} <= set(ctx._plans)
+    assert 0 < len(klr._PLANS) < len(ctx._mult_tau)
+    assert {(k, w) for k, w, _ in ctx._mult_tau} <= set(klr._PLANS)
+
+
+def _every_tau_product(labels, max_n=5):
+    """(k, canonical w, nu, n) for every tau_k tau_w 1_nu, n = 2..max_n."""
+    for n in range(2, max_n + 1):
+        for g in all_perms(n):
+            w = canonical_word(g)
+            for k in range(1, n):
+                for nu in itertools.product(labels, repeat=n):
+                    yield k, w, nu, n
+
+
+def test_plans_made_on_one_datum_serve_others(monkeypatch):
+    """The plans filled by every tau_k tau_w 1_nu, n <= 5, on G2 replay
+    on A2 and on C3 with units to the per-colour-word walk of each, and
+    no new plan is made: the table holds one plan per (k, w) whatever the
+    Cartan datum or Q."""
+    monkeypatch.setattr(klr, "_PLANS", {})
+    g2 = KLRContext(make_cartan(G2_DOT))
+    for k, w, nu, n in _every_tau_product(("i", "j")):
+        klr._mult_tau_word(g2, k, w, nu, n)
+    assert len(klr._PLANS) == math.factorial(5) * 4
+    for labels, dot, units in [(("i", "j"), A2_DOT, None),
+                               (("i", "j", "k"), C3_DOT, C3_UNITS)]:
+        ctx = KLRContext(CartanDatum(list(labels), dot), units)
+        memo = {}
+        for k, w, nu, n in _every_tau_product(labels):
+            assert klr._mult_tau_word(ctx, k, w, nu, n) == \
+                walk_mult_tau_word(ctx, memo, k, w, nu, n), (labels, k, w, nu)
+        assert len(klr._PLANS) == math.factorial(5) * 4
 
 
 def oracle_canonical_word(g):
