@@ -508,98 +508,105 @@ def grk_ad_divided_Ej(n, i, j, ctx):
 # ---------------------------------------------------------------------------
 
 class DimTable:
-    """Graded dimensions of a module, refined by full left color word.
+    """Graded dimensions of a module, refined by full left color word and
+    evaluated on demand.
 
-    table maps a position-order color word to its graded dimension, a
-    LaurentPoly whose q^d coefficient is the dimension in degree d; rows
-    are complete for every degree <= hi (absent means zero there).
+    A table is three things: a degree lo below which the module is zero,
+    the position-order color words its rows may have, and a function from
+    a degree d to {lam: dim of the lam row at d}.  The function is called
+    only at the degrees that are read, once per degree (at() memoizes
+    it), and a table built from others reads them at exactly the degrees
+    it needs, so every value read is exact: there is no truncation.
     """
 
-    __slots__ = ("table", "hi")
+    __slots__ = ("lo", "words", "_fn", "_memo")
 
-    def __init__(self, table, hi):
-        self.table = {lam: row for lam, row in table.items() if row}
-        self.hi = hi
+    def __init__(self, lo, words, fn):
+        self.lo = lo
+        self.words = frozenset(words)
+        self._fn = fn
+        self._memo = {}
+
+    def at(self, d):
+        """{lam: dim} at degree d, zero dimensions left out."""
+        row = self._memo.get(d)
+        if row is None:
+            row = self._memo[d] = {} if d < self.lo else {
+                lam: v for lam, v in self._fn(d).items() if v}
+        return row
 
     def dim(self, d, lam):
-        row = self.table.get(lam)
-        return row.coeff(d) if row else 0
-
-    def min_degree(self):
-        return min((row.min_exp() for row in self.table.values()),
-                   default=None)
+        return self.at(d).get(lam, 0)
 
     def shifted(self, s):
-        """The table of q^s times this module."""
-        return DimTable({lam: row.shift(-s) for lam, row in self.table.items()},
-                        self.hi - s)
+        """The table of q^s times this module: (q^s M)_d = M_{d+s}."""
+        return DimTable(self.lo - s, self.words, lambda d: self.at(d + s))
 
     def scaled_by_quantum_integer(self, m, d_i):
-        """The table of [m]_i copies (a sum of shifts of this module)."""
-        qm = quantum_integer(m, d_i)
-        if not qm:
-            return DimTable({}, self.hi)
-        return DimTable({lam: row * qm for lam, row in self.table.items()},
-                        self.hi - qm.max_exp())
+        """The table of [m]_i copies, the sum of the shifts q_i^{m-1-2l}
+        M for l < m ([0]_i copies are the zero module).  A negative m is
+        no multiplicity and raises ValueError."""
+        if m < 0:
+            raise ValueError(f"negative multiplicity {m}")
+        out = DimTable(self.lo, (), lambda d: {})
+        for e in quantum_integer(m, d_i).coeffs:
+            out = out.add(self.shifted(-e))
+        return out
+
+    def _combined(self, other, sign):
+        """The function of self + sign * other.  A negative value is not a
+        dimension and raises ValueError at whichever degree it is read."""
+        def fn(d):
+            out = dict(self.at(d))
+            for lam, v in other.at(d).items():
+                x = out[lam] = out.get(lam, 0) + sign * v
+                if x < 0:
+                    raise ValueError(
+                        f"negative dimension {x} at ({lam}, {d})")
+            return out
+        return fn
 
     def add(self, other):
-        out = dict(self.table)
-        for lam, row in other.table.items():
-            out[lam] = out[lam] + row if lam in out else row
-        return DimTable(out, min(self.hi, other.hi))
+        return DimTable(min(self.lo, other.lo), self.words | other.words,
+                        self._combined(other, 1))
 
     def sub(self, other):
-        out = dict(self.table)
-        for lam, row in other.table.items():
-            out[lam] = out[lam] - row if lam in out else -row
-        hi = min(self.hi, other.hi)
-        for lam, row in out.items():
-            for d, v in row.coeffs.items():
-                if v < 0 and d <= hi:
-                    raise ValueError(
-                        f"negative dimension {v} at ({lam}, {d})")
-        return DimTable(out, hi)
+        # a row of other off the words of self would be negative
+        return DimTable(min(self.lo, other.lo), self.words,
+                        self._combined(other, -1))
 
     def agrees_with(self, other, window):
-        hi = min(self.hi, other.hi)
-        lams = set(self.table) | set(other.table)
-        for d in window:
-            if d > hi:
-                return False
-            for lam in lams:
-                if self.dim(d, lam) != other.dim(d, lam):
-                    return False
-        return True
+        return all(self.at(d) == other.at(d) for d in window)
 
 
-def dims_E_word(ctx, nu, hi):
+def dims_E_word(ctx, nu):
     """Refined graded dimensions of the cyclic module of the written color
-    word nu, complete up to degree hi: the row of lam is the series of
-    P_lam / D(beta) with P_lam = ctx.coset_polynomials(nu)[lam], expanded
-    from the lowest degree of P_lam to hi."""
+    word nu: the row of lam is the series of P_lam / D(beta) with
+    P_lam = ctx.coset_polynomials(nu)[lam] (nu in position order), expanded
+    at each degree that is read.  The table starts at the lowest degree
+    of the P_lam."""
     pos_nu = tuple(reversed(tuple(nu)))
     den = hilbert_denominator(ctx.cartan, pos_nu)
-    table = {}
-    for lam, poly in ctx.coset_polynomials(pos_nu).items():
-        lo = min(poly)
-        if lo <= hi:
-            table[lam] = series_window(RatFunc(LaurentPoly(poly), den),
-                                       DegreeWindow(lo, hi))
-    return DimTable(table, hi)
+    polys = ctx.coset_polynomials(pos_nu)
+    rows = {lam: RatFunc(LaurentPoly(poly), den)
+            for lam, poly in polys.items()}
+    return DimTable(min(min(poly) for poly in polys.values()), rows,
+                    lambda d: {lam: series_window(f, DegreeWindow(d, d))
+                               .coeff(d) for lam, f in rows.items()})
 
 
 def product_dims(A, B, ctx):
     """Refined dims of the induced product M N from refined dims of M (top
-    strands) and N (bottom strands), via shuffle coset representatives."""
+    strands) and N (bottom strands), via shuffle coset representatives.
+
+    A shuffle of a word lamA of A with a word lamB of B gives the word lam
+    and raises the degree by tdeg, that of its crossings.  The product at
+    degree d adds A(a, lamA) B(d - tdeg - a, lamB) for a from A.lo to
+    d - tdeg - B.lo, so A and B are read at exactly those degrees."""
     dot = ctx.cartan.dot
-    minA, minB = A.min_degree(), B.min_degree()
-    if minA is None or minB is None:
-        return DimTable({}, 10 ** 9)
-    out = {}
-    tmin = 0
-    for lamA, rowA in A.table.items():
-        for lamB, rowB in B.table.items():
-            prod = rowA * rowB
+    shuffles = []
+    for lamA in sorted(A.words):
+        for lamB in sorted(B.words):
             nA, nB = len(lamA), len(lamB)
             for posA in combinations(range(nA + nB), nA):
                 posA = set(posA)
@@ -617,20 +624,24 @@ def product_dims(A, B, ctx):
                             tdeg -= dot(ca, lamB[ib])
                         lam.append(lamB[ib])
                         ib += 1
-                tmin = min(tmin, tdeg)
-                lam = tuple(lam)
-                row = prod.shift(tdeg)
-                out[lam] = out[lam] + row if lam in out else row
-    hi_out = min(A.hi + minB, B.hi + minA) + tmin
-    return DimTable({lam: LaurentPoly({d: v for d, v in row.coeffs.items()
-                                       if d <= hi_out})
-                     for lam, row in out.items()}, hi_out)
+                shuffles.append((lamA, lamB, tuple(lam), tdeg))
+
+    def fn(d):
+        out = {}
+        for lamA, lamB, lam, tdeg in shuffles:
+            e = d - tdeg
+            v = sum(A.dim(a, lamA) * B.dim(e - a, lamB)
+                    for a in range(A.lo, e - B.lo + 1))
+            out[lam] = out.get(lam, 0) + v
+        return out
+    return DimTable(A.lo + B.lo + min((s[3] for s in shuffles), default=0),
+                    (s[2] for s in shuffles), fn)
 
 
 def induced_graded_dim(N, i, ctx):
     """Refined dims of the left and right inductions by one i-strand:
     (dims of E_i N, dims of N E_i)."""
-    Ei = dims_E_word(ctx, (i,), N.hi)
+    Ei = dims_E_word(ctx, (i,))
     return product_dims(Ei, N, ctx), product_dims(N, Ei, ctx)
 
 
@@ -645,61 +656,71 @@ def adE_dims(D, i, w, ctx):
 def adF_dims(D, i, w, ctx):
     """Refined dims of the adjoint restriction: shift by q_i^{1-w} of the
     components whose top color is i, with the top strand removed."""
-    top_i = {lam[:-1]: row for lam, row in D.table.items()
-             if lam and lam[-1] == i}
-    return DimTable(top_i, D.hi).shifted(ctx.cartan.d(i) * (1 - w))
+    top_i = DimTable(D.lo, (lam[:-1] for lam in D.words
+                            if lam and lam[-1] == i),
+                     lambda d: {lam[:-1]: v for lam, v in D.at(d).items()
+                                if lam and lam[-1] == i})
+    return top_i.shifted(ctx.cartan.d(i) * (1 - w))
 
 
 # ---------------------------------------------------------------------------
 # module specs and the identity checks
 # ---------------------------------------------------------------------------
 
-def _cohomology_h0_refined(cplx, hi):
-    """Refined dims of H^0 of a complex, complete up to degree hi.
+def _cohomology_h0_refined(cplx):
+    """Refined dims of H^0 of a complex, as a table evaluated on demand.
 
-    H^0 is the cokernel of the first differential, so only dim - rank of
-    that one map is needed per degree; no window sweep over the whole
-    complex is performed.
+    H^0 is the cokernel of the first differential, so at each degree that
+    is read only dim - rank of that one map is computed, per left color
+    word; no window sweep over the whole complex is performed.  The table
+    starts at the lowest degree of terms[0], and its words are the left
+    color words of the summands there.
     """
-    lo = 0
-    for p in cplx.terms[0]:
-        m = min(min(row) for row in p.ctx.coset_polynomials(p.nu).values())
-        lo = min(lo, m - p.shift)
-    table = {}
-    for d in range(lo, hi + 1):
-        lams = set()
-        for p in cplx.terms[0]:
-            lams.update(p.blocks(d))
-        for lam in sorted(lams):
+    polys = [(p.ctx.coset_polynomials(p.nu), p.shift) for p in cplx.terms[0]]
+    lo = min(min(map(min, rows.values())) - shift for rows, shift in polys)
+
+    def fn(d):
+        out = {}
+        for lam in sorted(set().union(*(p.blocks(d)
+                                        for p in cplx.terms[0]))):
             h = cplx.term_dim(0, d, lam)
             if cplx.length() > 1:
                 h -= cplx.block_rank(1, d, lam)
-            if h:
-                table.setdefault(lam, {})[d] = h
-    return DimTable({lam: LaurentPoly(row) for lam, row in table.items()}, hi)
+            out[lam] = h
+        return out
+    return DimTable(lo, set().union(*(rows for rows, _ in polys)), fn)
 
 
-def module_spec_dims(spec, i, ctx, hi):
-    """Refined dims for a module spec.
-
-    spec is either a tuple of colors (the written word of a product of
-    one-strand generators) or ("ad", n, inner_spec) for the n-th adjoint
-    power, computed as H^0 of the corresponding complex (inner_spec must be
-    a plain word there).
-    """
-    if isinstance(spec, tuple) and spec and spec[0] == "ad":
-        _, n, inner = spec
-        cplx = build_ad_complex(n, tuple(inner), i, ctx)
-        return _cohomology_h0_refined(cplx, hi)
-    return dims_E_word(ctx, tuple(spec), hi)
+def module_spec_dims(spec, i, ctx):
+    """Refined dims for a module spec (see module_spec_weight): the series
+    table of a plain word, or the H^0 table of the adjoint complex for
+    ("ad", n, word)."""
+    _, n, word = module_spec_weight(spec)
+    if spec[:1] == ("ad",):
+        return _cohomology_h0_refined(build_ad_complex(n, word, i, ctx))
+    return dims_E_word(ctx, word)
 
 
 def module_spec_weight(spec):
-    if isinstance(spec, tuple) and spec and spec[0] == "ad":
-        _, n, inner = spec
-        word = tuple(inner)
-        return RootVector.from_word(word), n, word
-    return RootVector.from_word(tuple(spec)), 0, tuple(spec)
+    """(weight, n, word) of a module spec, the one place specs are checked.
+
+    spec is either a plain word, a tuple of colors (the written word of a
+    product of one-strand generators; n = 0), or ("ad", n, word) for the
+    n-th adjoint power of the plain word's module, n a nonnegative int.
+    Anything else raises ValueError naming the spec."""
+    n, word = 0, spec
+    if isinstance(spec, tuple) and spec[:1] == ("ad",):
+        if len(spec) != 3:
+            raise ValueError(f"module spec {spec!r} is not ('ad', n, word)")
+        _, n, word = spec
+    word = tuple(word)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"module spec {spec!r}: the power {n!r} is not a "
+                         "nonnegative int")
+    if word[:1] == ("ad",) or any(isinstance(c, (tuple, list)) for c in word):
+        raise ValueError(f"module spec {spec!r}: {word!r} is not a plain "
+                         "word")
+    return RootVector.from_word(word), n, word
 
 
 def ses_identity_check(m_spec, i, window, ctx):
@@ -708,31 +729,11 @@ def ses_identity_check(m_spec, i, window, ctx):
     beta, nlayers, word = module_spec_weight(m_spec)
     w = pairing(ctx.cartan, i, beta) + 2 * nlayers
     di = ctx.cartan.d(i)
-    hi = window.d_max + _dims_buffer(ctx, i, beta, nlayers + 1)
-    D = module_spec_dims(m_spec, i, ctx, hi)
-    ad_cplx = build_ad_complex(nlayers + 1, word, i, ctx)
-    adE = _cohomology_h0_refined(ad_cplx, window.d_max)
+    D = module_spec_dims(m_spec, i, ctx)
+    adE = module_spec_dims(("ad", nlayers + 1, word), i, ctx)
     EiM, MEi = induced_graded_dim(D, i, ctx)
     lhs = adE.add(MEi.shifted(di * w))
     return lhs.agrees_with(EiM, window)
-
-
-def _dims_buffer(ctx, i, beta, extra_i):
-    """Degree headroom so that shifted comparisons stay inside complete
-    tables: the largest possible total crossing drop plus shifts."""
-    dot = ctx.cartan.dot
-    colors = []
-    for lab, c in beta.coeffs.items():
-        colors.extend([lab] * c)
-    colors.extend([i] * extra_i)
-    drop = 0
-    for a in range(len(colors)):
-        for b in range(a + 1, len(colors)):
-            # only equal-color crossings lower the degree
-            drop += max(0, dot(colors[a], colors[b]))
-    return drop + ctx.cartan.d(i) * (
-        abs(pairing(ctx.cartan, i, beta)) * max(extra_i, 1)
-        + 2 * extra_i + 2)
 
 
 def nderivation_check(nu_m, nu_n, n, i, window, ctx):
@@ -743,21 +744,17 @@ def nderivation_check(nu_m, nu_n, n, i, window, ctx):
     beta_m = RootVector.from_word(nu_m)
     w = pairing(ctx.cartan, i, beta_m)
     di = ctx.cartan.d(i)
-    beta_all = RootVector.from_word(nu_m + nu_n)
-    hi = window.d_max + _dims_buffer(ctx, i, beta_all, n + 1)
-    # the left side is compared directly on the window, so it only needs
-    # to be complete up to d_max; the headroom is for the shifted products
-    lhs = _cohomology_h0_refined(
-        build_ad_complex(n, nu_m + nu_n, i, ctx), window.d_max)
-    ad_m = {m: _cohomology_h0_refined(build_ad_complex(m, nu_m, i, ctx), hi)
-            for m in range(n + 1)}
-    ad_n = {m: _cohomology_h0_refined(build_ad_complex(m, nu_n, i, ctx), hi)
-            for m in range(n + 1)}
+
+    def ad(m, nu):
+        return _cohomology_h0_refined(build_ad_complex(m, nu, i, ctx))
+    lhs = ad(n, nu_m + nu_n)
+    # the product for zeta(k) = z serves every k with that many ones
+    prods = {z: product_dims(ad(z, nu_m), ad(n - z, nu_n), ctx)
+             for z in range(n + 1)}
     rhs = None
     for k in range(2 ** n):
         zk = zeta(k)
-        s = di * ((n - zk) * w + 2 * sigma(k))
-        piece = product_dims(ad_m[zk], ad_n[n - zk], ctx).shifted(s)
+        piece = prods[zk].shifted(di * ((n - zk) * w + 2 * sigma(k)))
         rhs = piece if rhs is None else rhs.add(piece)
     return lhs.agrees_with(rhs, window)
 
@@ -768,10 +765,8 @@ def mackey_shadow_check(m_spec, i, window, ctx):
     beta, nlayers, word = module_spec_weight(m_spec)
     w = pairing(ctx.cartan, i, beta) + 2 * nlayers
     di = ctx.cartan.d(i)
-    hi = window.d_max + 2 * _dims_buffer(ctx, i, beta, nlayers + 2)
-    D = module_spec_dims(m_spec, i, ctx, hi)
-    adE_M = _cohomology_h0_refined(
-        build_ad_complex(nlayers + 1, word, i, ctx), hi)
+    D = module_spec_dims(m_spec, i, ctx)
+    adE_M = module_spec_dims(("ad", nlayers + 1, word), i, ctx)
     adF_M = adF_dims(D, i, w, ctx)
     # adE on the restricted module via the cokernel count
     lhs = adE_dims(adF_M, i, w - 2, ctx)

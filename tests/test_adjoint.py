@@ -587,22 +587,34 @@ def test_adjoint_module_grows_forever(ctx_a2):
 # -- dimension bookkeeping ----------------------------------------------
 
 
-def test_product_dims_matches_concatenation(ctx_a2):
-    hi = 12
-    for w1 in [("i",), ("j",), ("i", "j")]:
-        for w2 in [("i",), ("j",)]:
-            A = dims_E_word(ctx_a2, w1, hi)
-            B = dims_E_word(ctx_a2, w2, hi)
-            P = product_dims(A, B, ctx_a2)
-            assert P.hi >= 8
-            assert P.agrees_with(dims_E_word(ctx_a2, w1 + w2, hi),
-                                 DegreeWindow(0, 8))
+def rows_of(table, degrees):
+    """{lam: {d: dim}} of a DimTable read at each of the degrees."""
+    out = {}
+    for d in degrees:
+        for lam, v in table.at(d).items():
+            out.setdefault(lam, {})[d] = v
+    return out
+
+
+def test_product_dims_matches_concatenation(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
+    """The shuffle product of the tables of two words is the table of the
+    concatenated word, from below both lowest degrees up to degree 8."""
+    for ctx in (ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
+        for w1 in [("i",), ("j",), ("i", "j"), ("j", "j")]:
+            for w2 in [("i",), ("j",)]:
+                P = product_dims(dims_E_word(ctx, w1), dims_E_word(ctx, w2),
+                                 ctx)
+                C = dims_E_word(ctx, w1 + w2)
+                assert P.words == C.words, (w1, w2)
+                window = DegreeWindow(min(P.lo, C.lo) - 2, 8)
+                assert any(C.at(d) for d in window)
+                assert P.agrees_with(C, window), (ctx.cartan, w1, w2)
 
 
 def test_dims_E_word_matches_enumeration(ctx_a2, ctx_b2, ctx_g2):
     """The series rows of dims_E_word equal the counts of the PBW keys
     that graded_basis enumerates, per left color word, for every word of
-    length <= 3 up to degree 8."""
+    length <= 3 up to degree 8, and nothing lies below the table's lo."""
     hi = 8
     for ctx in (ctx_a2, ctx_b2, ctx_g2):
         for n in (1, 2, 3):
@@ -614,65 +626,73 @@ def test_dims_E_word_matches_enumeration(ctx_a2, ctx_b2, ctx_g2):
                     for key in graded_basis(ctx, None, pos, d):
                         row = want.setdefault(el.left_colors(key), {})
                         row[d] = row.get(d, 0) + 1
-                got = dims_E_word(ctx, word, hi)
-                assert got.hi == hi
-                assert {lam: row.coeffs for lam, row in got.table.items()} \
-                    == want, word
+                got = dims_E_word(ctx, word)
+                assert got.lo == min(min(row) for row in want.values())
+                assert got.words == set(want)
+                assert rows_of(got, range(-3 * 6, hi + 1)) == want, word
 
 
 def test_dim_table_algebra(ctx_a2):
-    D = dims_E_word(ctx_a2, ("i", "j"), 8)
-    assert D.add(D).sub(D).agrees_with(D, DegreeWindow(0, 8))
+    D = dims_E_word(ctx_a2, ("i", "j"))
+    assert D.add(D).sub(D).agrees_with(D, DegreeWindow(-2, 8))
+    assert D.at(4) and D.add(D).at(4) == {lam: 2 * v
+                                          for lam, v in D.at(4).items()}
     assert underlying_degree(2, 3) == 5
-    # (q^s M)_d = M_{d+s}: a shift by s moves every row, and the degree up
-    # to which the table is complete, down by s
+    # (q^s M)_d = M_{d+s}: a shift by s moves every row, and the lowest
+    # degree of the table, down by s
     for s in (2, -3):
         S = D.shifted(s)
-        assert S.hi == D.hi - s
-        for lam, row in D.table.items():
-            assert S.table[lam].coeffs == {d - s: v
-                                           for d, v in row.coeffs.items()}
+        assert S.lo == D.lo - s and S.words == D.words
+        for lam in D.words:
+            assert any(D.dim(d, lam) for d in range(-2, 9))
             assert all(S.dim(d - s, lam) == D.dim(d, lam)
                        for d in range(-2, 9))
 
 
 def test_scaled_by_quantum_integer_keeps_completeness(ctx_b2):
-    """[m]_i M is a sum of the shifts q_i^{m-1-2l} M, so the sum is
-    complete only up to hi minus the top exponent of [m]_i; [0]_i M is the
-    zero module, still complete up to hi."""
-    D = dims_E_word(ctx_b2, ("i", "j"), 10)
-    for m, d_i in ((2, 1), (3, 2)):
+    """[m]_i M is the sum of the shifts q_i^{m-1-2l} M, l < m, at every
+    degree, starting d_i (m - 1) below M; [0]_i M is the zero module; a
+    negative multiplicity is refused."""
+    D = dims_E_word(ctx_b2, ("i", "j"))
+    for m, d_i in ((1, 1), (2, 1), (3, 2)):
         S = D.scaled_by_quantum_integer(m, d_i)
         top = d_i * (m - 1)
-        assert S.hi == D.hi - top
-        want = D.shifted(top)
-        for l in range(1, m):
-            want = want.add(D.shifted(top - 2 * d_i * l))
-        assert want.hi == S.hi
-        assert {lam: row.coeffs for lam, row in S.table.items()} \
-            == {lam: row.coeffs for lam, row in want.table.items()}
+        assert S.lo == D.lo - top and S.words == D.words
+        for d in range(S.lo - 2, 11):
+            assert S.at(d) == {
+                lam: v for lam in D.words
+                if (v := sum(D.dim(d + top - 2 * d_i * l, lam)
+                             for l in range(m)))}
     Z = D.scaled_by_quantum_integer(0, 1)
-    assert Z.table == {} and Z.hi == D.hi
+    assert not Z.words and not any(Z.at(d) for d in range(-4, 11))
+    for m in (-1, -2):
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            D.scaled_by_quantum_integer(m, 1)
 
 
 def test_dim_table_sub_refuses_negative_dimensions():
-    """A negative coefficient at a degree <= hi is not a dimension; above
-    hi the table is incomplete and a negative coefficient is allowed."""
-    A = DimTable({("i",): LaurentPoly({0: 1, 5: 1})}, 3)
-    for low in (DimTable({("i",): LaurentPoly({0: 2})}, 3),
-                DimTable({("j",): LaurentPoly({3: 1})}, 3)):
+    """A negative difference is not a dimension: it raises at whichever
+    degree it is read, also below the lowest degree of the minuend, and
+    the other degrees stay readable."""
+    def table(lo, rows):
+        return DimTable(lo, {lam for row in rows.values() for lam in row},
+                        lambda d: rows.get(d, {}))
+
+    A = table(0, {0: {("i",): 1}, 5: {("i",): 1}})
+    for e, row in ((0, {("i",): 2}), (3, {("j",): 1}), (5, {("i",): 2}),
+                   (-1, {("j",): 1})):
+        diff = A.sub(table(min(e, 0), {e: row}))
         with pytest.raises(ValueError, match="negative dimension"):
-            A.sub(low)
-    high = A.sub(DimTable({("i",): LaurentPoly({5: 2})}, 3))
-    assert high.table[("i",)].coeffs == {0: 1, 5: -1}
-    assert A.sub(A).table == {}
+            diff.at(e)
+        assert all(diff.at(d) == A.at(d) for d in range(-1, 6) if d != e)
+    assert not any(A.sub(A).at(d) for d in range(-1, 6))
 
 
 def test_dims_E_word_rows_times_denominator_are_coset_polynomials(
         ctx_a2, ctx_b2, ctx_g2):
     """Each row of dims_E_word is the series of P_lam / D(beta), so the row
-    times D(beta) is ctx.coset_polynomials through degree hi, with int
-    coefficients throughout."""
+    read up to degree hi, times D(beta), is ctx.coset_polynomials through
+    degree hi, with int coefficients throughout."""
     hi = 6
     for ctx in (ctx_a2, ctx_b2, ctx_g2):
         for n in (0, 1, 2, 3):
@@ -682,18 +702,19 @@ def test_dims_E_word_rows_times_denominator_are_coset_polynomials(
                 for c in pos:
                     den = den * (LaurentPoly.one()
                                  - LaurentPoly.q(ctx.cartan.dot(c, c)))
-                got = dims_E_word(ctx, word, hi)
-                assert got.hi == hi
-                assert all(type(v) is int for row in got.table.values()
-                           for v in row.coeffs.values())
-                lhs = {lam: {d: v for d, v in (row * den).coeffs.items()
-                             if d <= hi}
-                       for lam, row in got.table.items()}
+                got = dims_E_word(ctx, word)
+                rows = rows_of(got, range(got.lo, hi + 1))
+                assert all(type(v) is int for row in rows.values()
+                           for v in row.values())
+                lhs = {lam: {d: v for d, v in (LaurentPoly(row) * den)
+                             .coeffs.items() if d <= hi}
+                       for lam, row in rows.items()}
                 rhs = {lam: {d: v for d, v in poly.items() if d <= hi}
                        for lam, poly in ctx.coset_polynomials(pos).items()}
                 assert lhs == {lam: row for lam, row in rhs.items() if row}
-    # below the lowest degree of every P_lam there is nothing to expand
-    assert dims_E_word(ctx_a2, ("i", "j"), -5).table == {}
+    # the table starts at the lowest degree of every P_lam
+    D = dims_E_word(ctx_a2, ("i", "j"))
+    assert D.lo == 0 and D.at(0) and not any(D.at(d) for d in range(-5, 0))
 
 
 # -- the quotient test ---------------------------------------------------
@@ -727,6 +748,44 @@ def test_nderivation(n, ctx_a2):
 @pytest.mark.parametrize("mspec", [("j",), ("ad", 1, ("j",))])
 def test_mackey(mspec, ctx_a2):
     assert mackey_shadow_check(mspec, "i", DegreeWindow(0, 10), ctx_a2)
+
+
+@pytest.mark.parametrize("dot", [A2_DOT, G2_DOT], ids=["a2", "g2"])
+@pytest.mark.parametrize("check,window", [
+    (lambda w, ctx: mackey_shadow_check(("ad", 1, ("j",)), "i", w, ctx),
+     DegreeWindow(0, 10)),
+    (lambda w, ctx: ses_identity_check(("ad", 1, ("j",)), "i", w, ctx),
+     W8),
+    (lambda w, ctx: nderivation_check(("j",), ("j",), 2, "i", w, ctx), W8),
+], ids=["mackey", "ses", "nderivation"])
+def test_identities_rank_only_the_degrees_they_read(dot, check, window,
+                                                    monkeypatch):
+    """The dimension tables are read on demand, so H^0 is ranked only as
+    far as the identity's own shifts reach past the window, and not up to
+    a guessed headroom that grows with the height."""
+    degrees = []
+    block_rank = ProjComplex.block_rank
+
+    def recording(self, k, d, lam):
+        degrees.append(d)
+        return block_rank(self, k, d, lam)
+
+    monkeypatch.setattr(ProjComplex, "block_rank", recording)
+    assert check(window, KLRContext(make_cartan(dot)))
+    assert degrees and max(degrees) <= window.d_max + 6
+
+
+@pytest.mark.parametrize("spec", [("ad", -1, ("j",)),
+                                  ("ad", 1.0, ("j",)),
+                                  ("ad", True, ("j",)),
+                                  ("ad", 1, ("ad", 1, ("j",))),
+                                  ("ad", 1, (("j",),)),
+                                  ("ad", 1),
+                                  (("j",), "j")])
+def test_bad_module_specs_are_refused(spec, ctx_a2):
+    for check in (ses_identity_check, mackey_shadow_check):
+        with pytest.raises(ValueError, match="module spec"):
+            check(spec, "i", W8, ctx_a2)
 
 
 # -- the shadow of the crossing product decomposition -------------------
