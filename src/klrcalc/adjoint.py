@@ -86,26 +86,43 @@ def _echelon_insert(rows, v):
     return True
 
 
-def _matrix_rank(columns):
+def _matrix_rank(columns, units=()):
     """Rank over the rationals of an iterable of sparse columns (dicts
-    index -> nonzero int), by pivot-indexed, fraction-free integer
-    elimination with `_echelon_insert`.  Any totally ordered hashable keys
-    will do; the complexes pass the packed int keys of
-    ProjComplex._word_prod, whose pivot order follows first-seen target
-    ids, and the rank does not depend on that order.
+    index -> nonzero int) together with unit columns already peeled off,
+    given by their keys units, none of which the columns hold.  Any
+    totally ordered hashable keys will do; the complexes pass the packed
+    int keys of ProjComplex._word_prod, whose pivot order follows
+    first-seen target ids, and the rank does not depend on that order.
 
-    Empty columns are dropped and the rest are eliminated in increasing
-    order of their number of entries (a stable sort, so ties keep their
-    order).  The rank does not depend on the column order either, but the
-    work does: the cost of a block is fill, the entries a reduction adds,
-    and not coefficient growth.  Sparse columns become rows first, and a
-    denser column that reduces against them picks up little fill; on a
-    block whose dense columns come first, each later singleton is reduced
-    against the grown rows.  The sort holds all columns of a block at
-    once.  The columns are consumed: each is reduced in place."""
+    Unit columns, those with one entry, are peeled first: the keys of the
+    ones among columns join units (a key met twice counts once) and are
+    dropped from the other columns.  That is exact, since reducing by a
+    unit column {p: c} clears entry p and changes nothing else, so the
+    rank is the number of unit keys plus the rank of what is left.  The
+    rest is eliminated by `_echelon_insert` with empty columns dropped,
+    in increasing order of the number of entries (a stable sort, so ties
+    keep their order).  The rank does not depend on the column order, but
+    the work does: the cost of a block is fill, the entries a reduction
+    adds, and not coefficient growth.  Sparse columns become rows first,
+    and a denser column that reduces against them picks up little fill;
+    on a block whose dense columns come first, each later sparse column
+    is reduced against the grown rows.  The sort holds all columns of a
+    block at once.  The columns are consumed: each is reduced in place."""
+    peeled = set()
+    rest = []
+    for col in columns:
+        if len(col) == 1:
+            peeled.update(col)
+        elif col:
+            rest.append(col)
+    if peeled:
+        for col in rest:
+            for p in peeled.intersection(col):
+                del col[p]
     rows = {}
-    return sum(_echelon_insert(rows, col)
-               for col in sorted(filter(None, columns), key=len))
+    return len(units) + len(peeled) + sum(
+        _echelon_insert(rows, col)
+        for col in sorted(filter(None, rest), key=len))
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +328,28 @@ class ProjComplex:
         return u
 
     def _raw_columns(self, k, d, lam):
-        """Columns of d_k on the (d, lam) block, one per source basis
+        """The columns of d_k on the (d, lam) block with its unit columns
+        peeled, as (units, columns).  There is one column per source basis
         vector whose word has a nonzero product (the other vectors map to
-        zero and give no column), each a fresh sparse vector of nonzero
-        ints over the packed int keys of _word_prod: the column of
-        x^a tau_word 1_nu adds _pack(a) to every key of the word's
-        product, and each exponent vector a is packed once per complex.
-        No field carries, since _pack keeps every exponent below 2^31.
-        The target basis vectors are independent and each column is a
-        positive multiple of the image of its basis vector, so the rank
-        of these columns is the rank of the block."""
+        zero and give no column), over the packed int keys of _word_prod:
+        the column of x^a tau_word 1_nu adds _pack(a) to every key of the
+        word's product, and each exponent vector a is packed once per
+        complex.  No field carries, since _pack keeps every exponent below
+        2^31.  A word whose product has one term gives unit columns only;
+        units is the set of their keys, and no dict is built for them.
+        columns holds a fresh dict of nonzero ints for each vector of the
+        other words, with every key of units left out.  Reducing by the
+        unit column {p: c} clears entry p and changes nothing else, so
+        dropping the keys is exact; the columns are built only after the
+        last word is read, since a unit key found later would otherwise
+        stay in the columns built before it.  Some columns may be left
+        empty or with one entry.  The target basis vectors are
+        independent and each column is a positive multiple of the image
+        of its basis vector, so the rank of the block is len(units) plus
+        the rank of columns (_matrix_rank(columns, units))."""
         packed = self._packed
+        units = set()
+        dense = []
         for si, src in enumerate(self.terms[k]):
             # blocks lists the vectors of one word next to each other
             for word, vecs in groupby(src.blocks(d).get(lam, ()),
@@ -329,21 +357,34 @@ class ProjComplex:
                 prod = self._word_prod(k, si, word)
                 if not prod:
                     continue
+                shifts = []
                 for _, exps in vecs:
                     a = packed.get(exps)
                     if a is None:
                         a = packed[exps] = _pack(exps)
-                    yield {b + a: c for b, c in prod}
+                    shifts.append(a)
+                if len(prod) == 1:
+                    ((b, _),) = prod
+                    units.update([b + a for a in shifts])
+                else:
+                    dense.append((prod, shifts))
+        return units, [{key: c for b, c in prod
+                        if (key := b + a) not in units}
+                       for prod, shifts in dense for a in shifts]
 
     def block_rank(self, k, d, lam):
-        """Rank of d_k: terms[k] -> terms[k-1] on the (d, lam) block."""
+        """Rank of d_k: terms[k] -> terms[k-1] on the (d, lam) block: the
+        number of unit keys _raw_columns collected while it assembled the
+        block plus the rank of the other columns, which hold none of
+        those keys."""
         key = (k, d, lam)
         r = self._ranks.get(key)
         if r is None:
             if not 0 < k < len(self.terms):
                 raise ValueError(f"no differential d_{k} in a complex with "
                                  f"{len(self.terms)} terms")
-            r = self._ranks[key] = _matrix_rank(self._raw_columns(k, d, lam))
+            units, columns = self._raw_columns(k, d, lam)
+            r = self._ranks[key] = _matrix_rank(columns, units)
         return r
 
 
@@ -723,10 +764,22 @@ def module_spec_weight(spec):
     return RootVector.from_word(word), n, word
 
 
+def _check_labels(ctx, i, *words):
+    """Raise ValueError naming the first of the colour i and the letters of
+    words that is no label of the Cartan datum of ctx (the root data would
+    raise a bare KeyError deep inside the check)."""
+    labels = ctx.cartan.index_set
+    for c in (i, *(c for word in words for c in word)):
+        if c not in labels:
+            raise ValueError(f"colour {c!r} is not a label of the Cartan "
+                             f"datum (labels {labels})")
+
+
 def ses_identity_check(m_spec, i, window, ctx):
     """Check dim adE(M) + q_i^w dim(M E_i) = dim(E_i M) per degree and left
     color word, with adE(M) computed independently from cohomology."""
     beta, nlayers, word = module_spec_weight(m_spec)
+    _check_labels(ctx, i, word)
     w = pairing(ctx.cartan, i, beta) + 2 * nlayers
     di = ctx.cartan.d(i)
     D = module_spec_dims(m_spec, i, ctx)
@@ -741,6 +794,7 @@ def nderivation_check(nu_m, nu_n, n, i, window, ctx):
     n-th adjoint power of the product M N equal the sum over k < 2^n of the
     q_i-shifted products of adjoint powers of the factors."""
     nu_m, nu_n = tuple(nu_m), tuple(nu_n)
+    _check_labels(ctx, i, nu_m, nu_n)
     beta_m = RootVector.from_word(nu_m)
     w = pairing(ctx.cartan, i, beta_m)
     di = ctx.cartan.d(i)
@@ -763,6 +817,7 @@ def mackey_shadow_check(m_spec, i, window, ctx):
     """Check the commutator count: for w >= 0,
     dim adE adF M = dim adF adE M + [w]_i dim M, mirrored for w <= 0."""
     beta, nlayers, word = module_spec_weight(m_spec)
+    _check_labels(ctx, i, word)
     w = pairing(ctx.cartan, i, beta) + 2 * nlayers
     di = ctx.cartan.d(i)
     D = module_spec_dims(m_spec, i, ctx)

@@ -162,27 +162,49 @@ def test_projcomplex_rejects_each_fault(fault, message, ctx_a2):
         ProjComplex(ctx_a2, terms, diffs)
 
 
+def full_columns(cplx, k, d, lam):
+    """The block's columns as whole sparse vectors, one per basis vector
+    whose word has a nonzero product, with no unit column peeled, each
+    tagged with the number of terms of its word's product."""
+    return [(len(prod), {b + _pack(exps): c for b, c in prod})
+            for si, src in enumerate(cplx.terms[k])
+            for word, exps in src.blocks(d).get(lam, ())
+            if (prod := cplx._word_prod(k, si, word))]
+
+
 def test_component_matrix_shapes_and_ranks(ctx_a2):
-    """Each block has one nonzero column per basis vector whose word has
-    a nonzero product, and none for the others: the columns plus the
-    vectors with a zero product are the block's dimension."""
+    """Each block has one column per basis vector whose word has a nonzero
+    product and none for the others.  The vectors whose word's product
+    has one term give unit columns, which are peeled into the key set
+    units with no column built; so unit columns + other columns + vectors
+    with a zero product = the block's dimension.  units holds exactly the
+    keys of the unit columns, and every other column is its whole column
+    with those keys dropped."""
     cplx = build_ad_complex(2, ("j",), "i", ctx_a2)
-    skipped_some = False
+    skipped_some = repeated_some = emptied_some = False
     for d in range(0, 7):
         for lam in sorted(cplx.left_color_words(d)):
             for k in (1, 2):
-                cols = list(cplx._raw_columns(k, d, lam))
-                assert all(cols)
+                units, cols = cplx._raw_columns(k, d, lam)
+                full = full_columns(cplx, k, d, lam)
+                unit_cols = [col for terms, col in full if terms == 1]
                 zero = sum(1 for si, src in enumerate(cplx.terms[k])
                            for word, _ in src.blocks(d).get(lam, ())
                            if not cplx._word_prod(k, si, word))
-                assert len(cols) + zero == cplx.term_dim(k, d, lam)
+                assert len(unit_cols) + len(cols) + zero == \
+                    cplx.term_dim(k, d, lam)
+                assert units == {p for col in unit_cols for p in col}
+                assert cols == [{p: c for p, c in col.items()
+                                 if p not in units}
+                                for terms, col in full if terms > 1]
                 skipped_some |= zero > 0
+                repeated_some |= len(units) < len(unit_cols)
+                emptied_some |= not all(cols)
                 rank = cplx.block_rank(k, d, lam)
-                assert rank == _matrix_rank(cols)
+                assert rank == oracle_rank([col for _, col in full])
                 assert rank <= min(cplx.term_dim(k, d, lam),
                                    cplx.term_dim(k - 1, d, lam))
-    assert skipped_some
+    assert skipped_some and repeated_some and emptied_some
 
 
 # -- the closed-form basis of H·f against the echelon oracle -------------
@@ -439,20 +461,21 @@ def test_packed_fields_hold_exponents_below_2_31(ctx_a2, monkeypatch):
             _pack(exps)
 
     def columns_with(big):
-        """A complex, a basis word of d_1 with a nonzero product, and the
-        columns of d_1 on its block, once the block is replaced by that
-        word times x^(big, ..., big)."""
+        """A complex, a basis word of d_1 whose product has more than one
+        term, and the unit keys and columns of d_1 on its block, once the
+        block is replaced by that word times x^(big, ..., big)."""
         cplx = build_divided_complex(1, ("j",), "i", ctx_a2)
         src = cplx.terms[1][0]
         d, lam, word = next((d, lam, word) for d in range(8)
                             for lam, block in src.blocks(d).items()
                             for word, _ in block
-                            if cplx._word_prod(1, 0, word))
+                            if len(cplx._word_prod(1, 0, word)) > 1)
         monkeypatch.setattr(src, "blocks",
                             lambda _: {lam: [(word, (big,) * src.n)]})
-        return cplx, word, list(cplx._raw_columns(1, d, lam))
+        return (cplx, word) + cplx._raw_columns(1, d, lam)
 
-    cplx, word, (col,) = columns_with(top)
+    cplx, word, units, (col,) = columns_with(top)
+    assert not units
     want = {(ti, (mu, w2, tuple(x + top for x in e))): c
             for (ti, (mu, w2, e)), c in
             flat_word_prod(cplx, 1, 0, word).items()}
@@ -788,6 +811,32 @@ def test_bad_module_specs_are_refused(spec, ctx_a2):
             check(spec, "i", W8, ctx_a2)
 
 
+UNKNOWN_LABEL_CALLS = {
+    "ses-word": lambda ctx: ses_identity_check(("k",), "i", W8, ctx),
+    "ses-i": lambda ctx: ses_identity_check(("j",), "k", W8, ctx),
+    "mackey-word": lambda ctx: mackey_shadow_check(("k",), "i", W8, ctx),
+    "mackey-ad": lambda ctx: mackey_shadow_check(("ad", 1, ("k",)), "i", W8,
+                                                 ctx),
+    "mackey-i": lambda ctx: mackey_shadow_check(("j",), "k", W8, ctx),
+    "nderivation-m": lambda ctx: nderivation_check(("k",), ("j",), 1, "i",
+                                                   W8, ctx),
+    "nderivation-n": lambda ctx: nderivation_check(("j",), ("j", "k"), 1,
+                                                   "i", W8, ctx),
+    "nderivation-i": lambda ctx: nderivation_check(("j",), ("j",), 1, "k",
+                                                   W8, ctx),
+}
+
+
+@pytest.mark.parametrize("call", UNKNOWN_LABEL_CALLS.values(),
+                         ids=UNKNOWN_LABEL_CALLS.keys())
+def test_unknown_colour_labels_are_refused(call, ctx_a2):
+    """A colour the Cartan datum lacks, in the module word or as the
+    adjoint colour, raises a ValueError naming it, not a bare KeyError
+    from the root data."""
+    with pytest.raises(ValueError, match="colour 'k' is not a label"):
+        call(ctx_a2)
+
+
 # -- the shadow of the crossing product decomposition -------------------
 
 
@@ -934,26 +983,64 @@ def int_columns(columns):
     return out
 
 
+def with_unit_columns(rng, cols):
+    """cols with one-entry columns mixed in at seeded places: several on
+    one key with different coefficients, some on keys the other columns
+    hold, and a column over unit keys only, left empty once they are
+    dropped."""
+    cols = list(cols)
+    keys = sorted({p for col in cols for p in col}) or [(0, "a", 0)]
+    unit_keys = rng.sample(keys, rng.randint(1, min(3, len(keys))))
+    for p in unit_keys:
+        for _ in range(rng.randint(1, 3)):
+            cols.insert(rng.randint(0, len(cols)),
+                        {p: Fraction(rng.choice([-3, -1, 1, 2, 5]),
+                                     rng.randint(1, 3))})
+    if len(unit_keys) >= 2:
+        cols.insert(rng.randint(0, len(cols)),
+                    {p: Fraction(rng.choice([-2, 1, 3])) for p in unit_keys})
+    return cols
+
+
+def peel_units(columns):
+    """(units, rest): the keys of the one-entry columns, and the other
+    columns with those keys dropped, the form in which block_rank hands a
+    block to _matrix_rank."""
+    units = {p for col in columns if len(col) == 1 for p in col}
+    return units, [{p: c for p, c in col.items() if p not in units}
+                   for col in columns if len(col) != 1]
+
+
 def test_matrix_rank_exact(ctx_a2, ctx_b2):
     """_matrix_rank equals the Fraction oracle on seeded random matrices,
-    in their own column order, a seeded shuffle of it and its reverse, and
-    on every block of the plain and divided complexes with n + m <= 4
-    on A2 and B2 in degrees 0..4."""
+    in their own column order, a seeded shuffle of it and its reverse,
+    with and without unit columns mixed in (repeated on one key with
+    different coefficients, on keys dense columns also hold, and clearing
+    a column entirely), and with the unit columns handed over already
+    peeled as block_rank does; and block_rank equals the oracle's rank of
+    the columns built by klr_multiply on every block of the plain and
+    divided complexes with n + m <= 4 on A2 and B2 in degrees 0..4."""
     assert _matrix_rank([{(0, "a"): 1, (1, "b"): 2},
                          {(0, "a"): 2, (1, "b"): 4},
                          {(1, "b"): 1}]) == 2
     assert _matrix_rank([]) == 0
     assert _matrix_rank(iter([{0: 2, 1: 3}, {0: 1, 1: 2}])) == 2
     assert _matrix_rank([{0: 4, 1: 2}, {0: -2, 1: -1}, {}]) == 1
+    assert _matrix_rank([{0: 3}, {0: -1}, {0: 2, 1: 5}, {1: 1, 2: 1}]) == 3
+    assert _matrix_rank([{2: 1}, {0: 1, 2: 2}], {0, 1}) == 4
     rng = random.Random(20201)
-    for _ in range(400):
+    for trial in range(800):
         cols = random_columns(rng)
+        if trial % 2:
+            cols = with_unit_columns(rng, cols)
         want = oracle_rank(cols)
         assert _matrix_rank(int_columns(cols)) == want, cols
         shuffled = int_columns(cols)
         rng.shuffle(shuffled)
         assert _matrix_rank(shuffled) == want, cols
         assert _matrix_rank(int_columns(cols[::-1])) == want, cols
+        units, rest = peel_units(int_columns(cols))
+        assert _matrix_rank(rest, units) == want, cols
     for ctx in (ctx_a2, ctx_b2):
         for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
             for cplx in (build_ad_complex(n, ("j",) * m, "i", ctx),
@@ -961,18 +1048,19 @@ def test_matrix_rank_exact(ctx_a2, ctx_b2):
                 for d in range(0, 5):
                     for lam in sorted(cplx.left_color_words(d)):
                         for k in range(1, cplx.length()):
-                            cols = list(cplx._raw_columns(k, d, lam))
-                            want = oracle_rank(cols)
-                            assert _matrix_rank(cols) == want
+                            want = oracle_rank(klr_columns(cplx, k, d, lam))
+                            assert cplx.block_rank(k, d, lam) == want, \
+                                (n, m, k, d, lam)
 
 
 def test_matrix_rank_reduces_sparse_columns_first(monkeypatch):
-    """On an arrowhead matrix, one dense column over keys 0..50 listed
-    before the 51 singletons {k: 1}, the rank is 51 and the rows found at
-    the keys of the incoming columns hold at most 102 entries in all: the
-    singletons are reduced first.  Taking the columns as they come reads
-    51 + 50 + ... + 1 = 1326 entries, since each singleton meets the
-    remainder of the dense column."""
+    """On a fill-bound matrix with no unit column, one dense column over
+    keys 0..50 listed before the 50 two-entry columns {k: 1, k + 1: 1},
+    the rank is 51 and the rows found at the keys of the incoming columns
+    hold at most 100 entries in all: the two-entry columns become rows
+    first and the dense column meets each once.  Taking the columns as
+    they come stores the dense column as a row, and each two-entry column
+    after it meets a row of about 50 entries and leaves one as long."""
     real = adjoint._echelon_insert
     read = []
 
@@ -982,10 +1070,10 @@ def test_matrix_rank_reduces_sparse_columns_first(monkeypatch):
 
     monkeypatch.setattr(adjoint, "_echelon_insert", counted)
     keys = range(51)
-    cols = [{k: 1 for k in keys}] + [{k: 1} for k in keys]
+    cols = [{k: 1 for k in keys}] + [{k: 1, k + 1: 1} for k in keys[:-1]]
     assert _matrix_rank(cols) == 51
-    assert len(read) == 52
-    assert sum(read) <= 102, sum(read)
+    assert len(read) == 51
+    assert sum(read) <= 100, sum(read)
 
 
 def klr_columns(cplx, k, d, lam):
