@@ -8,9 +8,8 @@ Grading convention used throughout: a module shifted by q^s has
 """
 
 from heapq import heapify, heappop, heappush
-from itertools import combinations, groupby
+from itertools import combinations
 from math import gcd, lcm
-from operator import itemgetter
 
 from .qring import (DegreeWindow, LaurentPoly, RatFunc, hilbert_denominator,
                     quantum_integer, series_window, sigma, zeta)
@@ -194,18 +193,23 @@ class CyclicProjective:
 
     def blocks(self, d):
         """Basis of the degree-d component, as a dict sorted by left color
-        word lam -> list of (word, exps), each standing for the vector
-        x^exps tau_word 1_nu with word = (reduced word of u) + w0: the
-        context's basis of the vectors of degree d + shift."""
+        word lam -> list of rows (word, exps, table), one per minimal coset
+        representative u with vectors in this degree, with word =
+        (reduced word of u) + w0: the row stands for the vectors
+        x^a tau_word 1_nu, a in exps, and table keys exps.  This is the
+        context's basis of the vectors of degree d + shift
+        (KLRContext.basis)."""
         return self.ctx.basis(self.nu, self.w0,
                               underlying_degree(self.shift, d)
                               - self._w0_degree)
 
     def dim(self, d, lam=None):
+        """Dimension of the degree-d component, or of its lam block: the
+        summed lengths of the rows' exponent tables."""
         blocks = self.blocks(d)
-        if lam is not None:
-            return len(blocks.get(lam, ()))
-        return sum(len(v) for v in blocks.values())
+        rows = (blocks.values() if lam is None
+                else [blocks.get(lam, ())])
+        return sum(len(exps) for block in rows for _, exps, _ in block)
 
 
 class ProjComplex:
@@ -333,36 +337,35 @@ class ProjComplex:
         vector whose word has a nonzero product (the other vectors map to
         zero and give no column), over the packed int keys of _word_prod:
         the column of x^a tau_word 1_nu adds _pack(a) to every key of the
-        word's product, and each exponent vector a is packed once per
-        complex.  No field carries, since _pack keeps every exponent below
-        2^31.  A word whose product has one term gives unit columns only;
-        units is the set of their keys, and no dict is built for them.
-        columns holds a fresh dict of nonzero ints for each vector of the
-        other words, with every key of units left out.  Reducing by the
-        unit column {p: c} clears entry p and changes nothing else, so
-        dropping the keys is exact; the columns are built only after the
-        last word is read, since a unit key found later would otherwise
-        stay in the columns built before it.  Some columns may be left
-        empty or with one entry.  The target basis vectors are
-        independent and each column is a positive multiple of the image
-        of its basis vector, so the rank of the block is len(units) plus
-        the rank of columns (_matrix_rank(columns, units))."""
+        word's product.  The basis rows are walked as they come, one row
+        (word, exps, table) per word, so each word's product is fetched
+        once, and the packed shifts of a whole exponent table are taken
+        from the complex's _packed memo, keyed by the row's table and
+        filled once per complex.  No field carries, since _pack keeps
+        every exponent below 2^31.  A word whose product has one term
+        gives unit columns only; units is the set of their keys, and no
+        dict is built for them.  columns holds a fresh dict of nonzero
+        ints for each vector of the other words, with every key of units
+        left out.  Reducing by the unit column {p: c} clears entry p and
+        changes nothing else, so dropping the keys is exact; the columns
+        are built only after the last word is read, since a unit key
+        found later would otherwise stay in the columns built before it.
+        Some columns may be left empty or with one entry.  The target
+        basis vectors are independent and each column is a positive
+        multiple of the image of its basis vector, so the rank of the
+        block is len(units) plus the rank of columns
+        (_matrix_rank(columns, units))."""
         packed = self._packed
         units = set()
         dense = []
         for si, src in enumerate(self.terms[k]):
-            # blocks lists the vectors of one word next to each other
-            for word, vecs in groupby(src.blocks(d).get(lam, ()),
-                                      itemgetter(0)):
+            for word, exps, table in src.blocks(d).get(lam, ()):
                 prod = self._word_prod(k, si, word)
                 if not prod:
                     continue
-                shifts = []
-                for _, exps in vecs:
-                    a = packed.get(exps)
-                    if a is None:
-                        a = packed[exps] = _pack(exps)
-                    shifts.append(a)
+                shifts = packed.get(table)
+                if shifts is None:
+                    shifts = packed[table] = tuple(map(_pack, exps))
                 if len(prod) == 1:
                     ((b, _),) = prod
                     units.update([b + a for a in shifts])
@@ -469,8 +472,13 @@ def build_ad_complex(n, nu, i, ctx):
     the new top strand to the bottom.  Unwound, d has one entry from S to
     S minus m for each m in S: with t the number of elements of S above m,
     it is (-1)^t tau_(1+t, ..., m-1+r+t).
+
+    n must be a nonnegative int and i and the letters of nu labels of
+    the Cartan datum; anything else raises ValueError.
     """
     nu = tuple(nu)
+    _check_power(n)
+    _check_labels(ctx, (i,), nu)
     pos_nu = tuple(reversed(nu))
     r = len(nu)
     w = _word_weight_w(ctx, i, pos_nu)
@@ -495,8 +503,11 @@ def build_ad_complex(n, nu, i, ctx):
 def build_divided_complex(n, nu, i, ctx):
     """The (n+1)-term complex computing the n-th divided adjoint power
     applied to the cyclic module of the written color word nu; each term is
-    cut out by nil Hecke idempotents on the i-strand blocks."""
+    cut out by nil Hecke idempotents on the i-strand blocks.  n, nu and i
+    are checked as in build_ad_complex."""
     nu = tuple(nu)
+    _check_power(n)
+    _check_labels(ctx, (i,), nu)
     pos_nu = tuple(reversed(nu))
     r = len(nu)
     w = _word_weight_w(ctx, i, pos_nu)
@@ -625,8 +636,10 @@ def dims_E_word(ctx, nu):
     word nu: the row of lam is the series of P_lam / D(beta) with
     P_lam = ctx.coset_polynomials(nu)[lam] (nu in position order), expanded
     at each degree that is read.  The table starts at the lowest degree
-    of the P_lam."""
+    of the P_lam.  A letter of nu that is no label of the Cartan datum
+    raises ValueError."""
     pos_nu = tuple(reversed(tuple(nu)))
+    _check_labels(ctx, pos_nu)
     den = hilbert_denominator(ctx.cartan, pos_nu)
     polys = ctx.coset_polynomials(pos_nu)
     rows = {lam: RatFunc(LaurentPoly(poly), den)
@@ -764,22 +777,28 @@ def module_spec_weight(spec):
     return RootVector.from_word(word), n, word
 
 
-def _check_labels(ctx, i, *words):
-    """Raise ValueError naming the first of the colour i and the letters of
-    words that is no label of the Cartan datum of ctx (the root data would
-    raise a bare KeyError deep inside the check)."""
+def _check_labels(ctx, *words):
+    """Raise ValueError naming the first letter of words that is no label
+    of the Cartan datum of ctx (the root data would raise a bare KeyError
+    deep inside the check).  Callers pass a single colour i as (i,)."""
     labels = ctx.cartan.index_set
-    for c in (i, *(c for word in words for c in word)):
+    for c in (c for word in words for c in word):
         if c not in labels:
             raise ValueError(f"colour {c!r} is not a label of the Cartan "
                              f"datum (labels {labels})")
+
+
+def _check_power(n):
+    """Raise ValueError unless the adjoint power n is a nonnegative int."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"the adjoint power {n!r} is not a nonnegative int")
 
 
 def ses_identity_check(m_spec, i, window, ctx):
     """Check dim adE(M) + q_i^w dim(M E_i) = dim(E_i M) per degree and left
     color word, with adE(M) computed independently from cohomology."""
     beta, nlayers, word = module_spec_weight(m_spec)
-    _check_labels(ctx, i, word)
+    _check_labels(ctx, (i,), word)
     w = pairing(ctx.cartan, i, beta) + 2 * nlayers
     di = ctx.cartan.d(i)
     D = module_spec_dims(m_spec, i, ctx)
@@ -794,7 +813,7 @@ def nderivation_check(nu_m, nu_n, n, i, window, ctx):
     n-th adjoint power of the product M N equal the sum over k < 2^n of the
     q_i-shifted products of adjoint powers of the factors."""
     nu_m, nu_n = tuple(nu_m), tuple(nu_n)
-    _check_labels(ctx, i, nu_m, nu_n)
+    _check_labels(ctx, (i,), nu_m, nu_n)
     beta_m = RootVector.from_word(nu_m)
     w = pairing(ctx.cartan, i, beta_m)
     di = ctx.cartan.d(i)
@@ -817,7 +836,7 @@ def mackey_shadow_check(m_spec, i, window, ctx):
     """Check the commutator count: for w >= 0,
     dim adE adF M = dim adF adE M + [w]_i dim M, mirrored for w <= 0."""
     beta, nlayers, word = module_spec_weight(m_spec)
-    _check_labels(ctx, i, word)
+    _check_labels(ctx, (i,), word)
     w = pairing(ctx.cartan, i, beta) + 2 * nlayers
     di = ctx.cartan.d(i)
     D = module_spec_dims(m_spec, i, ctx)
@@ -836,9 +855,9 @@ def mackey_shadow_check(m_spec, i, window, ctx):
 def serre_exactness_check(n, m, i, j, window, ctx):
     """Build the divided complex on m strands of color j and report whether
     its cohomology vanishes on the window, against the expected criterion
-    n > -m * c_{ij}."""
-    cij = ctx.cartan.cartan(i, j)
+    n > -m * c_{ij}.  The builder checks n, i and j."""
     cplx = build_divided_complex(n, (j,) * m, i, ctx)
+    cij = ctx.cartan.cartan(i, j)
     gdt = cohomology_dims(cplx, window)
     h0 = {d: v for (k, d), v in gdt.dims.items() if k == 0 and v}
     hneg = {(k, d): v for (k, d), v in gdt.dims.items() if k != 0 and v}

@@ -206,19 +206,25 @@ class KLRContext:
 
     def basis(self, nu, w0, e):
         """The basis vectors x^a tau_u tau_w0 1_nu of H tau_w0 1_nu of
-        degree e + deg(tau_w0 1_nu), as a dict sorted by left color word
-        lam -> list of (canon(u) + w0, a), the rows u in pbw_cosets order
-        and each row's a in exp_vectors(weights, e - deg) order.  Memoized
-        per (nu, w0, e) and shared by its callers, who must not change it."""
+        degree e + deg(tau_w0 1_nu), one row per minimal coset
+        representative u with vectors in that degree, as a dict sorted by
+        left color word lam -> list of rows (canon(u) + w0, exps, table)
+        in pbw_cosets order.  exps lists the vectors' exponents a: it is
+        the memoized exp_vectors(weights, e - deg) tuple itself, shared
+        with every row and every degree that reads the same table, and
+        table = (weights, e - deg) is its memo key, so a consumer can key
+        its own per-table data on it without hashing exps.  No word
+        appears twice in a block.  Memoized per (nu, w0, e) and shared by
+        its callers, who must not change it."""
         key = (nu, w0, e)
         out = self._basis.get(key)
         if out is None:
             found = {}
             for lam, word, weights, deg in self.pbw_cosets(nu, w0):
-                exps = self.exp_vectors(weights, e - deg)
+                table = (weights, e - deg)
+                exps = self.exp_vectors(*table)
                 if exps:
-                    word += w0
-                    found.setdefault(lam, []).extend((word, a) for a in exps)
+                    found.setdefault(lam, []).append((word + w0, exps, table))
             out = self._basis[key] = {lam: found[lam] for lam in sorted(found)}
         return out
 
@@ -758,13 +764,15 @@ def tau_word_degree(ctx, word, nu):
 
 def graded_basis(ctx, mu_filter, nu, d):
     """All PBW monomial keys x^a tau_w 1_nu of degree d whose left color
-    word matches mu_filter (None for no filter), as a sorted list: a view
-    of ctx.basis(nu, (), d)."""
+    word matches mu_filter (None for no filter), as a sorted list: the
+    rows of ctx.basis(nu, (), d) flattened, one key per exponent vector
+    of each row."""
     nu = tuple(nu)
     blocks = ctx.basis(nu, (), d)
     rows = (blocks.values() if mu_filter is None
             else [blocks.get(tuple(mu_filter), ())])
-    return sorted((nu, word, a) for block in rows for word, a in block)
+    return sorted((nu, word, a) for block in rows
+                  for word, exps, _ in block for a in exps)
 
 
 def idempotent_e_klr(ctx, i, m):

@@ -54,6 +54,7 @@ AD_CASES = [
     (2, ("j", "j"), "i"),
     (1, ("j", "i"), "i"),
     (3, ("j",), "i"),
+    (0, ("j",), "i"),
 ]
 
 
@@ -63,7 +64,7 @@ def test_ad_complex_builds_and_squares_to_zero(n, nu, i, ctx_a2):
     assert cplx.length() == n + 1
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (3, 1)])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (3, 1), (0, 1)])
 def test_divided_complex_builds(n, m, ctx_a2, ctx_b2):
     for ctx in (ctx_a2, ctx_b2):
         cplx = build_divided_complex(n, ("j",) * m, "i", ctx)
@@ -162,13 +163,20 @@ def test_projcomplex_rejects_each_fault(fault, message, ctx_a2):
         ProjComplex(ctx_a2, terms, diffs)
 
 
+def basis_vectors(rows):
+    """The basis vectors of a block of rows (word, exps, table), as the
+    list of pairs (word, a), one per exponent vector a of each row, in row
+    order: the per-vector form the tests read."""
+    return [(word, a) for word, exps, _ in rows for a in exps]
+
+
 def full_columns(cplx, k, d, lam):
     """The block's columns as whole sparse vectors, one per basis vector
     whose word has a nonzero product, with no unit column peeled, each
     tagged with the number of terms of its word's product."""
     return [(len(prod), {b + _pack(exps): c for b, c in prod})
             for si, src in enumerate(cplx.terms[k])
-            for word, exps in src.blocks(d).get(lam, ())
+            for word, exps in basis_vectors(src.blocks(d).get(lam, ()))
             if (prod := cplx._word_prod(k, si, word))]
 
 
@@ -189,7 +197,8 @@ def test_component_matrix_shapes_and_ranks(ctx_a2):
                 full = full_columns(cplx, k, d, lam)
                 unit_cols = [col for terms, col in full if terms == 1]
                 zero = sum(1 for si, src in enumerate(cplx.terms[k])
-                           for word, _ in src.blocks(d).get(lam, ())
+                           for word, _ in basis_vectors(
+                               src.blocks(d).get(lam, ()))
                            if not cplx._word_prod(k, si, word))
                 assert len(unit_cols) + len(cols) + zero == \
                     cplx.term_dim(k, d, lam)
@@ -248,7 +257,8 @@ def test_closed_form_basis_vectors(ctx_a2, ctx_b2):
             for col in cplx.terms:
                 for p in col:
                     for d in range(0, 5):
-                        for lam, block in p.blocks(d).items():
+                        for lam, rows in p.blocks(d).items():
+                            block = basis_vectors(rows)
                             vecs = []
                             for word, exps in block:
                                 v = klr_multiply(
@@ -314,8 +324,8 @@ def keywise_blocks(p, d):
 
 
 def test_blocks_match_keywise_construction(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
-    """blocks(d), its dict order and list order included, equals the
-    key-by-key construction on every term of the plain and the divided
+    """blocks(d) flattened to its basis vectors, its dict order and list
+    order included, equals the key-by-key construction on every term of the plain and the divided
     complexes with n + m <= 4, degrees 0..6."""
     for ctx in (ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
         for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
@@ -324,7 +334,9 @@ def test_blocks_match_keywise_construction(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
                 for col in cplx.terms:
                     for p in col:
                         for d in range(0, 7):
-                            got, want = p.blocks(d), keywise_blocks(p, d)
+                            got = {lam: basis_vectors(rows)
+                                   for lam, rows in p.blocks(d).items()}
+                            want = keywise_blocks(p, d)
                             assert list(got.items()) == list(want.items()), \
                                 (build.__name__, n, m, p.nu, d)
 
@@ -351,10 +363,52 @@ def test_modules_with_one_idempotent_share_one_basis(ctx_a2, ctx_b2):
             for d in range(-6, 8):
                 basis = ctx.basis(nu, (), d)
                 assert graded_basis(ctx, None, nu, d) == sorted(
-                    (nu, w, a) for block in basis.values() for w, a in block)
+                    (nu, w, a) for rows in basis.values()
+                    for w, a in basis_vectors(rows))
                 for lam in set(itertools.permutations(nu)):
                     assert graded_basis(ctx, lam, nu, d) == sorted(
-                        (nu, w, a) for w, a in basis.get(lam, ()))
+                        (nu, w, a)
+                        for w, a in basis_vectors(basis.get(lam, ())))
+
+
+def test_basis_rows_share_the_exponent_tables(ctx_a2, ctx_b2, ctx_g2):
+    """blocks(d) has one row (word, exps, table) per minimal coset
+    representative u with vectors in degree d, word = canon(u) + w0: exps
+    is the context's memoized exp_vectors table itself, not a copy, and
+    table is its key, the x weights (c, c) of the left colour word and the
+    degree left for the x's after tau_u tau_w0; no word appears twice in
+    a block; and dim counts the flattened vectors, per block and in all.
+    On every term of the plain and the divided complexes with n + m <= 4
+    (the latter with parabolic w0), degrees 0..6."""
+    for ctx in (ctx_a2, ctx_b2, ctx_g2):
+        dot = ctx.cartan.dot
+        parabolic = False
+        for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
+            for build in (build_ad_complex, build_divided_complex):
+                cplx = build(n, ("j",) * m, "i", ctx)
+                for p in (p for col in cplx.terms for p in col):
+                    parabolic |= bool(p.w0)
+                    for d in range(0, 7):
+                        e = underlying_degree(p.shift, d) - \
+                            tau_word_degree(ctx, p.w0, p.nu)
+                        count = 0
+                        for lam, rows in p.blocks(d).items():
+                            weights = tuple(dot(c, c) for c in lam)
+                            words = [row[0] for row in rows]
+                            assert len(set(words)) == len(words)
+                            for word, exps, table in rows:
+                                u = word[:len(word) - len(p.w0)]
+                                assert u + p.w0 == word
+                                want = (weights,
+                                        e - tau_word_degree(ctx, u, p.nu))
+                                assert table == want
+                                assert exps and \
+                                    exps is ctx.exp_vectors(*want)
+                            vecs = len(basis_vectors(rows))
+                            assert p.dim(d, lam) == vecs
+                            count += vecs
+                        assert p.dim(d) == count, (n, m, p.nu, d)
+        assert parabolic
 
 
 def word_products(cplx, k, si, word):
@@ -467,11 +521,11 @@ def test_packed_fields_hold_exponents_below_2_31(ctx_a2, monkeypatch):
         cplx = build_divided_complex(1, ("j",), "i", ctx_a2)
         src = cplx.terms[1][0]
         d, lam, word = next((d, lam, word) for d in range(8)
-                            for lam, block in src.blocks(d).items()
-                            for word, _ in block
+                            for lam, rows in src.blocks(d).items()
+                            for word, _ in basis_vectors(rows)
                             if len(cplx._word_prod(1, 0, word)) > 1)
-        monkeypatch.setattr(src, "blocks",
-                            lambda _: {lam: [(word, (big,) * src.n)]})
+        monkeypatch.setattr(src, "blocks", lambda _: {
+            lam: [(word, ((big,) * src.n,), ("big", big))]})
         return (cplx, word) + cplx._raw_columns(1, d, lam)
 
     cplx, word, units, (col,) = columns_with(top)
@@ -500,7 +554,8 @@ def test_suffix_memo_holds_the_suffixes_of_ranked_words(units):
                 want = set()
                 for k, d, lam in cplx._ranks:
                     for si, src in enumerate(cplx.terms[k]):
-                        for word, _ in src.blocks(d).get(lam, ()):
+                        for word, _ in basis_vectors(
+                                src.blocks(d).get(lam, ())):
                             want.update((k, si, word[j:])
                                         for j in range(len(word)))
                 assert want and set(cplx._suffix_prods) == want
@@ -824,6 +879,14 @@ UNKNOWN_LABEL_CALLS = {
                                                    "i", W8, ctx),
     "nderivation-i": lambda ctx: nderivation_check(("j",), ("j",), 1, "k",
                                                    W8, ctx),
+    "ad-complex-word": lambda ctx: build_ad_complex(1, ("k",), "i", ctx),
+    "divided-complex-i": lambda ctx: build_divided_complex(1, ("j",), "k",
+                                                           ctx),
+    "serre-j": lambda ctx: serre_exactness_check(1, 1, "i", "k",
+                                                 DegreeWindow(0, 2), ctx),
+    "serre-i": lambda ctx: serre_exactness_check(1, 1, "k", "j",
+                                                 DegreeWindow(0, 2), ctx),
+    "dims-E-word": lambda ctx: dims_E_word(ctx, ("k",)),
 }
 
 
@@ -835,6 +898,28 @@ def test_unknown_colour_labels_are_refused(call, ctx_a2):
     from the root data."""
     with pytest.raises(ValueError, match="colour 'k' is not a label"):
         call(ctx_a2)
+
+
+BAD_POWER_CALLS = {
+    "ad-complex": lambda n, ctx: build_ad_complex(n, ("j",), "i", ctx),
+    "divided-complex": lambda n, ctx: build_divided_complex(n, ("j",), "i",
+                                                            ctx),
+    "serre": lambda n, ctx: serre_exactness_check(n, 1, "i", "j",
+                                                  DegreeWindow(0, 2), ctx),
+}
+
+
+@pytest.mark.parametrize("n", [-1, -3, 1.0, True, "1"])
+@pytest.mark.parametrize("call", BAD_POWER_CALLS.values(),
+                         ids=BAD_POWER_CALLS.keys())
+def test_complex_builders_refuse_a_bad_power(call, n, ctx_a2):
+    """A power that is no nonnegative int raises a ValueError naming it,
+    instead of a complex with no terms (and a Serre cell that does not
+    exist)."""
+    with pytest.raises(ValueError, match=f"power {n!r} is not a "
+                                         "nonnegative int"):
+        call(n, ctx_a2)
+
 
 
 # -- the shadow of the crossing product decomposition -------------------
@@ -1085,7 +1170,7 @@ def klr_columns(cplx, k, d, lam):
     for si, src in enumerate(cplx.terms[k]):
         entries = [(ti, z) for (a, ti), z in cplx.diffs[k - 1].items()
                    if a == si]
-        for word, exps in src.blocks(d).get(lam, ()):
+        for word, exps in basis_vectors(src.blocks(d).get(lam, ())):
             v = klr_multiply(KLRElement.monomial(ctx, lam, (), exps),
                              _tau_el(ctx, word, src.nu))
             cols.append({(ti, key): Fraction(c) for ti, z in entries
