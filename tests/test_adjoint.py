@@ -325,8 +325,8 @@ def keywise_blocks(p, d):
 
 def test_blocks_match_keywise_construction(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
     """blocks(d) flattened to its basis vectors, its dict order and list
-    order included, equals the key-by-key construction on every term of the plain and the divided
-    complexes with n + m <= 4, degrees 0..6."""
+    order included, equals the key-by-key construction on every term of
+    the plain and the divided complexes with n + m <= 4, degrees 0..6."""
     for ctx in (ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
         for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
             for build in (build_ad_complex, build_divided_complex):
@@ -919,7 +919,6 @@ def test_complex_builders_refuse_a_bad_power(call, n, ctx_a2):
     with pytest.raises(ValueError, match=f"power {n!r} is not a "
                                          "nonnegative int"):
         call(n, ctx_a2)
-
 
 
 # -- the shadow of the crossing product decomposition -------------------
