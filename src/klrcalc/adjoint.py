@@ -14,8 +14,9 @@ from math import gcd, lcm
 from .qring import (DegreeWindow, LaurentPoly, RatFunc, hilbert_denominator,
                     quantum_integer, series_window, sigma, zeta)
 from .rootdata import RootVector, pairing, reflect
-from .klr import (KLRElement, _tau_times_element, _tau_word_times, diamond,
-                  idempotent_e_klr, klr_multiply, tau_word_degree)
+from .klr import (KLRElement, _check_labels, _tau_times_element,
+                  _tau_word_times, diamond, idempotent_e_klr, klr_multiply,
+                  tau_word_degree)
 
 
 def underlying_degree(shift, d):
@@ -777,17 +778,6 @@ def module_spec_weight(spec):
     return RootVector.from_word(word), n, word
 
 
-def _check_labels(ctx, *words):
-    """Raise ValueError naming the first letter of words that is no label
-    of the Cartan datum of ctx (the root data would raise a bare KeyError
-    deep inside the check).  Callers pass a single colour i as (i,)."""
-    labels = ctx.cartan.index_set
-    for c in (c for word in words for c in word):
-        if c not in labels:
-            raise ValueError(f"colour {c!r} is not a label of the Cartan "
-                             f"datum (labels {labels})")
-
-
 def _check_power(n):
     """Raise ValueError unless the adjoint power n is a nonnegative int."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -855,7 +845,10 @@ def mackey_shadow_check(m_spec, i, window, ctx):
 def serre_exactness_check(n, m, i, j, window, ctx):
     """Build the divided complex on m strands of color j and report whether
     its cohomology vanishes on the window, against the expected criterion
-    n > -m * c_{ij}.  The builder checks n, i and j."""
+    n > -m * c_{ij}.  m must be a positive int; the builder checks n, i
+    and j."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise ValueError(f"the strand count {m!r} is not a positive int")
     cplx = build_divided_complex(n, (j,) * m, i, ctx)
     cij = ctx.cartan.cartan(i, j)
     gdt = cohomology_dims(cplx, window)

@@ -427,6 +427,18 @@ class KLRElement:
         return " + ".join(parts)
 
 
+def _check_labels(ctx, *words):
+    """Raise ValueError naming the first letter of words that is no label
+    of the Cartan datum of ctx (the root data would raise a bare KeyError
+    deep inside the computation).  Callers pass a single colour i as
+    (i,)."""
+    labels = ctx.cartan.index_set
+    for c in (c for word in words for c in word):
+        if c not in labels:
+            raise ValueError(f"colour {c!r} is not a label of the Cartan "
+                             f"datum (labels {labels})")
+
+
 def _check_compatible(u, v):
     """Raise unless u and v share a context and a weight; the weight of a
     nonzero element is the multiset of colors of any of its keys."""
@@ -807,14 +819,33 @@ def relation_residues(ctx, nu):
     by right multiplication with 1_nu, so both sides are honest products
     of generator elements.  Each product is folded from the right,
     g_1 (g_2 (... (g_r 1_nu))), so only its 1_nu part is ever rewritten.
+    The partial products are shared within the call: each chain of
+    generator names, such as (("tau", k), ("x", l)) for tau_k (x_l 1_nu),
+    is multiplied out once, as g_1 times the product of the shorter chain,
+    however many relations end in it.  The memo dies with the call.  A
+    colour of nu that is no label of the Cartan datum raises ValueError.
     """
     nu = tuple(nu)
+    _check_labels(ctx, nu)
     n = len(nu)
     beta = RootVector.from_word(nu)
     seqs = list(sequences(beta))
     one = KLRElement.idem(ctx, nu)
-    xs = [None] + [klr_generator(ctx, "x", k, seqs) for k in range(1, n + 1)]
-    ts = [None] + [klr_generator(ctx, "tau", k, seqs) for k in range(1, n)]
+    xs = [None] + [("x", k) for k in range(1, n + 1)]
+    ts = [None] + [("tau", k) for k in range(1, n)]
+    gens = {name: klr_generator(ctx, *name, seqs) for name in xs[1:] + ts[1:]}
+    chains = {(): one}
+
+    def prod(*names):
+        """g_1 (g_2 (... (g_r 1_nu))) for the named generators.  A loop,
+        not a recursion: a closure that calls itself would hold chains in
+        a reference cycle past the end of the call."""
+        for r in reversed(range(len(names))):
+            if names[r:] not in chains:
+                chains[names[r:]] = klr_multiply(gens[names[r]],
+                                                 chains[names[r + 1:]])
+        return chains[names]
+
     out = {}
     out["idem_square"] = klr_multiply(one, one) - one
     for mu in seqs:
@@ -825,34 +856,30 @@ def relation_residues(ctx, nu):
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
             out[f"x_commute_{k}_{l}"] = \
-                klr_multiply_many(xs[k], xs[l], one) \
-                - klr_multiply_many(xs[l], xs[k], one)
+                prod(xs[k], xs[l]) - prod(xs[l], xs[k])
     for k in range(1, n):
         snu = list(nu)
         snu[k - 1], snu[k] = snu[k], snu[k - 1]
-        tk = klr_multiply_many(ts[k], one)
+        tk = prod(ts[k])
         out[f"tau_idem_{k}"] = klr_multiply(
             KLRElement.idem(ctx, tuple(snu)), tk) - tk
         qel = _poly_on_strands(ctx, nu, (k, k + 1),
                                ctx.q_poly(nu[k - 1], nu[k]))
-        out[f"tau_square_{k}"] = klr_multiply_many(ts[k], ts[k], one) - qel
+        out[f"tau_square_{k}"] = prod(ts[k], ts[k]) - qel
         for l in range(1, n + 1):
             if l not in (k, k + 1):
                 out[f"tau_x_far_{k}_{l}"] = \
-                    klr_multiply_many(ts[k], xs[l], one) \
-                    - klr_multiply_many(xs[l], ts[k], one)
+                    prod(ts[k], xs[l]) - prod(xs[l], ts[k])
         delta = one if nu[k - 1] == nu[k] else KLRElement(ctx, n)
-        out[f"mixed_left_{k}"] = klr_multiply_many(ts[k], xs[k + 1], one) \
-            - klr_multiply_many(xs[k], ts[k], one) - delta
-        out[f"mixed_right_{k}"] = klr_multiply_many(xs[k + 1], ts[k], one) \
-            - klr_multiply_many(ts[k], xs[k], one) - delta
+        out[f"mixed_left_{k}"] = \
+            prod(ts[k], xs[k + 1]) - prod(xs[k], ts[k]) - delta
+        out[f"mixed_right_{k}"] = \
+            prod(xs[k + 1], ts[k]) - prod(ts[k], xs[k]) - delta
         for l in range(k + 2, n):
             out[f"tau_far_{k}_{l}"] = \
-                klr_multiply_many(ts[k], ts[l], one) \
-                - klr_multiply_many(ts[l], ts[k], one)
+                prod(ts[k], ts[l]) - prod(ts[l], ts[k])
     for k in range(1, n - 1):
-        lhs = klr_multiply_many(ts[k + 1], ts[k], ts[k + 1], one) \
-            - klr_multiply_many(ts[k], ts[k + 1], ts[k], one)
+        lhs = prod(ts[k + 1], ts[k], ts[k + 1]) - prod(ts[k], ts[k + 1], ts[k])
         if nu[k - 1] == nu[k + 1]:
             q = ctx.q_poly(nu[k - 1], nu[k])
             err = {}

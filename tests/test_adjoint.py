@@ -921,6 +921,16 @@ def test_complex_builders_refuse_a_bad_power(call, n, ctx_a2):
         call(n, ctx_a2)
 
 
+@pytest.mark.parametrize("m", [0, -1, True, 1.5, "1"])
+def test_serre_check_refuses_a_bad_strand_count(m, ctx_a2):
+    """A strand count m that is no positive int raises a ValueError naming
+    it, instead of an ok report on a cell that does not exist (m <= 0,
+    or True as 1) or a bare TypeError (m = 1.5)."""
+    with pytest.raises(ValueError, match=f"strand count {m!r} is not a "
+                                         "positive int"):
+        serre_exactness_check(1, m, "i", "j", DegreeWindow(0, 2), ctx_a2)
+
+
 # -- the shadow of the crossing product decomposition -------------------
 
 

@@ -1,6 +1,7 @@
 """Quiver Hecke algebra arithmetic: defining relations, normal form,
 graded bases, central elements, and the crossing-product identities."""
 
+import gc
 import itertools
 import math
 import random
@@ -40,6 +41,22 @@ from klrcalc.polycalc import all_perms, canonical_word, demazure_monomial
 
 from conftest import (A2_DOT, B2R_DOT, G2_DOT, HALF_UNITS, make_cartan,
                       q_multi)
+
+
+# C3 by its dot form: j-k is a double bond, (k, k) = 2, and i, k are
+# orthogonal; the units make Q_{j,k} and the orthogonal Q_{i,k} = 2 differ
+# from the defaults.
+C3_DOT = [[4, -2, 0], [-2, 4, -2], [0, -2, 2]]
+C3_UNITS = {("i", "k"): {"t": 2}, ("j", "k"): {"t": -3}}
+
+# (labels, dot form, units) of the data whose products are checked
+# against an oracle on every colour word: three rank-two data and C3.
+DATA = {
+    "a2": (("i", "j"), A2_DOT, None),
+    "b2r": (("i", "j"), B2R_DOT, None),
+    "g2": (("i", "j"), G2_DOT, None),
+    "c3": (("i", "j", "k"), C3_DOT, C3_UNITS),
+}
 
 
 def all_words(h, letters=("i", "j")):
@@ -139,18 +156,74 @@ def oracle_relation_residues(ctx, nu):
     return out
 
 
-def test_defining_relations_height_4_g2_match_left_fold():
-    """On every height-4 colour word of G2 the residues vanish, and the
-    right-folded products give the same names in the same order as the
-    left-folded oracle, each residue equal to the oracle's."""
-    ctx = KLRContext(make_cartan(G2_DOT))
-    oracle_ctx = KLRContext(make_cartan(G2_DOT))
-    for nu in itertools.product(("i", "j"), repeat=4):
+@pytest.mark.parametrize("labels, dot, units", DATA.values(),
+                         ids=DATA.keys())
+def test_defining_relations_height_4_match_left_fold(labels, dot, units):
+    """On every height-4 colour word the residues vanish, and the
+    right-folded products, their partial products shared within the call,
+    give the same names in the same order as the left-folded oracle, each
+    residue equal to the oracle's."""
+    ctx = KLRContext(CartanDatum(list(labels), dot), units)
+    oracle_ctx = KLRContext(CartanDatum(list(labels), dot), units)
+    for nu in itertools.product(labels, repeat=4):
         res = relation_residues(ctx, nu)
         oracle = oracle_relation_residues(oracle_ctx, nu)
         assert list(res) == list(oracle), nu
         assert res == oracle, nu
         assert all(r.is_zero() for r in res.values()), nu
+
+
+def test_residues_multiply_each_partial_product_once(monkeypatch):
+    """Within one relation_residues call no pair of operands reaches
+    klr_multiply twice, so each (generator, chain) product is made once;
+    a second call on the same context and word makes the same products
+    again (nothing is kept between calls), and a context made afterwards
+    gets residues of its own.  Every height-4 word of A2, B2r and G2."""
+    real = klr.klr_multiply
+    calls = []
+
+    def spy(u, v):
+        calls.append((frozenset(u.terms.items()), frozenset(v.terms.items())))
+        return real(u, v)
+
+    monkeypatch.setattr(klr, "klr_multiply", spy)
+    for dot in (A2_DOT, B2R_DOT, G2_DOT):
+        ctx = KLRContext(make_cartan(dot))
+        for nu in itertools.product(("i", "j"), repeat=4):
+            calls.clear()
+            first = relation_residues(ctx, nu)
+            made = list(calls)
+            assert len(set(made)) == len(made), nu
+            calls.clear()
+            assert relation_residues(ctx, nu) == first, nu
+            assert calls == made, nu
+        fresh = KLRContext(make_cartan(dot))
+        res = relation_residues(fresh, ("i", "j", "i", "j"))
+        assert all(r.ctx is fresh for r in res.values())
+
+
+def test_residue_memo_dies_with_the_call():
+    """relation_residues leaves nothing for the cycle collector, so the
+    partial products it shares are freed when the call returns, not at
+    the next collection."""
+    ctx = KLRContext(make_cartan(G2_DOT))
+    gc.collect()
+    gc.disable()
+    try:
+        for nu in itertools.product(("i", "j"), repeat=4):
+            relation_residues(ctx, nu)
+            assert gc.collect() == 0, nu
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("nu", [("k",), ("i", "k"), ("k", "j", "i")],
+                         ids=["k", "i-k", "k-j-i"])
+def test_relation_residues_refuse_unknown_colours(nu, ctx_a2):
+    """A colour the Cartan datum lacks raises a ValueError naming it, not
+    a residue dict or a bare KeyError from the root data."""
+    with pytest.raises(ValueError, match="colour 'k' is not a label"):
+        relation_residues(ctx_a2, nu)
 
 
 def test_multiply_many_folds_from_the_right(ctx_g2, monkeypatch):
@@ -892,12 +965,6 @@ def test_illegal_walks_are_refused(monkeypatch, break_walk, count):
 
 # -- colour-independent plans against the per-colour-word walk ----------
 
-# C3 by its dot form: j-k is a double bond, (k, k) = 2, and i, k are
-# orthogonal; the units make Q_{j,k} and the orthogonal Q_{i,k} = 2 differ
-# from the defaults.
-C3_DOT = [[4, -2, 0], [-2, 4, -2], [0, -2, 2]]
-C3_UNITS = {("i", "k"): {"t": 2}, ("j", "k"): {"t": -3}}
-
 
 def walk_tau_times(ctx, memo, k, terms, n):
     """tau_k * (PBW terms), rewritten by walk_mult_tau_word."""
@@ -976,12 +1043,8 @@ def walk_mult_tau_word(ctx, memo, k, word, nu, n):
     return res
 
 
-@pytest.mark.parametrize("labels, dot, units", [
-    (("i", "j"), A2_DOT, None),
-    (("i", "j"), B2R_DOT, None),
-    (("i", "j"), G2_DOT, None),
-    (("i", "j", "k"), C3_DOT, C3_UNITS),
-], ids=["a2", "b2r", "g2", "c3"])
+@pytest.mark.parametrize("labels, dot, units", DATA.values(),
+                         ids=DATA.keys())
 def test_plans_match_the_per_colour_walk(monkeypatch, labels, dot, units):
     """tau_k tau_w 1_nu from the plans equals the per-colour-word walk for
     every canonical w in S_n, every k and every colour word nu, n = 2..5,

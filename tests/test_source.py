@@ -184,3 +184,63 @@ def test_readme_names_resolve():
             missing.append(name)
     assert checked
     assert not missing, missing
+
+
+
+def _is_empty_table(value):
+    """{}, dict(), OrderedDict() or defaultdict(factory): a dict made
+    empty, to be filled as the program runs."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if not isinstance(value, ast.Call) or value.keywords:
+        return False
+    func = value.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr",
+                                                              None)
+    if name == "defaultdict":
+        return len(value.args) <= 1
+    return name in ("dict", "OrderedDict") and not value.args
+
+
+def _empty_tables(tree):
+    """The names that a statement of the module body, or of a class body
+    in it, binds to an empty dict: tables that live as long as the
+    process."""
+    bodies = [tree.body] + [node.body for node in tree.body
+                            if isinstance(node, ast.ClassDef)]
+    found = []
+    for stmt in (stmt for body in bodies for stmt in body):
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        if stmt.value is not None and _is_empty_table(stmt.value):
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_plans_are_the_only_process_wide_table():
+    """klr._PLANS, the colour-independent rewriting plans, is the one
+    table the library creates empty at module or class level; every other
+    memo lives on a context, a complex or a call, so a process-wide memo
+    cannot slip in unnoticed."""
+    found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in _empty_tables(ast.parse(path.read_text()))]
+    assert found == ["klr._PLANS"]
+
+
+def test_table_guard_sees_every_empty_dict_form():
+    tree = ast.parse("A = {}\n"
+                     "B: dict = dict()\n"
+                     "C = collections.OrderedDict()\n"
+                     "D = defaultdict(list)\n"
+                     "E = {1: 2}\n"
+                     "F = dict(a=1)\n"
+                     "G = []\n"
+                     "class K:\n"
+                     "    H = {}\n"
+                     "def f():\n"
+                     "    I = {}\n")
+    assert _empty_tables(tree) == ["A", "B", "C", "D", "H"]
