@@ -86,43 +86,27 @@ def _echelon_insert(rows, v):
     return True
 
 
-def _matrix_rank(columns, units=()):
+def _matrix_rank(columns):
     """Rank over the rationals of an iterable of sparse columns (dicts
-    index -> nonzero int) together with unit columns already peeled off,
-    given by their keys units, none of which the columns hold.  Any
-    totally ordered hashable keys will do; the complexes pass the packed
-    int keys of ProjComplex._word_prod, whose pivot order follows
-    first-seen target ids, and the rank does not depend on that order.
+    index -> nonzero int).  Any totally ordered hashable keys will do; the
+    complexes pass the packed int keys of ProjComplex._word_prod, whose
+    pivot order follows first-seen target ids, and the rank does not
+    depend on that order.  Unit columns are not peeled here: a complex's
+    are peeled by ProjComplex._raw_columns before its columns are built.
 
-    Unit columns, those with one entry, are peeled first: the keys of the
-    ones among columns join units (a key met twice counts once) and are
-    dropped from the other columns.  That is exact, since reducing by a
-    unit column {p: c} clears entry p and changes nothing else, so the
-    rank is the number of unit keys plus the rank of what is left.  The
-    rest is eliminated by `_echelon_insert` with empty columns dropped,
-    in increasing order of the number of entries (a stable sort, so ties
-    keep their order).  The rank does not depend on the column order, but
-    the work does: the cost of a block is fill, the entries a reduction
-    adds, and not coefficient growth.  Sparse columns become rows first,
-    and a denser column that reduces against them picks up little fill;
-    on a block whose dense columns come first, each later sparse column
-    is reduced against the grown rows.  The sort holds all columns of a
-    block at once.  The columns are consumed: each is reduced in place."""
-    peeled = set()
-    rest = []
-    for col in columns:
-        if len(col) == 1:
-            peeled.update(col)
-        elif col:
-            rest.append(col)
-    if peeled:
-        for col in rest:
-            for p in peeled.intersection(col):
-                del col[p]
+    The columns are eliminated by `_echelon_insert` with empty columns
+    dropped, in increasing order of the number of entries (a stable sort,
+    so ties keep their order).  The rank does not depend on the column
+    order, but the work does: the cost of a block is fill, the entries a
+    reduction adds, and not coefficient growth.  Sparse columns become
+    rows first, and a denser column that reduces against them picks up
+    little fill; on a block whose dense columns come first, each later
+    sparse column is reduced against the grown rows.  The sort holds all
+    columns of a block at once.  The columns are consumed: each is reduced
+    in place."""
     rows = {}
-    return len(units) + len(peeled) + sum(
-        _echelon_insert(rows, col)
-        for col in sorted(filter(None, rest), key=len))
+    return sum(_echelon_insert(rows, col)
+               for col in sorted(filter(None, columns), key=len))
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +335,11 @@ class ProjComplex:
         changes nothing else, so dropping the keys is exact; the columns
         are built only after the last word is read, since a unit key
         found later would otherwise stay in the columns built before it.
-        Some columns may be left empty or with one entry.  The target
-        basis vectors are independent and each column is a positive
-        multiple of the image of its basis vector, so the rank of the
-        block is len(units) plus the rank of columns
-        (_matrix_rank(columns, units))."""
+        This is the one place unit columns are peeled; columns may be
+        left empty or with one entry.  The target basis vectors are
+        independent and each column is a positive multiple of the image
+        of its basis vector, so the rank of the block is len(units) plus
+        _matrix_rank(columns)."""
         packed = self._packed
         units = set()
         dense = []
@@ -388,8 +372,19 @@ class ProjComplex:
                 raise ValueError(f"no differential d_{k} in a complex with "
                                  f"{len(self.terms)} terms")
             units, columns = self._raw_columns(k, d, lam)
-            r = self._ranks[key] = _matrix_rank(columns, units)
+            r = self._ranks[key] = len(units) + _matrix_rank(columns)
         return r
+
+    def cohomology_dim(self, k, d, lam):
+        """Dimension of the lam block of H^{-k} at degree d: the term
+        dimension less the ranks of d_k out of terms[k] and of d_{k+1}
+        into it, where they exist."""
+        h = self.term_dim(k, d, lam)
+        if k:
+            h -= self.block_rank(k, d, lam)
+        if k + 1 < len(self.terms):
+            h -= self.block_rank(k + 1, d, lam)
+        return h
 
 
 class GradedDimTable:
@@ -413,17 +408,14 @@ class GradedDimTable:
 
 
 def cohomology_dims(cplx, window):
-    """Graded cohomology dimensions of a complex over a degree window."""
-    nterms = cplx.length()
+    """Graded cohomology dimensions of a complex over a degree window,
+    one ProjComplex.cohomology_dim per (d, lam, k) in that order."""
     dims = {}
     refined = {}
     for d in window:
         for lam in sorted(cplx.left_color_words(d)):
-            ranks = [0] * (nterms + 1)
-            for k in range(1, nterms):
-                ranks[k] = cplx.block_rank(k, d, lam)
-            for k in range(nterms):
-                h = cplx.term_dim(k, d, lam) - ranks[k] - ranks[k + 1]
+            for k in range(cplx.length()):
+                h = cplx.cohomology_dim(k, d, lam)
                 if h:
                     refined[(-k, lam, d)] = refined.get((-k, lam, d), 0) + h
                     dims[(-k, d)] = dims.get((-k, d), 0) + h
@@ -726,23 +718,18 @@ def _cohomology_h0_refined(cplx):
     """Refined dims of H^0 of a complex, as a table evaluated on demand.
 
     H^0 is the cokernel of the first differential, so at each degree that
-    is read only dim - rank of that one map is computed, per left color
-    word; no window sweep over the whole complex is performed.  The table
-    starts at the lowest degree of terms[0], and its words are the left
-    color words of the summands there.
+    is read only ProjComplex.cohomology_dim(0, ...) is computed, per left
+    color word; no window sweep over the whole complex is performed.  The
+    table starts at the lowest degree of terms[0], and its words are the
+    left color words of the summands there.
     """
     polys = [(p.ctx.coset_polynomials(p.nu), p.shift) for p in cplx.terms[0]]
     lo = min(min(map(min, rows.values())) - shift for rows, shift in polys)
 
     def fn(d):
-        out = {}
-        for lam in sorted(set().union(*(p.blocks(d)
-                                        for p in cplx.terms[0]))):
-            h = cplx.term_dim(0, d, lam)
-            if cplx.length() > 1:
-                h -= cplx.block_rank(1, d, lam)
-            out[lam] = h
-        return out
+        return {lam: cplx.cohomology_dim(0, d, lam)
+                for lam in sorted(set().union(*(p.blocks(d)
+                                                for p in cplx.terms[0])))}
     return DimTable(lo, set().union(*(rows for rows, _ in polys)), fn)
 
 
