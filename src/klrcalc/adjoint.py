@@ -13,10 +13,9 @@ from math import gcd, lcm
 
 from .qring import (DegreeWindow, LaurentPoly, RatFunc, hilbert_denominator,
                     quantum_integer, series_window, sigma, zeta)
-from .rootdata import RootVector, pairing, reflect
-from .klr import (KLRElement, _check_labels, _tau_times_element,
-                  _tau_word_times, diamond, idempotent_e_klr, klr_multiply,
-                  tau_word_degree)
+from .rootdata import RootVector, _check_int, _check_labels, pairing, reflect
+from .klr import (KLRElement, _tau_times_element, _tau_word_times, diamond,
+                  idempotent_e_klr, klr_multiply, tau_word_degree)
 
 
 def underlying_degree(shift, d):
@@ -428,7 +427,10 @@ def cohomology_dims(cplx, window):
 
 def is_quotient_zero(beta, i, ctx):
     """Whether the i-adapted quotient algebra at weight beta vanishes:
-    true exactly when the i-reflection of beta leaves the positive cone."""
+    true exactly when the i-reflection of beta leaves the positive cone.
+    A colour of i or beta that is no label of the Cartan datum raises
+    ValueError."""
+    _check_labels(ctx.cartan, (i,), beta.coeffs)
     _, in_qplus = reflect(ctx.cartan, i, beta)
     return not in_qplus
 
@@ -470,8 +472,8 @@ def build_ad_complex(n, nu, i, ctx):
     the Cartan datum; anything else raises ValueError.
     """
     nu = tuple(nu)
-    _check_power(n)
-    _check_labels(ctx, (i,), nu)
+    _check_int(n, "the adjoint power", 0)
+    _check_labels(ctx.cartan, (i,), nu)
     pos_nu = tuple(reversed(nu))
     r = len(nu)
     w = _word_weight_w(ctx, i, pos_nu)
@@ -499,8 +501,8 @@ def build_divided_complex(n, nu, i, ctx):
     cut out by nil Hecke idempotents on the i-strand blocks.  n, nu and i
     are checked as in build_ad_complex."""
     nu = tuple(nu)
-    _check_power(n)
-    _check_labels(ctx, (i,), nu)
+    _check_int(n, "the adjoint power", 0)
+    _check_labels(ctx.cartan, (i,), nu)
     pos_nu = tuple(reversed(nu))
     r = len(nu)
     w = _word_weight_w(ctx, i, pos_nu)
@@ -536,7 +538,11 @@ def build_divided_complex(n, nu, i, ctx):
 def grk_ad_divided_Ej(n, i, j, ctx):
     """Closed formula for the graded rank of the n-th divided adjoint power
     of the degree-zero cyclic generator of color j, over the Hilbert
-    denominator of the word j i^n: (1 - q^{2 d_j}) (1 - q^{2 d_i})^n."""
+    denominator of the word j i^n: (1 - q^{2 d_j}) (1 - q^{2 d_i})^n.
+    n must be a nonnegative int and i and j different labels of the
+    Cartan datum; anything else raises ValueError."""
+    _check_int(n, "the adjoint power", 0)
+    _check_labels(ctx.cartan, (i, j))
     if i == j:
         raise ValueError("colors must differ")
     di = ctx.cartan.d(i)
@@ -632,7 +638,7 @@ def dims_E_word(ctx, nu):
     of the P_lam.  A letter of nu that is no label of the Cartan datum
     raises ValueError."""
     pos_nu = tuple(reversed(tuple(nu)))
-    _check_labels(ctx, pos_nu)
+    _check_labels(ctx.cartan, pos_nu)
     den = hilbert_denominator(ctx.cartan, pos_nu)
     polys = ctx.coset_polynomials(pos_nu)
     rows = {lam: RatFunc(LaurentPoly(poly), den)
@@ -756,26 +762,18 @@ def module_spec_weight(spec):
             raise ValueError(f"module spec {spec!r} is not ('ad', n, word)")
         _, n, word = spec
     word = tuple(word)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"module spec {spec!r}: the power {n!r} is not a "
-                         "nonnegative int")
+    _check_int(n, f"module spec {spec!r}: the power", 0)
     if word[:1] == ("ad",) or any(isinstance(c, (tuple, list)) for c in word):
         raise ValueError(f"module spec {spec!r}: {word!r} is not a plain "
                          "word")
     return RootVector.from_word(word), n, word
 
 
-def _check_power(n):
-    """Raise ValueError unless the adjoint power n is a nonnegative int."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"the adjoint power {n!r} is not a nonnegative int")
-
-
 def ses_identity_check(m_spec, i, window, ctx):
     """Check dim adE(M) + q_i^w dim(M E_i) = dim(E_i M) per degree and left
     color word, with adE(M) computed independently from cohomology."""
     beta, nlayers, word = module_spec_weight(m_spec)
-    _check_labels(ctx, (i,), word)
+    _check_labels(ctx.cartan, (i,), word)
     w = pairing(ctx.cartan, i, beta) + 2 * nlayers
     di = ctx.cartan.d(i)
     D = module_spec_dims(m_spec, i, ctx)
@@ -790,7 +788,7 @@ def nderivation_check(nu_m, nu_n, n, i, window, ctx):
     n-th adjoint power of the product M N equal the sum over k < 2^n of the
     q_i-shifted products of adjoint powers of the factors."""
     nu_m, nu_n = tuple(nu_m), tuple(nu_n)
-    _check_labels(ctx, (i,), nu_m, nu_n)
+    _check_labels(ctx.cartan, (i,), nu_m, nu_n)
     beta_m = RootVector.from_word(nu_m)
     w = pairing(ctx.cartan, i, beta_m)
     di = ctx.cartan.d(i)
@@ -813,7 +811,7 @@ def mackey_shadow_check(m_spec, i, window, ctx):
     """Check the commutator count: for w >= 0,
     dim adE adF M = dim adF adE M + [w]_i dim M, mirrored for w <= 0."""
     beta, nlayers, word = module_spec_weight(m_spec)
-    _check_labels(ctx, (i,), word)
+    _check_labels(ctx.cartan, (i,), word)
     w = pairing(ctx.cartan, i, beta) + 2 * nlayers
     di = ctx.cartan.d(i)
     D = module_spec_dims(m_spec, i, ctx)
@@ -834,8 +832,7 @@ def serre_exactness_check(n, m, i, j, window, ctx):
     its cohomology vanishes on the window, against the expected criterion
     n > -m * c_{ij}.  m must be a positive int; the builder checks n, i
     and j."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"the strand count {m!r} is not a positive int")
+    _check_int(m, "the strand count", 1)
     cplx = build_divided_complex(n, (j,) * m, i, ctx)
     cij = ctx.cartan.cartan(i, j)
     gdt = cohomology_dims(cplx, window)

@@ -44,7 +44,7 @@ from operator import add
 
 from .polycalc import (Poly, all_perms, canonical_word, demazure,
                        demazure_monomial, exact, longest_word, perm_of_word)
-from .rootdata import RootVector, sequences
+from .rootdata import RootVector, _check_labels, sequences
 
 
 def _q_scalar(c, what):
@@ -319,13 +319,18 @@ class KLRElement:
 
     @staticmethod
     def idem(ctx, nu):
-        """1_nu for a single color word (position order)."""
+        """1_nu for a single color word (position order).  A colour that is
+        no label of the Cartan datum raises ValueError."""
         nu = tuple(nu)
+        _check_labels(ctx.cartan, nu)
         n = len(nu)
         return KLRElement(ctx, n, {(nu, (), (0,) * n): 1})
 
     @staticmethod
     def monomial(ctx, nu, word, exps, coeff=1):
+        """coeff x^exps tau_word 1_nu, nu in position order.  A colour that
+        is no label of the Cartan datum raises ValueError."""
+        _check_labels(ctx.cartan, nu)
         return KLRElement(ctx, len(nu), {(tuple(nu), tuple(word), tuple(exps)): coeff})
 
     # -- basic structure ---------------------------------------------------
@@ -427,18 +432,6 @@ class KLRElement:
         return " + ".join(parts)
 
 
-def _check_labels(ctx, *words):
-    """Raise ValueError naming the first letter of words that is no label
-    of the Cartan datum of ctx (the root data would raise a bare KeyError
-    deep inside the computation).  Callers pass a single colour i as
-    (i,)."""
-    labels = ctx.cartan.index_set
-    for c in (c for word in words for c in word):
-        if c not in labels:
-            raise ValueError(f"colour {c!r} is not a label of the Cartan "
-                             f"datum (labels {labels})")
-
-
 def _check_compatible(u, v):
     """Raise unless u and v share a context and a weight; the weight of a
     nonzero element is the multiset of colors of any of its keys."""
@@ -460,11 +453,13 @@ def klr_generator(ctx, kind, arg, beta_or_sequences):
     """A generator as a normal-form element summed over color words.
 
     kind 'x', 'tau': arg is the strand index, summed over the given
-    color words (an iterable of position-order tuples).
+    color words (an iterable of position-order tuples).  A colour that is
+    no label of the Cartan datum raises ValueError.
     """
     seqs = [tuple(s) for s in beta_or_sequences]
     if not seqs:
         raise ValueError("no color words supplied")
+    _check_labels(ctx.cartan, *seqs)
     n = len(seqs[0])
     k = int(arg)
     terms = {}
@@ -826,7 +821,6 @@ def relation_residues(ctx, nu):
     colour of nu that is no label of the Cartan datum raises ValueError.
     """
     nu = tuple(nu)
-    _check_labels(ctx, nu)
     n = len(nu)
     beta = RootVector.from_word(nu)
     seqs = list(sequences(beta))

@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .polycalc import exact
+from .rootdata import _check_int
 
 
 class LaurentPoly:
@@ -398,11 +399,14 @@ class RatFunc:
 
 
 class DegreeWindow:
-    """An inclusive range [d_min, d_max] of internal degrees."""
+    """An inclusive range [d_min, d_max] of internal degrees.  A bound that
+    is not an int (bool included) raises ValueError, as does d_min > d_max."""
 
     __slots__ = ("d_min", "d_max")
 
     def __init__(self, d_min, d_max):
+        _check_int(d_min, "the window bound")
+        _check_int(d_max, "the window bound")
         if d_min > d_max:
             raise ValueError("empty degree window")
         self.d_min = d_min

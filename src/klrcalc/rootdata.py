@@ -143,3 +143,31 @@ def sequences(beta):
     for lab in sorted(beta.coeffs):
         letters.extend([lab] * beta.coeffs[lab])
     return sorted(set(itertools.permutations(letters)))
+
+
+# ---------------------------------------------------------------------------
+# input checks shared by the layers above
+# ---------------------------------------------------------------------------
+
+def _check_labels(cartan, *words):
+    """Raise ValueError naming the first letter of words that is no label
+    of the Cartan datum (the root data would raise a bare KeyError deep
+    inside the computation).  Callers pass a single colour i as (i,)."""
+    labels = cartan._pos
+    for word in words:
+        for c in word:
+            if c not in labels:
+                raise ValueError(f"colour {c!r} is not a label of the "
+                                 f"Cartan datum (labels {cartan.index_set})")
+
+
+_INT_KINDS = {None: "an int", 0: "a nonnegative int", 1: "a positive int"}
+
+
+def _check_int(x, what, least=None):
+    """Raise ValueError naming x unless it is an int (bool refused) and,
+    for least 0 or 1, at least least: _check_int(-1, "the adjoint power",
+    0) raises "the adjoint power -1 is not a nonnegative int"."""
+    if (not isinstance(x, int) or isinstance(x, bool)
+            or least is not None and x < least):
+        raise ValueError(f"{what} {x!r} is not {_INT_KINDS[least]}")

@@ -16,7 +16,8 @@ algebra.
 
 from .qring import (LaurentPoly, RatFunc, _add_product, hilbert_denominator,
                     quantum_factorial)
-from .rootdata import RootVector, pairing, sequences
+from .rootdata import (RootVector, _check_int, _check_labels, pairing,
+                       sequences)
 
 __all__ = [
     "WordVector", "GramCache", "pair", "is_zero_mod_serre", "ad_e",
@@ -236,8 +237,13 @@ def ad_e_divided(n, i, v, cartan):
 
 def higher_serre_check(n, m, i, j, cache):
     """Whether the divided n-th adjoint power of e_j^m vanishes matches
-    the criterion n > -m c_{ij}."""
+    the criterion n > -m c_{ij}.  As in adjoint.serre_exactness_check, n
+    must be a nonnegative int, m a positive int and i and j labels of the
+    Cartan datum; anything else raises ValueError."""
     cartan = cache.cartan
+    _check_int(n, "the adjoint power", 0)
+    _check_int(m, "the strand count", 1)
+    _check_labels(cartan, (i, j))
     ej = WordVector.from_word((j,) * m)
     v = ad_e_divided(n, i, ej, cartan)
     expected = n > -m * cartan.cartan(i, j)

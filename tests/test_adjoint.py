@@ -590,6 +590,43 @@ def test_euler_characteristic(ctx_a2):
         assert terms == coh, d
 
 
+@pytest.mark.parametrize("dot", [A2_DOT, B2_DOT, G2_DOT],
+                         ids=["a2", "b2", "g2"])
+def test_cohomology_blocks_keep_their_euler_characteristic(dot):
+    """The one cohomology formula against the terms it comes from, on the
+    plain and divided complexes of j^m with n + m <= 4, degrees 0..6.  Per
+    (d, lam), the alternating sum over k of the H^{-k} blocks of
+    cohomology_dims equals that of term_dim(k, d, lam), since the ranks
+    of d_k and d_{k+1} cancel in it; no block has lower cohomology; and
+    the H^0 table of the identities (read on demand, on a fresh complex)
+    equals the k = 0 rows of cohomology_dims."""
+    ctx = KLRContext(make_cartan(dot))
+    w = DegreeWindow(0, 6)
+    nonzero = 0
+    for n in range(4):
+        for m in range(1, 5 - n):
+            for build in (build_ad_complex, build_divided_complex):
+                cplx = build(n, ("j",) * m, "i", ctx)
+                refined = cohomology_dims(cplx, w).refined
+                nonzero += bool(refined)
+                assert not {key: v for key, v in refined.items()
+                            if key[0] and v}, (build.__name__, n, m)
+                h0 = adjoint._cohomology_h0_refined(
+                    build(n, ("j",) * m, "i", ctx))
+                for d in w:
+                    for lam in cplx.left_color_words(d):
+                        terms = sum((-1) ** k * cplx.term_dim(k, d, lam)
+                                    for k in range(cplx.length()))
+                        coh = sum((-1) ** k * refined.get((-k, lam, d), 0)
+                                  for k in range(cplx.length()))
+                        assert coh == terms, (build.__name__, n, m, d, lam)
+                    assert h0.at(d) == {lam: v for (k, lam, e), v
+                                        in refined.items()
+                                        if k == 0 and e == d and v}, \
+                        (build.__name__, n, m, d)
+    assert nonzero > 10, nonzero
+
+
 # -- concentration in cohomological degree zero --------------------------
 
 
@@ -929,6 +966,34 @@ def test_serre_check_refuses_a_bad_strand_count(m, ctx_a2):
     with pytest.raises(ValueError, match=f"strand count {m!r} is not a "
                                          "positive int"):
         serre_exactness_check(1, m, "i", "j", DegreeWindow(0, 2), ctx_a2)
+
+
+SERRE_CELL_LABEL_CALLS = {
+    "grk-i": lambda ctx: grk_ad_divided_Ej(1, "k", "j", ctx),
+    "grk-j": lambda ctx: grk_ad_divided_Ej(1, "i", "k", ctx),
+    "quotient-i": lambda ctx: is_quotient_zero(RootVector.simple("j"), "k",
+                                               ctx),
+    "quotient-beta": lambda ctx: is_quotient_zero(
+        RootVector({"i": 1, "k": 1}), "i", ctx),
+}
+
+
+@pytest.mark.parametrize("call", SERRE_CELL_LABEL_CALLS.values(),
+                         ids=SERRE_CELL_LABEL_CALLS.keys())
+def test_serre_cell_helpers_refuse_unknown_colours(call, ctx_a2):
+    """The closed graded rank and the quotient rule refuse a colour the
+    Cartan datum lacks as the builders do, not with a bare KeyError."""
+    with pytest.raises(ValueError, match="colour 'k' is not a label"):
+        call(ctx_a2)
+
+
+@pytest.mark.parametrize("n", [-1, 1.5, True, "1"])
+def test_graded_rank_formula_refuses_a_bad_power(n, ctx_a2):
+    """grk_ad_divided_Ej takes the builders' power: n = -1 gave a rational
+    function and n = 1.5 a bare TypeError."""
+    with pytest.raises(ValueError, match=f"power {n!r} is not a "
+                                         "nonnegative int"):
+        grk_ad_divided_Ej(n, "i", "j", ctx_a2)
 
 
 # -- the shadow of the crossing product decomposition -------------------

@@ -226,6 +226,25 @@ def test_relation_residues_refuse_unknown_colours(nu, ctx_a2):
         relation_residues(ctx_a2, nu)
 
 
+UNKNOWN_COLOUR_ELEMENTS = {
+    "idem": lambda ctx: KLRElement.idem(ctx, ("i", "k")),
+    "monomial": lambda ctx: KLRElement.monomial(ctx, ("k", "i"), (1,),
+                                                (0, 1)),
+    "generator": lambda ctx: klr_generator(ctx, "x", 1,
+                                           [("i", "j"), ("i", "k")]),
+}
+
+
+@pytest.mark.parametrize("make", UNKNOWN_COLOUR_ELEMENTS.values(),
+                         ids=UNKNOWN_COLOUR_ELEMENTS.keys())
+def test_element_constructors_refuse_unknown_colours(make, ctx_a2):
+    """The element constructors refuse a colour the Cartan datum lacks
+    with a ValueError naming it; the element they built would die with a
+    bare KeyError in .degree() or in a cyclic module."""
+    with pytest.raises(ValueError, match="colour 'k' is not a label"):
+        make(ctx_a2)
+
+
 def test_multiply_many_folds_from_the_right(ctx_g2, monkeypatch):
     """klr_multiply_many(t_1, t_2, t_1, 1_nu) multiplies onto 1_nu first:
     every right operand of klr_multiply has right color word nu, and the

@@ -510,6 +510,17 @@ def test_degree_window():
         DegreeWindow(1, 0)
 
 
+@pytest.mark.parametrize("lo,hi,bad", [(True, 2, True), (0, 2.5, 2.5),
+                                        (0.0, 2, 0.0), (0, "2", "'2'"),
+                                        (False, True, False)])
+def test_degree_window_refuses_a_bound_that_is_no_int(lo, hi, bad):
+    """A window bound must be an int, bool refused: DegreeWindow(0, 2.5)
+    was accepted and a cohomology sweep over it died with a bare
+    TypeError."""
+    with pytest.raises(ValueError, match=f"window bound {bad} is not an int"):
+        DegreeWindow(lo, hi)
+
+
 # -- quantum combinatorics ----------------------------------------------
 
 

@@ -244,3 +244,54 @@ def test_table_guard_sees_every_empty_dict_form():
                      "def f():\n"
                      "    I = {}\n")
     assert _empty_tables(tree) == ["A", "B", "C", "D", "H"]
+
+
+def _calls(tree, names):
+    """(caller, callee) for each call in the module of a function named
+    in names, as f(...) or as obj.f(...); the caller is the innermost
+    function or method around the call (None at module level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                callee = (func.id if isinstance(func, ast.Name)
+                          else getattr(func, "attr", None))
+                if callee in names:
+                    found.append((owner, callee))
+            visit(child, owner)
+    visit(tree, None)
+    return found
+
+
+def test_rank_layer_has_one_path():
+    """Unit columns are peeled once, in ProjComplex._raw_columns, and a
+    cohomology block is term dimension less ranks in one place: within
+    the library, block_rank is called only by the per-block formula
+    ProjComplex.cohomology_dim, and _matrix_rank only by block_rank."""
+    found = sorted({f"{path.stem}.{owner} -> {callee}"
+                    for path in SRC.glob("*.py")
+                    for owner, callee in _calls(
+                        ast.parse(path.read_text()),
+                        {"block_rank", "_matrix_rank"})})
+    assert found == ["adjoint.block_rank -> _matrix_rank",
+                     "adjoint.cohomology_dim -> block_rank"]
+
+
+def test_call_guard_sees_both_call_forms():
+    tree = ast.parse("_matrix_rank(cols)\n"
+                     "def f(cplx):\n"
+                     "    return cplx.block_rank(1, 0, ()) + g()\n"
+                     "class C:\n"
+                     "    def h(self):\n"
+                     "        def inner():\n"
+                     "            return _matrix_rank([])\n"
+                     "        return self.block_rank(1, 0, ()), inner\n"
+                     "x = obj.block_rank\n")
+    assert _calls(tree, {"block_rank", "_matrix_rank"}) == [
+        (None, "_matrix_rank"), ("f", "block_rank"),
+        ("inner", "_matrix_rank"), ("h", "block_rank")]

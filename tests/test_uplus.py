@@ -244,6 +244,25 @@ def test_higher_serre_grid(which, cartan_a2, cartan_b2, cartan_g2):
                 assert higher_serre_check(n, m, i, j, cache), (i, j, n, m)
 
 
+@pytest.mark.parametrize("n,m,i,j,match", [
+    (1, 0, "i", "j", "strand count 0 is not a positive int"),
+    (1, -1, "i", "j", "strand count -1 is not a positive int"),
+    (1, True, "i", "j", "strand count True is not a positive int"),
+    (1, 1.5, "i", "j", "strand count 1.5 is not a positive int"),
+    (-1, 1, "i", "j", "power -1 is not a nonnegative int"),
+    (1.0, 1, "i", "j", "power 1.0 is not a nonnegative int"),
+    (1, 1, "i", "k", "colour 'k' is not a label"),
+    (1, 1, "k", "j", "colour 'k' is not a label"),
+], ids=["m0", "m-1", "mTrue", "m1.5", "n-1", "n1.0", "j-k", "i-k"])
+def test_higher_serre_check_refuses_bad_input(n, m, i, j, match,
+                                              cartan_a2):
+    """The form's Serre cell takes the same input as
+    serre_exactness_check: m = 0 returned True on a cell that does not
+    exist, and colour 'k' died with a bare KeyError."""
+    with pytest.raises(ValueError, match=match):
+        higher_serre_check(n, m, i, j, GramCache(cartan_a2))
+
+
 # -- divided adjoint powers ---------------------------------------------
 
 
