@@ -122,7 +122,13 @@ def _pack(exps):
     """The exponent vector exps as one int, one _FIELD-bit field per
     strand, the first strand in the highest field.  Two packed vectors add
     with no carry between fields, so their sum is the packed fieldwise
-    sum.  An exponent outside 0 .. 2^31 - 1 raises ValueError."""
+    sum.  An exponent outside 0 .. 2^31 - 1 raises ValueError.
+
+    The range check runs on every call.  ProjComplex memoizes packed
+    vectors per complex (_packed per source exponent table,
+    _packed_targets per target vector) and stores one only after this
+    call returns, so a bad exponent raises on a cold and a warm memo
+    alike."""
     key = 0
     for e in exps:
         if not 0 <= e < _FIELD_LIMIT:
@@ -213,6 +219,7 @@ class ProjComplex:
         self._suffix_prods = {}
         self._target_ids = {}
         self._packed = {}
+        self._packed_targets = {}
         if len(self.diffs) != max(len(self.terms) - 1, 0):
             raise ValueError("need one differential per consecutive pair")
         self._validate()
@@ -295,7 +302,11 @@ class ProjComplex:
         Every basis vector of the source is x^a times tau_word 1_nu, so
         this product is cached per word across all degrees, and the key
         of the term x^a . x^e tau_w2 1_mu is key + _pack(a).  The product
-        itself comes from the suffix memo (_suffix_prod).  All
+        itself comes from the suffix memo (_suffix_prod).  Each target
+        vector e is packed once per complex: _pack(e) is memoized in
+        _packed_targets, beside the source tables' _packed, so a vector
+        met again skips _pack and its range check, which ran when the
+        vector was first stored.  All
         coefficients of the word are scaled by one positive integer, the
         lcm of their denominators, so they are ints and the columns built
         from the tuple keep their rank.  The word need not be canonical
@@ -309,10 +320,15 @@ class ProjComplex:
             m = lcm(*(c.denominator for _, _, c in terms))
             shift = _FIELD * self.terms[k][si].n
             ids = self._target_ids
-            u = self._word_prods[key] = tuple(
-                (ids.setdefault((ti, mu, w2), len(ids)) << shift | _pack(e),
-                 c.numerator * (m // c.denominator))
-                for ti, (mu, w2, e), c in terms)
+            packs = self._packed_targets
+            u = []
+            for ti, (mu, w2, e), c in terms:
+                p = packs.get(e)
+                if p is None:
+                    p = packs[e] = _pack(e)
+                b = ids.setdefault((ti, mu, w2), len(ids)) << shift
+                u.append((b | p, c.numerator * (m // c.denominator)))
+            u = self._word_prods[key] = tuple(u)
         return u
 
     def _raw_columns(self, k, d, lam):

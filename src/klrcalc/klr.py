@@ -500,24 +500,58 @@ def _tau_times_element(ctx, k, terms, n):
     """Normal form of tau_k * (element given by PBW terms): for each term
     x^a tau_word 1_nu, tau_k tau_word 1_nu times x^(s_k a), plus the
     Demazure term of x^a when the strands tau_k crosses, read at the right
-    positions r_k, r_k1 of the plan of (k, word), have equal colours."""
+    positions r_k, r_k1 of the plan of (k, word), have equal colours.
+
+    This is the inner loop of all rewriting, and it takes three shortcuts
+    that leave every term, coefficient and insertion order as _add_term
+    would make them.  It probes the product memo ctx._mult_tau itself and
+    calls _mult_tau_word only on a miss.  When a is all zero, the
+    product's keys are taken as they are, with no exponent addition.
+    When a_k = a_{k+1}, s_k a is a and the Demazure term is zero, so
+    neither s_k a is built nor the plan read.  Terms are accumulated
+    inline; every coefficient is nonzero, so a sum that cancels had a key
+    to delete."""
     acc = {}
+    get = acc.get
+    memo = ctx._mult_tau
     for (nu, word, exps), c in terms.items():
+        prod = memo.get((k, word, nu))
+        if prod is None:
+            prod = _mult_tau_word(ctx, k, word, nu, n)
+        if not any(exps):
+            for key, cc in prod.items():
+                s = get(key, 0) + c * cc
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+            continue
         # commute tau_k past x^exps (relation between tau and x)
-        swapped = list(exps)
-        swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
-        for (nu2, word2, exps2), cc in _mult_tau_word(
-                ctx, k, word, nu, n).items():
-            _add_term(acc, (nu2, word2, tuple(map(add, exps2, swapped))),
-                      c * cc)
+        a, b = exps[k - 1], exps[k]
+        swapped = exps if a == b else exps[:k - 1] + (b, a) + exps[k + 1:]
+        for (nu2, word2, exps2), cc in prod.items():
+            key = (nu2, word2, tuple(map(add, exps2, swapped)))
+            s = get(key, 0) + c * cc
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+        if a == b:
+            continue
         # strands k, k+1 on the left of tau_word 1_nu start at the right
-        # positions r_k, r_k1 of the plan, which the call above made;
-        # equal colors emit a Demazure term
+        # positions r_k, r_k1 of the plan, made with the product; equal
+        # colors emit a Demazure term
         plan = _PLANS[k, word]
         if nu[plan[0]] == nu[plan[1]]:
             sign, monos = demazure_monomial(k, k + 1, exps)
+            x = sign * c
             for e in monos:
-                _add_term(acc, (nu, word, e), sign * c)
+                key = (nu, word, e)
+                s = get(key, 0) + x
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
     return acc
 
 
@@ -675,10 +709,15 @@ def _insert(ctx, k, word, nu, n):
 
 
 def klr_multiply(u, v):
-    """The product of two elements, reduced to PBW normal form."""
+    """The product of two elements, reduced to PBW normal form.  Each term
+    c x^a tau_w 1_nu of u multiplies tau_w into the terms of v with left
+    colour word nu (_tau_word_times) and shifts the result by x^a; when a
+    is all zero the exponent addition is skipped.  Terms are accumulated
+    inline, as in _tau_times_element."""
     _check_compatible(u, v)
     ctx, n = u.ctx, u.n
     acc = {}
+    get = acc.get
     # group v's terms by left color word once
     by_left = {}
     for key, c in v.terms.items():
@@ -688,10 +727,22 @@ def klr_multiply(u, v):
         sub = by_left.get(nu)
         if not sub:
             continue
-        for (nu2, word2, exps2), c2 in _tau_word_times(
-                ctx, word, sub, n).items():
+        prod = _tau_word_times(ctx, word, sub, n)
+        if not any(exps):
+            for key2, c2 in prod.items():
+                s = get(key2, 0) + cu * c2
+                if s:
+                    acc[key2] = s
+                else:
+                    del acc[key2]
+            continue
+        for (nu2, word2, exps2), c2 in prod.items():
             key2 = (nu2, word2, tuple(map(add, exps2, exps)))
-            _add_term(acc, key2, cu * c2)
+            s = get(key2, 0) + cu * c2
+            if s:
+                acc[key2] = s
+            else:
+                del acc[key2]
     res = KLRElement(ctx, n)
     res.terms = acc
     return res

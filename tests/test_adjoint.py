@@ -538,6 +538,88 @@ def test_packed_fields_hold_exponents_below_2_31(ctx_a2, monkeypatch):
     with pytest.raises(ValueError, match="packed"):
         columns_with(top + 1)
 
+    def big(cplx, x):
+        """The exponent vector (x, 0, ..., 0) of the complex's d_1."""
+        return (x,) + (0,) * (cplx.terms[1][0].n - 1)
+
+    def target_pack(cplx, x):
+        """_word_prod of a word no basis has, with _suffix_prod patched to
+        give the single term x^big(cplx, x) on target 0; the packed key
+        must hold that vector."""
+        e, mu = big(cplx, x), cplx.terms[0][0].nu
+        cplx._suffix_prod = lambda k, si, word: ((0, {(mu, (), e): 1}),)
+        try:
+            ((key, c),) = cplx._word_prod(1, 0, (99, x))
+        finally:
+            del cplx._suffix_prod
+        assert unpack_key(key, len(e))[1] == e and c == 1
+
+    # a target exponent of 2^31 raises on a cold and on a warm memo of
+    # packed target vectors, and neither memo nor product cache keeps it
+    cold = build_divided_complex(1, ("j",), "i", ctx_a2)
+    warm = build_divided_complex(1, ("j",), "i", ctx_a2)
+    cohomology_dims(warm, DegreeWindow(0, 3))
+    assert not cold._packed_targets and warm._packed_targets
+    for cplx in (cold, warm):
+        before = dict(cplx._packed_targets)
+        with pytest.raises(ValueError, match="packed"):
+            target_pack(cplx, top + 1)
+        assert cplx._packed_targets == before
+        assert (1, 0, (99, top + 1)) not in cplx._word_prods
+        target_pack(cplx, top)
+        assert cplx._packed_targets[big(cplx, top)] == _pack(big(cplx, top))
+
+
+@pytest.mark.parametrize("dot, units", [(A2_DOT, None), (B2_DOT, None),
+                                        (A2_DOT, HALF_UNITS)],
+                         ids=["a2", "b2", "a2-half"])
+def test_word_prods_pack_each_target_term(dot, units):
+    """After cohomology_dims on the plain and the divided complexes with
+    n + m <= 4, every cached _word_prods pair is, in order, (id << 32 n |
+    _pack(e), c m) over the terms c x^e tau_w2 1_mu of the word's
+    _suffix_prod with each target ti, where id = _target_ids[(ti, mu, w2)]
+    and m is the lcm of the word's denominators, and every coefficient is
+    an int.  The memo of packed target vectors holds _pack(e) of exactly
+    the vectors e met.  The complexes share one context."""
+    ctx = KLRContext(make_cartan(dot), units)
+    scales = set()
+    for n, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
+        for build in (build_ad_complex, build_divided_complex):
+            cplx = build(n, ("j",) * m, "i", ctx)
+            cohomology_dims(cplx, DegreeWindow(0, 4))
+            assert cplx._word_prods
+            ids = cplx._target_ids
+            met = set()
+            for (k, si, word), got in cplx._word_prods.items():
+                terms = [(ti, key, c) for ti, prod in
+                         cplx._suffix_prod(k, si, word)
+                         for key, c in prod.items()]
+                scale = lcm(*(Fraction(c).denominator for *_, c in terms))
+                scales.add(scale)
+                shift = 32 * cplx.terms[k][si].n
+                assert got == tuple(
+                    (ids[ti, mu, w2] << shift | _pack(e), c * scale)
+                    for ti, (mu, w2, e), c in terms), (k, si, word)
+                assert all(type(c) is int for _, c in got)
+                met.update(e for _, (_, _, e), _ in terms)
+            assert cplx._packed_targets == {e: _pack(e) for e in met}
+    assert (max(scales) > 1) == (units is not None)
+
+
+def test_complexes_on_one_context_keep_their_own_packing_memos(ctx_a2):
+    """Two complexes on one context, on three strands and on two: ranking
+    the first fills its memos only, and each memo of packed target
+    vectors holds vectors of its own complex's length."""
+    a = build_ad_complex(2, ("j",), "i", ctx_a2)
+    b = build_ad_complex(1, ("j",), "i", ctx_a2)
+    cohomology_dims(a, DegreeWindow(0, 3))
+    assert a._packed_targets and a._packed
+    assert not b._packed_targets and not b._packed and not b._target_ids
+    cohomology_dims(b, DegreeWindow(0, 3))
+    assert b._packed_targets
+    assert {len(e) for e in a._packed_targets} == {3}
+    assert {len(e) for e in b._packed_targets} == {2}
+
 
 @pytest.mark.parametrize("units", [None, HALF_UNITS], ids=["unit", "half"])
 def test_suffix_memo_holds_the_suffixes_of_ranked_words(units):

@@ -1134,6 +1134,121 @@ def test_plans_made_on_one_datum_serve_others(monkeypatch):
         assert len(klr._PLANS) == math.factorial(5) * 4
 
 
+# -- the straightening kernel and products against the walk --------------
+
+# DATA, and A2 under HALF_UNITS, whose products carry Fraction coefficients
+KERNEL_DATA = {**DATA, "a2-half": (("i", "j"), A2_DOT, HALF_UNITS)}
+
+
+def random_pbw_terms(rng, nus, words):
+    """A dict of one to six random PBW terms x^a tau_w 1_nu: nu from nus,
+    w from words, exponents 0..3 with zeros common and every fifth vector
+    all zero, and int or Fraction coefficients."""
+    n = len(nus[0])
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+        if rng.random() < 0.2:
+            exps = (0,) * n
+        terms[rng.choice(nus), rng.choice(words), exps] = rng.choice(
+            (1, -2, 3, Fraction(1, 2), Fraction(-3, 4)))
+    return terms
+
+
+def kernel_case(k, key, c, n):
+    """Which path of _tau_times_element the term c x^a tau_w 1_nu takes
+    under tau_k, and whether c is a Fraction."""
+    nu, word, exps = key
+    if not any(exps):
+        path = "zero shift"
+    elif exps[k - 1] == exps[k]:
+        path = "a_k = a_k+1"
+    else:
+        im = perm_of_word(word, n).images
+        path = ("demazure" if nu[im.index(k)] == nu[im.index(k + 1)]
+                else "no demazure")
+    return path, type(c) is Fraction
+
+
+@pytest.mark.parametrize("labels, dot, units", KERNEL_DATA.values(),
+                         ids=KERNEL_DATA.keys())
+def test_tau_times_element_matches_the_walk(labels, dot, units):
+    """tau_k times random PBW elements, n = 2..4 and every k, equals the
+    per-colour-word walk walk_tau_times item for item and in insertion
+    order.  Every path of the kernel is met, with int and with Fraction
+    coefficients: an all-zero exponent vector, a_k = a_{k+1} on a nonzero
+    vector, and a_k != a_{k+1} with and without a Demazure term.  On
+    tau_1 (x_1 + x_2) 1_ii the two Demazure terms cancel, and no key is
+    left for them."""
+    rng = random.Random(28)
+    ctx = KLRContext(CartanDatum(list(labels), dot), units)
+    memo = {}
+    seen = set()
+    for n in range(2, 5):
+        nus = list(itertools.product(labels, repeat=n))
+        words = [canonical_word(g) for g in all_perms(n)]
+        for _ in range(40):
+            terms = random_pbw_terms(rng, nus, words)
+            for k in range(1, n):
+                want = walk_tau_times(ctx, memo, k, terms, n)
+                got = klr._tau_times_element(ctx, k, terms, n)
+                assert list(got.items()) == list(want.items()), (k, terms)
+                seen.update(kernel_case(k, key, c, n)
+                            for key, c in terms.items())
+    assert seen == {(path, frac) for frac in (False, True) for path in
+                    ("zero shift", "a_k = a_k+1", "demazure", "no demazure")}
+    ii = (labels[0],) * 2
+    terms = {(ii, (), (1, 0)): 1, (ii, (), (0, 1)): 1}
+    got = klr._tau_times_element(ctx, 1, terms, 2)
+    assert list(got.items()) == [((ii, (1,), (0, 1)), 1),
+                                 ((ii, (1,), (1, 0)), 1)]
+    assert list(got.items()) == list(
+        walk_tau_times(ctx, memo, 1, terms, 2).items())
+
+
+def walk_multiply(ctx, memo, u, v):
+    """u v by the walk: each term c x^a tau_w 1_nu of u folds tau_w into
+    the terms of v with left colour word nu (walk_tau_word_times), then
+    shifts every exponent vector of the result by a."""
+    acc = {}
+    for (nu, word, exps), cu in u.terms.items():
+        sub = {key: c for key, c in v.terms.items()
+               if v.left_colors(key) == nu}
+        if not sub:
+            continue
+        for (nu2, w2, e2), c2 in walk_tau_word_times(ctx, memo, word, sub,
+                                                     u.n).items():
+            klr._add_term(acc, (nu2, w2, tuple(map(add, e2, exps))),
+                          cu * c2)
+    return acc
+
+
+@pytest.mark.parametrize("labels, dot, units", KERNEL_DATA.values(),
+                         ids=KERNEL_DATA.keys())
+def test_klr_multiply_matches_the_walk_fold(labels, dot, units):
+    """klr_multiply(u, v) of random elements of one weight, n = 2..4,
+    equals walk_multiply item for item and in insertion order, with left
+    factors whose matching terms have zero and nonzero exponents."""
+    rng = random.Random(29)
+    ctx = KLRContext(CartanDatum(list(labels), dot), units)
+    memo = {}
+    shifts = set()
+    for n in range(2, 5):
+        words = [canonical_word(g) for g in all_perms(n)]
+        for _ in range(30):
+            nu = tuple(rng.choice(labels) for _ in range(n))
+            nus = sorted(set(itertools.permutations(nu)))
+            u = KLRElement(ctx, n, random_pbw_terms(rng, nus, words))
+            v = KLRElement(ctx, n, random_pbw_terms(rng, nus, words))
+            want = walk_multiply(ctx, memo, u, v)
+            got = klr_multiply(u, v)
+            assert list(got.terms.items()) == list(want.items()), (u, v)
+            lefts = {v.left_colors(key) for key in v.terms}
+            shifts.update(any(exps) for nu, _, exps in u.terms
+                          if nu in lefts)
+    assert shifts == {False, True}
+
+
 def oracle_canonical_word(g):
     """The recursive form of canonical_word: peel the top strand and
     recurse on the permutation of the strands left."""

@@ -246,6 +246,60 @@ def test_table_guard_sees_every_empty_dict_form():
     assert _empty_tables(tree) == ["A", "B", "C", "D", "H"]
 
 
+def _memo_decorators(tree):
+    """The functions and classes of a module, at any depth, decorated
+    with functools' cache or lru_cache, bare or called, by name or as an
+    attribute: memos that live as long as the process and hold every
+    argument, which the table guard, seeing only empty dicts, misses."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        for dec in node.decorator_list:
+            if isinstance(dec, ast.Call):
+                dec = dec.func
+            name = (dec.id if isinstance(dec, ast.Name)
+                    else getattr(dec, "attr", None))
+            if name in ("cache", "lru_cache"):
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_library_has_no_process_wide_memo_decorator():
+    """No library function is memoized by functools.cache or lru_cache;
+    a memo lives on a context, a complex or a call (klr._PLANS aside)."""
+    found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in _memo_decorators(ast.parse(path.read_text()))]
+    assert not found, found
+
+
+def test_memo_guard_sees_every_decorator_form():
+    tree = ast.parse("@cache\n"
+                     "def a(): pass\n"
+                     "@lru_cache\n"
+                     "def b(): pass\n"
+                     "@functools.cache\n"
+                     "def c(): pass\n"
+                     "@functools.lru_cache(maxsize=None)\n"
+                     "def d(): pass\n"
+                     "@lru_cache(None)\n"
+                     "async def e(): pass\n"
+                     "class K:\n"
+                     "    @ft.lru_cache()\n"
+                     "    def f(self): pass\n"
+                     "def g():\n"
+                     "    @cache\n"
+                     "    def h(): pass\n"
+                     "@cache\n"
+                     "class L: pass\n"
+                     "@property\n"
+                     "def i(): pass\n"
+                     "@functools.wraps(a)\n"
+                     "def j(): pass\n")
+    assert _memo_decorators(tree) == ["L", "a", "b", "c", "d", "e", "f", "h"]
+
+
 def _calls(tree, names):
     """(caller, callee) for each call in the module of a function named
     in names, as f(...) or as obj.f(...); the caller is the innermost
