@@ -42,8 +42,9 @@ from __future__ import annotations
 
 from operator import add
 
-from .polycalc import (Poly, all_perms, canonical_word, demazure,
-                       demazure_monomial, exact, longest_word, perm_of_word)
+from .polycalc import (Poly, _canonical_word, _word_images, all_perms,
+                       canonical_word, demazure, demazure_monomial, exact,
+                       longest_word, perm_of_word)
 from .rootdata import RootVector, _check_labels, sequences
 
 
@@ -70,7 +71,25 @@ def _q_terms(terms):
 
 
 class KLRContext:
-    """Cartan datum, the twist polynomials Q_{i,j}, and rewriting caches."""
+    """Cartan datum, the twist polynomials Q_{i,j}, and rewriting caches.
+
+    Every memo table lives on the context and is filled on first use:
+
+    * _canon: permutation -> canonical word (canon);
+    * _perm_of_word: (word, n) -> Perm (word_perm);
+    * _left_colors: (word, nu) -> left colour word of tau_word 1_nu
+      (left_colors), read when klr_multiply groups terms by left colour;
+    * _weight_keys: nu -> its colours sorted (weight_key), read when two
+      elements are checked to share a weight;
+    * _mult_tau: (k, word, nu) -> normal form of tau_k tau_word 1_nu
+      (_mult_tau_word);
+    * _strand_qs: (i, j, k, n, braid) -> Q_{i,j} placed on strands
+      (_q_on_strands);
+    * _exp_vectors, _pbw_cosets, _basis: the PBW basis tables
+      (exp_vectors, pbw_cosets, basis).
+
+    The hot loops probe a table inline and call the filling method only
+    on a miss."""
 
     def __init__(self, cartan, q_config=None):
         self.cartan = cartan
@@ -86,6 +105,8 @@ class KLRContext:
                 self._qpolys[i, j] = Poly(2, terms)
         self._canon = {}
         self._perm_of_word = {}
+        self._left_colors = {}
+        self._weight_keys = {}
         self._mult_tau = {}
         self._strand_qs = {}
         self._exp_vectors = {}
@@ -162,6 +183,25 @@ class KLRContext:
             g = perm_of_word(word, n)
             self._perm_of_word[key] = g
         return g
+
+    def left_colors(self, word, nu):
+        """The left colour word of tau_word 1_nu (nu in position order):
+        position w(r) carries the colour of right position r.  A letter
+        outside 1..len(nu)-1 raises ValueError.  Memoized per (word, nu)."""
+        key = (word, nu)
+        out = self._left_colors.get(key)
+        if out is None:
+            out = perm_of_word(word, len(nu)).permute_tuple(nu)
+            self._left_colors[key] = out
+        return out
+
+    def weight_key(self, nu):
+        """The weight of a colour word as its colours sorted: two words have
+        one weight exactly when their keys are equal.  Memoized per nu."""
+        out = self._weight_keys.get(nu)
+        if out is None:
+            out = self._weight_keys[nu] = tuple(sorted(nu))
+        return out
 
     def exp_vectors(self, weights, total):
         """All nonnegative integer vectors a with sum a_k * weights_k =
@@ -306,11 +346,32 @@ class KLRElement:
     __slots__ = ("ctx", "n", "terms")
 
     def __init__(self, ctx, n, terms=None):
+        """The element sum c * key over terms {(nu, word, exps): c}, zero
+        coefficients dropped and the rest stored as exact rationals.
+
+        Each key must lie on n strands (nu and exps of length n) and all
+        keys must share one weight (ctx.weight_key); otherwise ValueError.
+        The words are not checked: monomial builds a checked basis key.
+        Internal builders whose keys are good by construction set .terms
+        directly instead."""
         self.ctx = ctx
         self.n = n
         self.terms = {}
         if terms:
+            keys = ctx._weight_keys
+            first = None
             for key, c in terms.items():
+                nu, _, exps = key
+                if len(nu) != n or len(exps) != n:
+                    raise ValueError(f"term {key} is not on {n} strands")
+                wk = keys.get(nu)
+                if wk is None:
+                    wk = ctx.weight_key(nu)
+                if first is None:
+                    first = wk
+                elif wk != first:
+                    raise ValueError(f"weight mismatch: term {key} is not of "
+                                     f"the weight {first}")
                 c = exact(c)
                 if c:
                     self.terms[key] = c
@@ -328,10 +389,28 @@ class KLRElement:
 
     @staticmethod
     def monomial(ctx, nu, word, exps, coeff=1):
-        """coeff x^exps tau_word 1_nu, nu in position order.  A colour that
-        is no label of the Cartan datum raises ValueError."""
+        """coeff x^exps tau_word 1_nu, nu in position order.  The key must
+        be a PBW basis key: word a canonical word (_canonical_shape) of
+        letters in 1..n-1, exps n nonnegative ints.  A key that is not, or
+        a colour that is no label of the Cartan datum, raises ValueError."""
+        nu, word, exps = tuple(nu), tuple(word), tuple(exps)
         _check_labels(ctx.cartan, nu)
-        return KLRElement(ctx, len(nu), {(tuple(nu), tuple(word), tuple(exps)): coeff})
+        n = len(nu)
+        if any(type(a) is not int for a in word + exps):
+            raise ValueError(f"word {word} and exponents {exps} must be "
+                             f"ints")
+        if word and not (0 < min(word) and max(word) < n
+                         and _canonical_shape(word)):
+            raise ValueError(f"word {word} is not a canonical word on "
+                             f"{n} strands")
+        if len(exps) != n or (exps and min(exps) < 0):
+            raise ValueError(f"exponents {exps} are not {n} nonnegative "
+                             f"integers")
+        res = KLRElement(ctx, n)
+        coeff = exact(coeff)
+        if coeff:
+            res.terms[nu, word, exps] = coeff
+        return res
 
     # -- basic structure ---------------------------------------------------
 
@@ -364,7 +443,17 @@ class KLRElement:
         return res
 
     def __sub__(self, other):
-        return self + (-other)
+        _check_compatible(self, other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k, 0) - c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        res = KLRElement(self.ctx, self.n)
+        res.terms = out
+        return res
 
     def scale(self, c):
         c = exact(c)
@@ -396,8 +485,9 @@ class KLRElement:
         return degs.pop()
 
     def left_colors(self, key):
+        """The left colour word of a term (ctx.left_colors)."""
         nu, word, _ = key
-        return self.ctx.word_perm(word, self.n).permute_tuple(nu)
+        return self.ctx.left_colors(word, nu)
 
     # -- serialization / display ------------------------------------------
 
@@ -434,15 +524,24 @@ class KLRElement:
 
 def _check_compatible(u, v):
     """Raise unless u and v share a context and a weight; the weight of a
-    nonzero element is the multiset of colors of any of its keys."""
-    if u.ctx is not v.ctx:
+    nonzero element is the weight key (ctx.weight_key) of any of its keys,
+    since the constructor refuses terms of mixed weight."""
+    ctx = u.ctx
+    if ctx is not v.ctx:
         raise ValueError("context mismatch")
     if u.n != v.n:
         raise ValueError("weight mismatch")
     if u.terms and v.terms:
         (nu, _, _), (mu, _, _) = next(iter(u.terms)), next(iter(v.terms))
-        if nu != mu and sorted(nu) != sorted(mu):
-            raise ValueError("weight mismatch")
+        if nu != mu:
+            keys = ctx._weight_keys
+            a, b = keys.get(nu), keys.get(mu)
+            if a is None:
+                a = ctx.weight_key(nu)
+            if b is None:
+                b = ctx.weight_key(mu)
+            if a != b:
+                raise ValueError("weight mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +553,9 @@ def klr_generator(ctx, kind, arg, beta_or_sequences):
 
     kind 'x', 'tau': arg is the strand index, summed over the given
     color words (an iterable of position-order tuples).  A colour that is
-    no label of the Cartan datum raises ValueError.
+    no label of the Cartan datum raises ValueError.  The terms are set
+    directly, with no per-key check of the constructor: the words are
+    taken to share one weight, as the words of sequences(beta) do.
     """
     seqs = [tuple(s) for s in beta_or_sequences]
     if not seqs:
@@ -477,7 +578,9 @@ def klr_generator(ctx, kind, arg, beta_or_sequences):
             terms[(nu, (k,), (0,) * n)] = 1
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
-    return KLRElement(ctx, n, terms)
+    res = KLRElement(ctx, n)
+    res.terms = terms
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +697,17 @@ def _plan(k, word):
     (_canonical_shape).  Legal moves keep the permutation s_k w, which
     has exactly one word of that shape, so this is as strong as comparing
     the end of the walk with canon(s_k w).  Raises RuntimeError, storing
-    no plan, when a check fails."""
-    n = max((k,) + word) + 1
-    im = perm_of_word(word, n).images
+    no plan, when a check fails, and ValueError when a letter is not
+    positive.
+
+    Images are kept in plain lists (_word_images), with no Perm built:
+    for a descent, the images of s_k w are those of w with the values k
+    and k+1 swapped."""
+    letters = (k,) + word
+    if min(letters) < 1:
+        raise ValueError(f"letters must be positive: {letters}")
+    n = max(letters) + 1
+    im = _word_images(word, n)
     rk, rk1 = im.index(k), im.index(k + 1)
     if rk < rk1:
         braids = []
@@ -614,7 +725,7 @@ def _plan(k, word):
             c = cur[p + 1]
             cur[p:p + 3] = c, c + 1, c
             suffix = tuple(cur[p + 3:])
-            h = perm_of_word(suffix, n).images
+            h = _word_images(suffix, n)
             braids.append((tuple(cur[:p]), suffix, c, h.index(c),
                            h.index(c + 1), h.index(c + 2)))
         v = tuple(cur)
@@ -622,7 +733,8 @@ def _plan(k, word):
             raise RuntimeError("insertion did not land on the canonical word")
         braids = tuple(braids)
     else:
-        v = canonical_word(perm_of_word((k,) + word, n))
+        im[rk], im[rk1] = k + 1, k
+        v = _canonical_word(im)
         braids = None
     out = _PLANS[k, word] = (rk, rk1, v, braids)
     return out
@@ -647,11 +759,14 @@ def _q_on_strands(ctx, a, b, k, n, braid):
 def _mult_tau_word(ctx, k, word, nu, n):
     """Normal form of tau_k * (tau_word 1_nu) for a canonical word,
     memoized per (k, word, nu); the plan of (k, word) says which branch
-    and where the colours of nu are read."""
+    and where the colours of nu are read.  A crossing k outside 1..n-1
+    raises ValueError before anything is stored."""
     ck = (k, word, nu)
     hit = ctx._mult_tau.get(ck)
     if hit is not None:
         return hit
+    if not 1 <= k < n:
+        raise ValueError(f"letter {k} is not a simple transposition of S_{n}")
     rk, rk1, v, _ = _PLANS.get((k, word)) or _plan(k, word)
     if rk < rk1:
         # s_k w is longer than w
@@ -712,16 +827,22 @@ def klr_multiply(u, v):
     """The product of two elements, reduced to PBW normal form.  Each term
     c x^a tau_w 1_nu of u multiplies tau_w into the terms of v with left
     colour word nu (_tau_word_times) and shifts the result by x^a; when a
-    is all zero the exponent addition is skipped.  Terms are accumulated
-    inline, as in _tau_times_element."""
+    is all zero the exponent addition is skipped.  The left colour words
+    of v's terms are read from ctx._left_colors, probed inline and filled
+    by ctx.left_colors on a miss.  Terms are accumulated inline, as in
+    _tau_times_element."""
     _check_compatible(u, v)
     ctx, n = u.ctx, u.n
     acc = {}
     get = acc.get
     # group v's terms by left color word once
+    lefts = ctx._left_colors
     by_left = {}
     for key, c in v.terms.items():
-        lam = v.left_colors(key)
+        nu, word, _ = key
+        lam = lefts.get((word, nu))
+        if lam is None:
+            lam = ctx.left_colors(word, nu)
         by_left.setdefault(lam, {})[key] = c
     for (nu, word, exps), cu in u.terms.items():
         sub = by_left.get(nu)

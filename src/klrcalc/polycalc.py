@@ -93,6 +93,12 @@ class Perm:
 
 def perm_of_word(word, n):
     """The permutation of a word, rightmost letter applied first."""
+    return Perm._trusted(tuple(_word_images(word, n)))
+
+
+def _word_images(word, n):
+    """The images of perm_of_word(word, n) as a list, with no Perm built.
+    A letter outside 1..n-1 raises ValueError."""
     im = list(range(1, n + 1))
     for k in word:
         if not 1 <= k < n:
@@ -100,7 +106,7 @@ def perm_of_word(word, n):
                              f"of S_{n}")
         # right multiplication by s_k swaps the images of k and k+1
         im[k - 1], im[k] = im[k], im[k - 1]
-    return Perm._trusted(tuple(im))
+    return im
 
 
 def canonical_word(g):
@@ -113,7 +119,13 @@ def canonical_word(g):
     concatenation of the blocks' words, so diamond products of basis
     monomials stay basis-aligned.
     """
-    im = list(g.images)
+    return _canonical_word(g.images)
+
+
+def _canonical_word(images):
+    """canonical_word of the permutation with these images, a sequence
+    known to be a permutation of 1..n; no Perm is built."""
+    im = list(images)
     runs = []
     for top in range(len(im), 0, -1):
         r = im.index(top) + 1

@@ -413,12 +413,17 @@ def test_basis_rows_share_the_exponent_tables(ctx_a2, ctx_b2, ctx_g2):
 
 def word_products(cplx, k, si, word):
     """tau_word 1_nu . z by klr_multiply for every entry z of d_k out of
-    summand si, as a dict (ti, PBW key) -> coefficient."""
+    summand si, as a dict (ti, PBW key) -> coefficient.  word = canon(u) +
+    w0 need not be canonical, so the basis monomials tau_canon(u) 1_nu and
+    tau_w0 1_nu (w0 fixes nu) multiply z one after the other."""
     src = cplx.terms[k][si]
-    mono = KLRElement.monomial(cplx.ctx, src.nu, word, (0,) * src.n)
+    cut = len(word) - len(src.w0)
+    assert word[cut:] == src.w0
+    head, tail = (KLRElement.monomial(cplx.ctx, src.nu, w, (0,) * src.n)
+                  for w in (word[:cut], src.w0))
     return {(ti, key): c
             for (a, ti), z in cplx.diffs[k - 1].items() if a == si
-            for key, c in klr_multiply(mono, z).terms.items()}
+            for key, c in klr_multiply(head, klr_multiply(tail, z)).terms.items()}
 
 
 def scaled_word_products(cplx, k, si, word):

@@ -452,22 +452,43 @@ def test_graded_basis_reuses_the_coset_table(cartan_a2, monkeypatch):
 def test_mismatched_operands_raise(cartan_a2):
     """Sums and products need one context and one weight; the zero element
     is compatible with everything of its strand count, and colour words of
-    one weight in different orders are compatible."""
+    one weight in different orders are compatible.  The checks hold on
+    cold tables, on the left colour and weight tables of both contexts
+    once a product and a sum have filled them, and in both directions
+    between the two contexts."""
     ctx = KLRContext(cartan_a2)
     other = KLRContext(cartan_a2)
     ij = KLRElement.idem(ctx, ("i", "j"))
     ji = KLRElement.idem(ctx, ("j", "i"))
     ii = KLRElement.idem(ctx, ("i", "i"))
     zero = KLRElement(ctx, 2)
-    for op in (lambda u, v: u + v, klr_multiply):
-        for u, v in ((ij, ii), (ii, ij), (ij, KLRElement.idem(ctx, ("i",)))):
-            with pytest.raises(ValueError, match="weight mismatch"):
-                op(u, v)
-        with pytest.raises(ValueError, match="context mismatch"):
-            op(ij, KLRElement.idem(other, ("i", "j")))
-        op(ij, zero)
-        op(zero, ii)
-        op(ij, ji)
+    ops = (lambda u, v: u + v, lambda u, v: u - v, klr_multiply)
+
+    def check(ctx, other):
+        ij, ji, ii = (KLRElement.idem(ctx, nu)
+                      for nu in (("i", "j"), ("j", "i"), ("i", "i")))
+        zero = KLRElement(ctx, 2)
+        for op in ops:
+            for u, v in ((ij, ii), (ii, ij),
+                         (ij, KLRElement.idem(ctx, ("i",)))):
+                with pytest.raises(ValueError, match="weight mismatch"):
+                    op(u, v)
+            with pytest.raises(ValueError, match="context mismatch"):
+                op(ij, KLRElement.idem(other, ("i", "j")))
+            op(ij, zero)
+            op(zero, ii)
+            op(ij, ji)
+
+    # cold tables, then warm: a product and a sum of two colour orders
+    # fill both tables of both contexts, and the checks still refuse
+    check(ctx, other)
+    for c in (ctx, other):
+        t1 = KLRElement.monomial(c, ("i", "j"), (1,), (0, 0))
+        klr_multiply(KLRElement.monomial(c, ("j", "i"), (1,), (0, 0)), t1)
+        KLRElement.idem(c, ("i", "j")) + KLRElement.idem(c, ("j", "i"))
+        assert c._left_colors and c._weight_keys
+    check(ctx, other)
+    check(other, ctx)
     assert (ij + zero) == ij
     assert not klr_multiply(ij, ji)
 
@@ -1209,11 +1230,12 @@ def test_tau_times_element_matches_the_walk(labels, dot, units):
 def walk_multiply(ctx, memo, u, v):
     """u v by the walk: each term c x^a tau_w 1_nu of u folds tau_w into
     the terms of v with left colour word nu (walk_tau_word_times), then
-    shifts every exponent vector of the result by a."""
+    shifts every exponent vector of the result by a.  The left colour
+    words come from perm_of_word, not from the context's table."""
     acc = {}
     for (nu, word, exps), cu in u.terms.items():
         sub = {key: c for key, c in v.terms.items()
-               if v.left_colors(key) == nu}
+               if perm_of_word(key[1], v.n).permute_tuple(key[0]) == nu}
         if not sub:
             continue
         for (nu2, w2, e2), c2 in walk_tau_word_times(ctx, memo, word, sub,
@@ -1486,3 +1508,242 @@ def test_default_units_keep_int_coefficients(dot):
     for u, v, w in _random_triples(ctx, 20, seed=17):
         _assert_int_coefficients(klr_multiply(klr_multiply(u, v), w).terms,
                                  (u, v, w))
+
+
+# -- per-context tables, one-pass subtraction, checked constructors -----
+
+
+@pytest.mark.parametrize("dot", [A2_DOT, B2R_DOT, G2_DOT],
+                         ids=["a2", "b2r", "g2"])
+def test_left_colour_and_weight_tables_match_their_oracles(dot):
+    """After the residues of every colour word of height <= 5 on a fresh
+    context, each stored left colour word equals the word permutation
+    applied to nu, and each weight key is nu sorted.  The residues meet
+    words of length at most 2 only, so seeded products of monomials on
+    five strands then add longer words, and the tables are checked
+    again."""
+    ctx = KLRContext(make_cartan(dot))
+
+    def check():
+        assert ctx._left_colors and ctx._weight_keys
+        for (word, nu), lam in ctx._left_colors.items():
+            assert lam == ctx.word_perm(word, len(nu)).permute_tuple(nu), \
+                (word, nu)
+        for nu, key in ctx._weight_keys.items():
+            assert key == tuple(sorted(nu)), nu
+        return {len(word) for word, _ in ctx._left_colors}
+
+    for nu in all_words(5):
+        relation_residues(ctx, nu)
+    assert check() == {0, 1, 2}
+    _random_monomial_products(ctx, 5, 30, seed=41)
+    assert max(check()) > 5
+
+
+def test_subtraction_matches_adding_the_negative(ctx_a2):
+    """u - v equals u + (-v) item for item and in insertion order, with
+    int and Fraction coefficients: partial cancellation, full
+    cancellation (u - u is zero with no key left), and the zero element
+    on either side; neither operand changes."""
+    rng = random.Random(31)
+    nu = ("i", "j", "i")
+    nus = sorted(set(itertools.permutations(nu)))
+    words = [canonical_word(g) for g in all_perms(3)]
+    zero = KLRElement(ctx_a2, 3)
+    for _ in range(60):
+        u = KLRElement(ctx_a2, 3, random_pbw_terms(rng, nus, words))
+        v = KLRElement(ctx_a2, 3, random_pbw_terms(rng, nus, words))
+        # a v sharing keys with u, some coefficients equal
+        w = KLRElement(ctx_a2, 3, {**v.terms, **dict(
+            rng.sample(sorted(u.terms.items(), key=repr), 1))})
+        for a, b in ((u, v), (u, w), (w, u), (u, u), (u, zero), (zero, u),
+                     (zero, zero)):
+            before = (dict(a.terms), dict(b.terms))
+            got, want = a - b, a + (-b)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert (a.terms, b.terms) == before
+    assert not (u - u).terms
+    assert (zero - u) == -u
+
+
+def reference_plan(k, word):
+    """_plan with every image read from a Perm built by perm_of_word, and
+    nothing stored."""
+    n = max((k,) + word) + 1
+    im = perm_of_word(word, n).images
+    rk, rk1 = im.index(k), im.index(k + 1)
+    if rk >= rk1:
+        return rk, rk1, canonical_word(perm_of_word((k,) + word, n)), None
+    braids = []
+    cur = [k, *word]
+    for move, p in _insertion_moves((k,) + word):
+        if move == "c":
+            cur[p], cur[p + 1] = cur[p + 1], cur[p]
+            continue
+        c = cur[p + 1]
+        cur[p:p + 3] = c, c + 1, c
+        suffix = tuple(cur[p + 3:])
+        h = perm_of_word(suffix, n).images
+        braids.append((tuple(cur[:p]), suffix, c, h.index(c),
+                       h.index(c + 1), h.index(c + 2)))
+    return rk, rk1, tuple(cur), tuple(braids)
+
+
+def test_plans_match_the_perm_of_word_reference(monkeypatch):
+    """_plan, which swaps images in a plain list, equals reference_plan
+    for every k and canonical w of S_n, n <= 6 (the words of S_n for
+    smaller n are among those of S_6), in both branches."""
+    monkeypatch.setattr(klr, "_PLANS", {})
+    branches = set()
+    for g in all_perms(6):
+        w = canonical_word(g)
+        for k in range(1, 6):
+            want = reference_plan(k, w)
+            assert klr._plan(k, w) == want, (k, w)
+            branches.add(want[3] is None)
+    assert branches == {False, True}
+    assert len(klr._PLANS) == math.factorial(6) * 5
+
+
+BAD_LETTER_WORDS = [(0,), (2,), (3,), (-1,), (1, 0)]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_letters_out_of_range_raise(warm, monkeypatch, cartan_a2):
+    """A word with a letter 0, negative or >= n refuses with ValueError on
+    its way through klr_multiply, on either side of the product, on cold
+    tables and on tables warmed by a product of the same colour words;
+    nothing is stored for it.  _plan refuses a letter below 1 itself."""
+    monkeypatch.setattr(klr, "_PLANS", dict(klr._PLANS))
+    ctx = KLRContext(cartan_a2)
+    ij = ("i", "j")
+    one = KLRElement.idem(ctx, ij)
+    if warm:
+        klr_multiply(KLRElement.monomial(ctx, ("j", "i"), (1,), (1, 0)),
+                     KLRElement.monomial(ctx, ij, (1,), (0, 1)))
+    for word in BAD_LETTER_WORDS:
+        for exps in ((0, 0), (1, 0)):
+            bad = KLRElement(ctx, 2, {(ij, word, exps): 1})
+            with pytest.raises(ValueError, match="simple transposition"):
+                klr_multiply(one, bad)
+            with pytest.raises(ValueError, match="simple transposition"):
+                klr_multiply(bad, one)
+        assert (word, ij) not in ctx._left_colors
+        assert not any(w == word for _, w, _ in ctx._mult_tau)
+    for k, word in ((0, ()), (1, (0,)), (-1, (1,)), (0, (1,)), (2, (1, 0))):
+        with pytest.raises(ValueError, match="letters must be positive"):
+            klr._plan(k, word)
+        assert (k, word) not in klr._PLANS
+
+
+NOT_PBW_MONOMIALS = {
+    "square": (("i", "j"), (1, 1), (0, 0)),
+    "braid-word": (("i", "j", "i"), (2, 1, 2), (0, 0, 0)),
+    "descending-runs": (("i", "j", "i", "j"), (3, 1), (0, 0, 0, 0)),
+    "letter-n": (("i", "j"), (2,), (0, 0)),
+    "letter-0": (("i", "j"), (0,), (0, 0)),
+    "negative-exponent": (("i", "j"), (), (0, -1)),
+    "short-exponents": (("i", "j"), (), (0,)),
+    "long-exponents": (("i", "j"), (1,), (0, 0, 0)),
+    "float-exponent": (("i", "j"), (), (0, 1.0)),
+    "float-letter": (("i", "j"), (1.0,), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("key", NOT_PBW_MONOMIALS.values(),
+                         ids=NOT_PBW_MONOMIALS.keys())
+def test_monomial_refuses_keys_not_in_normal_form(key, ctx_a2):
+    """monomial builds PBW basis keys only: a word that is not canonical
+    or has a letter outside 1..n-1, or exponents that are not n
+    nonnegative ints, raise ValueError at construction."""
+    with pytest.raises(ValueError):
+        KLRElement.monomial(ctx_a2, *key)
+
+
+def test_monomial_keeps_basis_keys(ctx_a2):
+    """Canonical words with nonnegative exponents still build, with the
+    coefficient stored as __init__ stores it, and a zero coefficient gives
+    the zero element."""
+    m = KLRElement.monomial(ctx_a2, ["i", "j", "i"], [1, 2, 1], [0, 2, 1],
+                            Fraction(4, 2))
+    assert list(m.terms.items()) == [((("i", "j", "i"), (1, 2, 1),
+                                       (0, 2, 1)), 2)]
+    assert type(m.terms[("i", "j", "i"), (1, 2, 1), (0, 2, 1)]) is int
+    assert m == KLRElement(ctx_a2, 3, {(("i", "j", "i"), (1, 2, 1),
+                                        (0, 2, 1)): "2"})
+    assert not KLRElement.monomial(ctx_a2, ("i", "j"), (1,), (0, 0), 0)
+    for g in all_perms(4):
+        KLRElement.monomial(ctx_a2, ("i",) * 4, canonical_word(g), (0,) * 4)
+
+
+def test_constructor_refuses_mixed_weights_and_strand_counts(ctx_a2):
+    """KLRElement(ctx, n, terms) refuses terms of two weights, and keys
+    whose colour word or exponent vector is not on n strands, also when
+    their coefficient is zero; terms of one weight in several colour
+    orders build.  So no sum can mix weights behind its first key."""
+    ii, ij, ji = ("i", "i"), ("i", "j"), ("j", "i")
+    for terms in ({(ii, (), (0, 0)): 1, (ij, (), (0, 0)): 1},
+                  {(ij, (), (0, 0)): 1, (ii, (1,), (0, 0)): 0}):
+        with pytest.raises(ValueError, match="weight mismatch"):
+            KLRElement(ctx_a2, 2, terms)
+    for key in (("i", "i", "j"), (), (0, 0)), (ij, (), (0, 0, 0)), \
+            (ii, (), (0,)):
+        with pytest.raises(ValueError, match="not on 2 strands"):
+            KLRElement(ctx_a2, 2, {key: 1})
+    el = KLRElement(ctx_a2, 2, {(ij, (), (1, 0)): 1, (ji, (1,), (0, 0)): 2})
+    assert len(el.terms) == 2
+    with pytest.raises(ValueError, match="weight mismatch"):
+        KLRElement.idem(ctx_a2, ii) + KLRElement(
+            ctx_a2, 2, {(ij, (), (0, 0)): 1})
+
+
+def test_generators_store_what_the_constructor_would(ctx_a2):
+    """klr_generator sets its terms directly: they equal, item for item,
+    the terms that KLRElement(ctx, n, terms) stores, with int
+    coefficients."""
+    seqs = list(sequences(RootVector({"i": 2, "j": 1})))
+    for kind, k in (("x", 1), ("x", 3), ("tau", 1), ("tau", 2)):
+        g = klr_generator(ctx_a2, kind, k, seqs)
+        built = KLRElement(ctx_a2, 3, g.terms)
+        assert list(g.terms.items()) == list(built.terms.items())
+        assert {type(c) for c in g.terms.values()} == {int}
+
+
+def reference_multiply(u, v):
+    """u v as klr_multiply made it before the left colour table: v's terms
+    grouped by ctx.word_perm(word, n).permute_tuple(nu), key by key."""
+    ctx, n = u.ctx, u.n
+    by_left = {}
+    for key, c in v.terms.items():
+        nu, word, _ = key
+        lam = ctx.word_perm(word, n).permute_tuple(nu)
+        by_left.setdefault(lam, {})[key] = c
+    acc = {}
+    for (nu, word, exps), cu in u.terms.items():
+        sub = by_left.get(nu)
+        if sub:
+            for (nu2, w2, e2), c2 in klr._tau_word_times(ctx, word, sub,
+                                                         n).items():
+                klr._add_term(acc, (nu2, w2, tuple(map(add, e2, exps))),
+                              cu * c2)
+    return acc
+
+
+@pytest.mark.parametrize("dot", [A2_DOT, B2R_DOT, G2_DOT],
+                         ids=["a2", "b2r", "g2"])
+def test_klr_multiply_matches_per_term_grouping(dot):
+    """On seeded products of elements with several left colour words,
+    n = 2..4, klr_multiply equals reference_multiply item for item and
+    in insertion order, on one context whose tables warm as it goes."""
+    rng = random.Random(37)
+    ctx = KLRContext(make_cartan(dot))
+    for n in range(2, 5):
+        words = [canonical_word(g) for g in all_perms(n)]
+        for _ in range(25):
+            nu = tuple(rng.choice("ij") for _ in range(n))
+            nus = sorted(set(itertools.permutations(nu)))
+            u = KLRElement(ctx, n, random_pbw_terms(rng, nus, words))
+            v = KLRElement(ctx, n, random_pbw_terms(rng, nus, words))
+            got = klr_multiply(u, v)
+            assert list(got.terms.items()) == \
+                list(reference_multiply(u, v).items()), (u, v)
