@@ -458,10 +458,6 @@ def test_mismatched_operands_raise(cartan_a2):
     between the two contexts."""
     ctx = KLRContext(cartan_a2)
     other = KLRContext(cartan_a2)
-    ij = KLRElement.idem(ctx, ("i", "j"))
-    ji = KLRElement.idem(ctx, ("j", "i"))
-    ii = KLRElement.idem(ctx, ("i", "i"))
-    zero = KLRElement(ctx, 2)
     ops = (lambda u, v: u + v, lambda u, v: u - v, klr_multiply)
 
     def check(ctx, other):
@@ -479,8 +475,9 @@ def test_mismatched_operands_raise(cartan_a2):
             op(zero, ii)
             op(ij, ji)
 
-    # cold tables, then warm: a product and a sum of two colour orders
-    # fill both tables of both contexts, and the checks still refuse
+    # cold tables (only check's own idempotents have weight keys), then
+    # warm: a product and a sum of two colour orders fill both tables of
+    # both contexts, and the checks still refuse
     check(ctx, other)
     for c in (ctx, other):
         t1 = KLRElement.monomial(c, ("i", "j"), (1,), (0, 0))
@@ -489,7 +486,8 @@ def test_mismatched_operands_raise(cartan_a2):
         assert c._left_colors and c._weight_keys
     check(ctx, other)
     check(other, ctx)
-    assert (ij + zero) == ij
+    ij, ji = KLRElement.idem(ctx, ("i", "j")), KLRElement.idem(ctx, ("j", "i"))
+    assert (ij + KLRElement(ctx, 2)) == ij
     assert not klr_multiply(ij, ji)
 
 
