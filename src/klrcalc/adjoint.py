@@ -16,6 +16,7 @@ from .qring import (DegreeWindow, LaurentPoly, RatFunc, hilbert_denominator,
 from .rootdata import RootVector, _check_int, _check_labels, pairing, reflect
 from .klr import (KLRElement, _tau_times_element, _tau_word_times, diamond,
                   idempotent_e_klr, klr_multiply, tau_word_degree)
+from .polycalc import longest_word, perm_of_word
 
 
 def underlying_degree(shift, d):
@@ -171,7 +172,7 @@ class CyclicProjective:
         self.w0 = w0
         # a reduced word is the longest word of the parabolic subgroup its
         # letters generate iff each letter is a descent of its permutation
-        g = ctx.word_perm(w0, self.n)
+        g = perm_of_word(w0, self.n)
         if len(w0) != g.length() or any(
                 g(p) < g(p + 1) or nu[p - 1] != nu[p] for p in w0):
             raise ValueError("the word of f must be the longest word of a "
@@ -451,10 +452,6 @@ def is_quotient_zero(beta, i, ctx):
     return not in_qplus
 
 
-def _word_weight_w(ctx, i, nu_pos):
-    return sum(ctx.cartan.cartan(i, c) for c in nu_pos)
-
-
 def _complex(ctx, terms, entries):
     """The complex on terms whose differential d_k has one entry
     sign f_src tau_word f_tgt from summand si of terms[k] to summand ti of
@@ -492,7 +489,7 @@ def build_ad_complex(n, nu, i, ctx):
     _check_labels(ctx.cartan, (i,), nu)
     pos_nu = tuple(reversed(nu))
     r = len(nu)
-    w = _word_weight_w(ctx, i, pos_nu)
+    w = pairing(ctx.cartan, i, RootVector.from_word(nu))
     di = ctx.cartan.d(i)
     subsets = [list(combinations(range(1, n + 1), k)) for k in range(n + 1)]
     index = {S: si for col in subsets for si, S in enumerate(col)}
@@ -521,7 +518,7 @@ def build_divided_complex(n, nu, i, ctx):
     _check_labels(ctx.cartan, (i,), nu)
     pos_nu = tuple(reversed(nu))
     r = len(nu)
-    w = _word_weight_w(ctx, i, pos_nu)
+    w = pairing(ctx.cartan, i, RootVector.from_word(nu))
     di = ctx.cartan.d(i)
     mid = KLRElement.idem(ctx, pos_nu) if r else None
 
@@ -668,37 +665,24 @@ def product_dims(A, B, ctx):
     """Refined dims of the induced product M N from refined dims of M (top
     strands) and N (bottom strands), via shuffle coset representatives.
 
-    A shuffle of a word lamA of A with a word lamB of B gives the word lam
-    and raises the degree by tdeg, that of its crossings.  The product at
-    degree d adds A(a, lamA) B(d - tdeg - a, lamB) for a from A.lo to
-    d - tdeg - B.lo, so A and B are read at exactly those degrees."""
-    dot = ctx.cartan.dot
+    The shuffles of a word lamA of A with a word lamB of B are the rows
+    (lam, deg) of ctx.pbw_cosets(lamB + lamA, w0), w0 the longest word of
+    S_nB x S_nA; deg is the degree of the crossings.  The product at
+    degree d adds A(a, lamA) B(d - deg - a, lamB) for a from A.lo to
+    d - deg - B.lo, so A and B are read at exactly those degrees."""
     shuffles = []
     for lamA in sorted(A.words):
         for lamB in sorted(B.words):
-            nA, nB = len(lamA), len(lamB)
-            for posA in combinations(range(nA + nB), nA):
-                posA = set(posA)
-                lam = []
-                ia = ib = 0
-                tdeg = 0
-                for p in range(nA + nB):
-                    if p in posA:
-                        lam.append(lamA[ia])
-                        ia += 1
-                    else:
-                        # this N strand crosses every M strand already
-                        # placed below it
-                        for ca in lamA[:ia]:
-                            tdeg -= dot(ca, lamB[ib])
-                        lam.append(lamB[ib])
-                        ib += 1
-                shuffles.append((lamA, lamB, tuple(lam), tdeg))
+            nB = len(lamB)
+            w0 = longest_word(1, nB) + tuple(
+                k + nB for k in longest_word(1, len(lamA)))
+            shuffles += [(lamA, lamB, lam, deg) for lam, _, _, deg
+                         in ctx.pbw_cosets(lamB + lamA, w0)]
 
     def fn(d):
         out = {}
-        for lamA, lamB, lam, tdeg in shuffles:
-            e = d - tdeg
+        for lamA, lamB, lam, deg in shuffles:
+            e = d - deg
             v = sum(A.dim(a, lamA) * B.dim(e - a, lamB)
                     for a in range(A.lo, e - B.lo + 1))
             out[lam] = out.get(lam, 0) + v

@@ -42,9 +42,9 @@ from __future__ import annotations
 
 from operator import add
 
-from .polycalc import (Poly, _canonical_word, _word_images, all_perms,
-                       canonical_word, demazure, demazure_monomial, exact,
-                       longest_word, perm_of_word)
+from .polycalc import (Poly, _canonical_word, _coset_images, _permuted,
+                       _word_images, demazure, demazure_monomial, exact,
+                       longest_word)
 from .rootdata import RootVector, _check_labels, sequences
 
 
@@ -75,8 +75,6 @@ class KLRContext:
 
     Every memo table lives on the context and is filled on first use:
 
-    * _canon: permutation -> canonical word (canon);
-    * _perm_of_word: (word, n) -> Perm (word_perm);
     * _left_colors: (word, nu) -> left colour word of tau_word 1_nu
       (left_colors), read when klr_multiply groups terms by left colour;
     * _weight_keys: nu -> its colours sorted (weight_key), read when two
@@ -85,6 +83,8 @@ class KLRContext:
       (_mult_tau_word);
     * _strand_qs: (i, j, k, n, braid) -> Q_{i,j} placed on strands
       (_q_on_strands);
+    * _coset_reps: (n, w0) -> (images, canonical word) of each minimal
+      coset representative, shared by the colour words of length n;
     * _exp_vectors, _pbw_cosets, _basis: the PBW basis tables
       (exp_vectors, pbw_cosets, basis).
 
@@ -103,12 +103,11 @@ class KLRContext:
                     (0, -cartan.cartan(j, i)): units.get((j, i), 1),
                     **extra.get((i, j), {})}
                 self._qpolys[i, j] = Poly(2, terms)
-        self._canon = {}
-        self._perm_of_word = {}
         self._left_colors = {}
         self._weight_keys = {}
         self._mult_tau = {}
         self._strand_qs = {}
+        self._coset_reps = {}
         self._exp_vectors = {}
         self._pbw_cosets = {}
         self._basis = {}
@@ -125,8 +124,7 @@ class KLRContext:
         stored for the other, and two different units are refused."""
         units, extra = {}, {}
         for (i, j), cfg in self.q_config.items():
-            self.cartan.check_index(i)
-            self.cartan.check_index(j)
+            _check_labels(self.cartan, (i, j))
             if i == j:
                 raise ValueError("Q_{i,i} is identically zero and not configurable")
             t = _q_scalar(cfg.get("t", 1), f"unit t_({i},{j})")
@@ -169,21 +167,6 @@ class KLRContext:
 
     # -- word caches -------------------------------------------------------
 
-    def canon(self, g):
-        w = self._canon.get(g)
-        if w is None:
-            w = canonical_word(g)
-            self._canon[g] = w
-        return w
-
-    def word_perm(self, word, n):
-        key = (word, n)
-        g = self._perm_of_word.get(key)
-        if g is None:
-            g = perm_of_word(word, n)
-            self._perm_of_word[key] = g
-        return g
-
     def left_colors(self, word, nu):
         """The left colour word of tau_word 1_nu (nu in position order):
         position w(r) carries the colour of right position r.  A letter
@@ -191,7 +174,7 @@ class KLRContext:
         key = (word, nu)
         out = self._left_colors.get(key)
         if out is None:
-            out = perm_of_word(word, len(nu)).permute_tuple(nu)
+            out = _permuted(_word_images(word, len(nu)), nu)
             self._left_colors[key] = out
         return out
 
@@ -224,21 +207,24 @@ class KLRContext:
         """The degree-independent part of the PBW basis x^a tau_u tau_w0 1_nu
         of H tau_w0 1_nu, one entry (lam, word, weights, deg) per minimal
         coset representative u of S_n/S_B (no letter of w0 is a descent of
-        u), in all_perms order: lam = u(nu) is the left color word, word the
-        canonical word of u, weights the degrees (lam_k, lam_k) of the x's
-        and deg the degree of tau_u 1_nu; basis reads the vectors of each
-        degree from it.  w0 = () gives the PBW basis of H 1_nu.  Memoized
-        per (nu, w0)."""
+        u), in the order of _coset_images: lam = u(nu) is the left color
+        word, word the canonical word of u (both from _coset_reps), weights
+        the degrees (lam_k, lam_k) of the x's and deg the degree of
+        tau_u 1_nu; basis reads the vectors of each degree from it.  w0 = ()
+        gives the PBW basis of H 1_nu.  Memoized per (nu, w0)."""
         key = (nu, w0)
         out = self._pbw_cosets.get(key)
         if out is None:
+            n = len(nu)
+            reps = self._coset_reps.get((n, w0))
+            if reps is None:
+                reps = self._coset_reps[n, w0] = tuple(
+                    (u, _canonical_word(u))
+                    for u in _coset_images(n, set(w0)))
             dot = self.cartan.dot
             out = []
-            for u in all_perms(len(nu)):
-                if any(u(p) > u(p + 1) for p in w0):
-                    continue
-                word = self.canon(u)
-                lam = u.permute_tuple(nu)
+            for u, word in reps:
+                lam = _permuted(u, nu)
                 out.append((lam, word, tuple(dot(c, c) for c in lam),
                             tau_word_degree(self, word, nu)))
             out = self._pbw_cosets[key] = tuple(out)
@@ -282,37 +268,6 @@ class KLRContext:
         return out
 
 
-def _insert_letter(word, base, size, moves):
-    """Append to moves the Coxeter moves that put the letter k = word[base]
-    in front of the canonical word of word[base + 1:], whose run lengths
-    size holds (size[m] = len(R_m), long enough to index k + 1), and
-    update size to the runs of word[base:].
-
-    To put an ascent letter k in front of canon(h): commute k right past
-    R_2 ... R_{k-1} (letters <= k-2), so that k R_k = (k, ..., a) =: c
-    with a = r_k; then move each letter j = k, k-1, ..., b of
-    R_{k+1} = (k, ..., b) left through c (b > a exactly when k is an
-    ascent): commute past (j-2, ..., a), braid (j, j-1, j) ->
-    (j-1, j, j-1), commute j-1 past (k, ..., j+1).  This leaves
-    (k-1, ..., b-1) c, i.e. r_k = b-1 and r_{k+1} = a.
-    """
-    k = word[base]
-    if k < 1:
-        raise ValueError(f"letters must be positive: {word}")
-    a, b = k - size[k], k + 1 - size[k + 1]
-    if b <= a:
-        raise ValueError(f"letter {k} at position {base} of {word} "
-                         "does not lengthen the rest: not reduced")
-    p0 = base + sum(size[2:k])
-    moves += [("c", p) for p in range(base, p0)]
-    for t, j in enumerate(range(k, b - 1, -1)):
-        q = p0 + t + k - j      # position of the braid triple
-        moves += [("c", p) for p in range(q + j - a, q + 1, -1)]
-        moves.append(("b", q))
-        moves += [("c", p) for p in range(q - 1, p0 + t - 1, -1)]
-    size[k], size[k + 1] = k - b + 1, k + 1 - a
-
-
 def _insertion_moves(word):
     """The Coxeter moves that turn word = (k,) + w, w a canonical word,
     into the canonical word of s_k w.
@@ -321,18 +276,34 @@ def _insertion_moves(word):
     ('b', p) applies the braid move to the triple at p, p+1, p+2.  The
     canonical word is R_2 R_3 ... R_n with R_m = (m-1, ..., r_m) (empty
     when r_m = m), so the nonempty R_m are the maximal runs of w falling
-    by one, R_m the one that starts with m-1; the moves are one letter
-    insertion (_insert_letter) into those runs.  Raises ValueError when
-    k does not lengthen w.
+    by one, R_m the one that starts with m-1.  Commute k right past
+    R_2 ... R_{k-1}, so that k R_k = (k, ..., a) =: c with a = r_k; then
+    move each letter j = k, ..., b of R_{k+1} = (k, ..., b) left through c
+    (b > a exactly when k is an ascent): commute past (j-2, ..., a), braid
+    (j, j-1, j) -> (j-1, j, j-1), commute j-1 past (k, ..., j+1).  This
+    leaves (k-1, ..., b-1) c.  Raises ValueError when k is not positive or
+    does not lengthen w.
     """
+    k = word[0]
+    if k < 1:
+        raise ValueError(f"letters must be positive: {word}")
     size = [0] * (max(word) + 2)    # size[m] = len(R_m)
     m = 0
     for p in range(1, len(word)):
         if p == 1 or word[p] != word[p - 1] - 1:
             m = word[p] + 1
         size[m] += 1
-    moves = []
-    _insert_letter(word, 0, size, moves)
+    a, b = k - size[k], k + 1 - size[k + 1]
+    if b <= a:
+        raise ValueError(f"letter {k} of {word} does not lengthen the "
+                         "rest: not reduced")
+    p0 = sum(size[2:k])
+    moves = [("c", p) for p in range(p0)]
+    for t, j in enumerate(range(k, b - 1, -1)):
+        q = p0 + t + k - j      # position of the braid triple
+        moves += [("c", p) for p in range(q + j - a, q + 1, -1)]
+        moves.append(("b", q))
+        moves += [("c", p) for p in range(q - 1, p0 + t - 1, -1)]
     return moves
 
 
@@ -548,19 +519,24 @@ def _check_compatible(u, v):
 # generator constructors
 # ---------------------------------------------------------------------------
 
-def klr_generator(ctx, kind, arg, beta_or_sequences):
+def klr_generator(ctx, kind, arg, words):
     """A generator as a normal-form element summed over color words.
 
     kind 'x', 'tau': arg is the strand index, summed over the given
-    color words (an iterable of position-order tuples).  A colour that is
-    no label of the Cartan datum raises ValueError.  The terms are set
-    directly, with no per-key check of the constructor: the words are
-    taken to share one weight, as the words of sequences(beta) do.
+    color words, position-order tuples such as sequences(beta) gives (a
+    RootVector raises TypeError).  An unknown colour, or words whose weight
+    keys (ctx.weight_key) differ, raise ValueError; the terms are then set
+    directly, with no per-key check of the constructor.
     """
-    seqs = [tuple(s) for s in beta_or_sequences]
+    seqs = [tuple(s) for s in words]
     if not seqs:
         raise ValueError("no color words supplied")
     _check_labels(ctx.cartan, *seqs)
+    first = ctx.weight_key(seqs[0])
+    for nu in seqs:
+        if ctx.weight_key(nu) != first:
+            raise ValueError(f"color words {seqs[0]} and {nu} differ in "
+                             "weight")
     n = len(seqs[0])
     k = int(arg)
     terms = {}
@@ -918,8 +894,8 @@ def rev(u):
         nur = tuple(reversed(nu))
         wordr = tuple(n - k for k in reversed(word))
         expsr = tuple(reversed(exps))
-        g = ctx.word_perm(wordr, n)
-        mu = g.inv().permute_tuple(nur)
+        # the right colour word of tau_wordr whose left colour word is nur
+        mu = tuple(nur[q - 1] for q in _word_images(wordr, n))
         if len(word) % 2:
             c = -c
         for key, cc in _tau_word_times(
@@ -960,9 +936,8 @@ def idempotent_e_klr(ctx, i, m):
     nu = (i,) * m
     if m == 1:
         return KLRElement.idem(ctx, nu)
-    w0 = ctx.canon(ctx.word_perm(longest_word(1, m), m))
-    exps = tuple(range(m))
-    return KLRElement.monomial(ctx, nu, w0, exps)
+    # longest_word(1, m) is already the canonical word of w0[1, m]
+    return KLRElement.monomial(ctx, nu, longest_word(1, m), tuple(range(m)))
 
 
 def _poly_on_strands(ctx, nu, positions, poly):

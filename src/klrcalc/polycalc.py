@@ -82,10 +82,7 @@ class Perm:
     def permute_tuple(self, t):
         """Left color word of tau_w 1_nu for w with word-permutation self:
         position self(r) carries the color of right position r."""
-        out = [None] * len(self.images)
-        for r, q in enumerate(self.images):
-            out[q - 1] = t[r]
-        return tuple(out)
+        return _permuted(self.images, t)
 
     def __repr__(self):
         return f"Perm{self.images}"
@@ -107,6 +104,34 @@ def _word_images(word, n):
         # right multiplication by s_k swaps the images of k and k+1
         im[k - 1], im[k] = im[k], im[k - 1]
     return im
+
+
+def _permuted(images, t):
+    """The tuple t moved by the permutation with these images: position
+    images[r] carries t[r], as in the left colour word of tau_w 1_nu."""
+    out = [None] * len(images)
+    for r, q in enumerate(images):
+        out[q - 1] = t[r]
+    return tuple(out)
+
+
+def _coset_images(n, rises, head=()):
+    """The images u of the minimal representatives of the cosets u S_B,
+    S_B generated by the s_p, p in the set rises: u(p) < u(p+1) for each
+    such p.  In all_perms order; head holds u(1), ..., u(r), and u(r+1)
+    runs over the free values that leave a larger one for each later
+    position of its block, so no branch dead-ends."""
+    r = len(head)
+    if r == n:
+        yield head
+        return
+    end = r + 1     # the last position of r+1's block
+    while end in rises:
+        end += 1
+    low = head[-1] + 1 if r in rises else 1
+    free = [v for v in range(low, n + 1) if v not in head]
+    for v in free[:len(free) - (end - r - 1)]:
+        yield from _coset_images(n, rises, head + (v,))
 
 
 def canonical_word(g):

@@ -16,16 +16,21 @@ class CartanValidationError(ValueError):
 
 class CartanDatum:
     """An index set with a symmetric integer form i.j satisfying the
-    Cartan conditions: i.i a positive even integer, i.j <= 0 for i != j."""
+    Cartan conditions: i.i a positive even integer, i.j <= 0 for i != j.
+    The form is a list of lists of ints (bool refused)."""
 
     def __init__(self, index_set, dot):
         self.index_set = list(index_set)
         n = len(self.index_set)
         if len(set(self.index_set)) != n:
             raise CartanValidationError("duplicate index labels")
+        if not (isinstance(dot, list) and all(
+                isinstance(row, list) and all(type(x) is int for x in row)
+                for row in dot)):
+            raise CartanValidationError("dot matrix is no list of lists of ints")
         if len(dot) != n or any(len(row) != n for row in dot):
             raise CartanValidationError("dot matrix shape does not match index set")
-        self.dot_matrix = [[int(x) for x in row] for row in dot]
+        self.dot_matrix = [list(row) for row in dot]
         self._pos = {lab: a for a, lab in enumerate(self.index_set)}
         for a in range(n):
             for b in range(n):
@@ -58,10 +63,6 @@ class CartanDatum:
         """c_ij = 2(i.j)/(i.i)."""
         return 2 * self.dot(i, j) // self.dot(i, i)
 
-    def check_index(self, i):
-        if i not in self._pos:
-            raise KeyError(f"unknown index label {i!r}")
-
     def __repr__(self):
         return f"CartanDatum({self.index_set}, {self.dot_matrix})"
 
@@ -75,9 +76,7 @@ class RootVector:
         clean = {}
         if coeffs:
             for lab, c in coeffs.items():
-                c = int(c)
-                if c < 0:
-                    raise ValueError("RootVector coefficients must be nonnegative")
+                _check_int(c, f"the RootVector coefficient of {lab!r}", 0)
                 if c:
                     clean[lab] = c
         self.coeffs = clean
@@ -119,8 +118,8 @@ def height(beta):
 
 
 def pairing(cartan, i, beta):
-    """<i^, beta> = sum_j c_ij beta_j."""
-    cartan.check_index(i)
+    """<i^, beta> = sum_j c_ij beta_j; an unknown colour raises ValueError."""
+    _check_labels(cartan, (i,), beta.coeffs)
     return sum(cartan.cartan(i, j) * c for j, c in beta.coeffs.items())
 
 

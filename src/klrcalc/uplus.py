@@ -222,8 +222,8 @@ def ad_e_divided(n, i, v, cartan):
     alternating sum over k of
     (-1)^k q_i^{k(n-1+w)} e_i^{(n-k)} v e_i^{(k)}, w = <i, wt v>: the word
     i^{n-k} u i^k gets c_u (-1)^k q_i^{k(n-1+w)} / ([n-k]_i! [k]_i!)."""
-    di = cartan.d(i)
     w = pairing(cartan, i, v.beta)
+    di = cartan.d(i)
     facts = [quantum_factorial(k, di) for k in range(n + 1)]
     out = {}
     for k in range(n + 1):

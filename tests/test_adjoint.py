@@ -39,7 +39,7 @@ from klrcalc import adjoint
 from klrcalc.adjoint import _echelon_insert, _matrix_rank, _pack
 from klrcalc.klr import (_tau_word_times, graded_basis, idempotent_e_klr,
                          klr_multiply_many, tau_word_degree)
-from klrcalc.polycalc import all_perms, canonical_word
+from klrcalc.polycalc import all_perms, canonical_word, perm_of_word
 
 from conftest import A2_DOT, B2_DOT, G2_DOT, HALF_UNITS, make_cartan
 
@@ -318,7 +318,7 @@ def keywise_blocks(p, d):
         weights = tuple(dot(c, c) for c in _left_word(u, nu))
         for exps in _exp_vectors(weights,
                                  e - tau_word_degree(ctx, word, nu)):
-            lam = _left_word(ctx.word_perm(word, p.n), nu)
+            lam = _left_word(perm_of_word(word, p.n), nu)
             found.setdefault(lam, []).append((word + p.w0, exps))
     return {lam: found[lam] for lam in sorted(found)}
 
@@ -811,6 +811,61 @@ def test_product_dims_matches_concatenation(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
                 window = DegreeWindow(min(P.lo, C.lo) - 2, 8)
                 assert any(C.at(d) for d in window)
                 assert P.agrees_with(C, window), (ctx.cartan, w1, w2)
+
+
+def shuffle_product_dims(A, B, ctx):
+    """product_dims from its own shuffle loop: each set of positions of
+    the A strands among nA + nB gives the word lam, and each B strand
+    crosses every A strand placed below it, adding -(a, b) to the degree.
+    Returns (lo, words, function of the degree)."""
+    dot = ctx.cartan.dot
+    shuffles = []
+    for lamA in sorted(A.words):
+        for lamB in sorted(B.words):
+            nA, nB = len(lamA), len(lamB)
+            for posA in itertools.combinations(range(nA + nB), nA):
+                lam, ia, ib, deg = [], 0, 0, 0
+                for p in range(nA + nB):
+                    if p in posA:
+                        lam.append(lamA[ia])
+                        ia += 1
+                    else:
+                        deg -= sum(dot(ca, lamB[ib]) for ca in lamA[:ia])
+                        lam.append(lamB[ib])
+                        ib += 1
+                shuffles.append((lamA, lamB, tuple(lam), deg))
+
+    def fn(d):
+        out = {}
+        for lamA, lamB, lam, deg in shuffles:
+            e = d - deg
+            v = sum(A.dim(a, lamA) * B.dim(e - a, lamB)
+                    for a in range(A.lo, e - B.lo + 1))
+            if v:
+                out[lam] = out.get(lam, 0) + v
+        return out
+    lo = A.lo + B.lo + min((s[3] for s in shuffles), default=0)
+    return lo, frozenset(s[2] for s in shuffles), fn
+
+
+def test_product_dims_matches_shuffle_loop(ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
+    """product_dims, which reads its shuffles from the coset table, equals
+    the shuffle loop in its words, its lowest degree and every degree
+    from two below it up to six above, on every pair of words of total
+    length <= 5, empty words included."""
+    words = [w for n in range(6) for w in itertools.product("ij", repeat=n)]
+    for ctx in (ctx_a2, ctx_b2, ctx_b2r, ctx_g2):
+        tables = {w: dims_E_word(ctx, w) for w in words}
+        for w1 in words:
+            for w2 in words:
+                if len(w1) + len(w2) > 5:
+                    continue
+                A, B = tables[w1], tables[w2]
+                P = product_dims(A, B, ctx)
+                lo, want_words, fn = shuffle_product_dims(A, B, ctx)
+                assert (P.lo, P.words) == (lo, want_words), (w1, w2)
+                for d in range(lo - 2, lo + 7):
+                    assert P.at(d) == fn(d), (ctx.cartan, w1, w2, d)
 
 
 def test_dims_E_word_matches_enumeration(ctx_a2, ctx_b2, ctx_g2):

@@ -100,7 +100,7 @@ def test_unknown_label_in_q_table(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     code, _, err = run(capsys, "nf", "1[i,j]", "--cartan", str(path))
     assert code == 2
-    assert "unknown index label" in err
+    assert "'k'" in err
 
 
 @pytest.mark.parametrize("entry", [

@@ -35,9 +35,9 @@ from klrcalc import (
     tau_word_degree,
 )
 from klrcalc import klr
-from klrcalc.klr import (_canonical_shape, _insert_letter, _insertion_moves,
-                         _poly_on_strands)
-from klrcalc.polycalc import all_perms, canonical_word, demazure_monomial
+from klrcalc.klr import _canonical_shape, _insertion_moves, _poly_on_strands
+from klrcalc.polycalc import (all_perms, canonical_word, demazure_monomial,
+                              longest_word)
 
 from conftest import (A2_DOT, B2R_DOT, G2_DOT, HALF_UNITS, make_cartan,
                       q_multi)
@@ -235,6 +235,32 @@ UNKNOWN_COLOUR_ELEMENTS = {
 }
 
 
+@pytest.mark.parametrize("q_config", [{("i", "k"): {"t": 2}},
+                                      {("k", "j"): {"terms": []}}])
+def test_context_refuses_unknown_colours_in_the_q_table(q_config,
+                                                        cartan_a2):
+    with pytest.raises(ValueError, match="colour 'k' is not a label"):
+        KLRContext(cartan_a2, q_config)
+
+
+@pytest.mark.parametrize("words", [[("i",), ("i", "j")],
+                                   [("i", "j"), ("i", "i")]])
+def test_generator_refuses_words_of_mixed_weight(words, ctx_a2):
+    """klr_generator sets its terms directly, so it checks itself that its
+    colour words share one weight: words of two lengths would give a key
+    on too few strands, and words of two weights a mixed element."""
+    for kind in ("x", "tau"):
+        with pytest.raises(ValueError, match="differ in weight"):
+            klr_generator(ctx_a2, kind, 1, words)
+
+
+def test_generator_refuses_a_root_vector(ctx_a2):
+    """The colour words are words, not a weight: sequences(beta) gives
+    them."""
+    with pytest.raises(TypeError):
+        klr_generator(ctx_a2, "x", 1, RootVector({"i": 1, "j": 1}))
+
+
 @pytest.mark.parametrize("make", UNKNOWN_COLOUR_ELEMENTS.values(),
                          ids=UNKNOWN_COLOUR_ELEMENTS.keys())
 def test_element_constructors_refuse_unknown_colours(make, ctx_a2):
@@ -416,15 +442,27 @@ def _brute_cosets(ctx, nu, w0):
     return tuple(out)
 
 
+def _two_blocks(nB, nA):
+    """The w0 of product_dims for shuffles of nA top strands with nB
+    bottom strands: the longest word of S_nB x S_nA."""
+    return longest_word(1, nB) + tuple(k + nB for k in longest_word(1, nA))
+
+
 def test_pbw_cosets_match_brute_force(ctx_a2, ctx_b2, ctx_g2):
     """KLRContext.pbw_cosets equals the table built from the definitions,
-    for plain idempotents (w0 = ()) and for parabolic w0, and is built
-    once per (nu, w0)."""
+    row for row and in order, for plain idempotents (w0 = ()) on up to six
+    strands, for parabolic w0 and for the two-block w0 of every shuffle
+    product on up to five strands, and is built once per (nu, w0)."""
     cases = [(nu, ()) for nu in all_words(3)]
+    cases += [(nu, ()) for nu in (("i",) * 6, ("i", "i", "i", "j", "j", "j"),
+                                  ("j", "i", "j", "j", "i", "i"))]
     cases += [(("i", "i", "j"), (1,)), (("j", "i", "i"), (2,)),
               (("i", "i", "j", "j", "j"), (1, 3, 4, 3)),
               (("j", "j", "j", "i"), (1, 2, 1)),
               (("i", "j", "j", "i", "i"), (2, 4))]
+    word = ("i", "j", "j", "i", "j")
+    cases += [(word[:nB + nA], _two_blocks(nB, nA))
+              for nB in range(6) for nA in range(6 - nB)]
     for ctx in (ctx_a2, ctx_b2, ctx_g2):
         for nu, w0 in cases:
             got = ctx.pbw_cosets(nu, w0)
@@ -435,18 +473,33 @@ def test_pbw_cosets_match_brute_force(ctx_a2, ctx_b2, ctx_g2):
                                  (1, 3, 4, 3))) == 10
 
 
+def test_colour_words_of_one_length_share_their_cosets(cartan_a2):
+    """The representatives and their canonical words are one entry per
+    (n, w0), shared by every colour word of that length."""
+    ctx = KLRContext(cartan_a2)
+    first = ctx.pbw_cosets(("i", "j", "j"))
+    second = ctx.pbw_cosets(("j", "i", "j"))
+    assert list(ctx._coset_reps) == [(3, ())]
+    assert len(first) == len(second) == 6
+    assert all(a[1] is b[1] for a, b in zip(first, second))
+    assert first != second
+
+
 def test_graded_basis_reuses_the_coset_table(cartan_a2, monkeypatch):
-    """Only the first graded_basis call on a colour word enumerates S_n."""
-    calls = []
-    real = klr.all_perms
-    monkeypatch.setattr(klr, "all_perms", lambda n: calls.append(n) or real(n))
+    """Only the first graded_basis call on a colour word builds a coset
+    table, and another colour word of the same length builds none."""
+    builds = []
+    real = klr._coset_images
+    monkeypatch.setattr(klr, "_coset_images", lambda n, rises:
+                        builds.append((n, rises)) or real(n, rises))
     ctx = KLRContext(cartan_a2)
     nu = ("i", "j", "i")
     first = graded_basis(ctx, None, nu, 2)
-    assert calls == [3]
+    assert builds == [(3, set())]
     assert graded_basis(ctx, None, nu, 2) == first
     graded_basis(ctx, ("i", "i", "j"), nu, 4)
-    assert calls == [3]
+    graded_basis(ctx, None, ("j", "i", "i"), 2)
+    assert builds == [(3, set())]
 
 
 def test_mismatched_operands_raise(cartan_a2):
@@ -666,8 +719,7 @@ def test_diamond_product(ctx_a2):
 
 def _assert_canonical_words(el):
     for _, word, _ in el.terms:
-        g = el.ctx.word_perm(word, el.n)
-        assert word == el.ctx.canon(g), word
+        assert word == canonical_word(perm_of_word(word, el.n)), word
 
 
 def test_diamond_keeps_canonical_words(ctx_a2, ctx_b2):
@@ -796,7 +848,7 @@ def oracle_insert(ctx, k, word, nu, n):
         sign = 1 if a == c0 + 1 else -1
         prefix, suffix = cur[:p], cur[p + 3:]
         cur = prefix + (b, a, b) + suffix
-        mu = ctx.word_perm(suffix, n).permute_tuple(nu)
+        mu = perm_of_word(suffix, n).permute_tuple(nu)
         if mu[c0 - 1] != mu[c0 + 1]:
             continue
         qn = ctx.q_poly(mu[c0 - 1], mu[c0]).subst_vars(
@@ -814,10 +866,33 @@ def oracle_insert(ctx, k, word, nu, n):
     return acc
 
 
+def _insert_letter(word, base, size, moves):
+    """The letter-by-letter reference of klr._insertion_moves, at any
+    position: append to moves the Coxeter moves that put the letter
+    k = word[base] in front of the canonical word of word[base + 1:],
+    whose run lengths size holds (size[m] = len(R_m), long enough to index
+    k + 1), and update size to the runs of word[base:]."""
+    k = word[base]
+    if k < 1:
+        raise ValueError(f"letters must be positive: {word}")
+    a, b = k - size[k], k + 1 - size[k + 1]
+    if b <= a:
+        raise ValueError(f"letter {k} at position {base} of {word} "
+                         "does not lengthen the rest: not reduced")
+    p0 = base + sum(size[2:k])
+    moves += [("c", p) for p in range(base, p0)]
+    for t, j in enumerate(range(k, b - 1, -1)):
+        q = p0 + t + k - j      # position of the braid triple
+        moves += [("c", p) for p in range(q + j - a, q + 1, -1)]
+        moves.append(("b", q))
+        moves += [("c", p) for p in range(q - 1, p0 + t - 1, -1)]
+    size[k], size[k + 1] = k - b + 1, k + 1 - a
+
+
 def _canon_moves(word):
     """Coxeter moves from a reduced word to its canonical word, and the
     lengths of that word's runs: its letters inserted right to left, each
-    into the canonical word of the suffix after it (klr._insert_letter)."""
+    into the canonical word of the suffix after it (_insert_letter)."""
     size = [0] * (max(word, default=0) + 2)     # size[m] = len(R_m)
     moves = []
     for base in range(len(word) - 1, -1, -1):
@@ -1525,7 +1600,7 @@ def test_left_colour_and_weight_tables_match_their_oracles(dot):
     def check():
         assert ctx._left_colors and ctx._weight_keys
         for (word, nu), lam in ctx._left_colors.items():
-            assert lam == ctx.word_perm(word, len(nu)).permute_tuple(nu), \
+            assert lam == perm_of_word(word, len(nu)).permute_tuple(nu), \
                 (word, nu)
         for nu, key in ctx._weight_keys.items():
             assert key == tuple(sorted(nu)), nu
@@ -1709,12 +1784,12 @@ def test_generators_store_what_the_constructor_would(ctx_a2):
 
 def reference_multiply(u, v):
     """u v as klr_multiply made it before the left colour table: v's terms
-    grouped by ctx.word_perm(word, n).permute_tuple(nu), key by key."""
+    grouped by perm_of_word(word, n).permute_tuple(nu), key by key."""
     ctx, n = u.ctx, u.n
     by_left = {}
     for key, c in v.terms.items():
         nu, word, _ = key
-        lam = ctx.word_perm(word, n).permute_tuple(nu)
+        lam = perm_of_word(word, n).permute_tuple(nu)
         by_left.setdefault(lam, {})[key] = c
     acc = {}
     for (nu, word, exps), cu in u.terms.items():

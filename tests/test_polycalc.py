@@ -17,7 +17,7 @@ from klrcalc import (
     longest_word,
     perm_of_word,
 )
-from klrcalc.polycalc import all_perms
+from klrcalc.polycalc import _coset_images, all_perms
 
 
 def random_poly(rng, n, deg=3, nterms=4):
@@ -163,3 +163,16 @@ def test_permute_tuple_matches_inverse_definition():
             ginv = g.inv()
             assert g.permute_tuple(t) == \
                 tuple(t[ginv(p) - 1] for p in range(1, n + 1)), g
+
+
+def test_coset_images_match_filtered_permutations():
+    """_coset_images(n, rises) yields exactly the image tuples of the
+    permutations u with u(p) < u(p + 1) for each p in rises, in the
+    order of all_perms, for every set of rises of S_n, n <= 6."""
+    for n in range(7):
+        perms = [g.images for g in all_perms(n)]
+        for mask in range(1 << max(n - 1, 0)):
+            rises = {p for p in range(1, n) if mask >> (p - 1) & 1}
+            assert list(_coset_images(n, rises)) == \
+                [u for u in perms
+                 if all(u[p - 1] < u[p] for p in rises)], (n, rises)

@@ -53,6 +53,24 @@ def test_cartan_validation_errors():
         CartanDatum(["i"], [[2, -1], [-1, 2]])            # shape mismatch
 
 
+@pytest.mark.parametrize("dot", [
+    [[2.9, -1], [-1, 2]],           # was truncated to A2
+    [[2, -1.5], [-1.5, 2]],         # was truncated to A2
+    [[2, -1], [-1, 2.0]],
+    [[True, -1], [-1, 2]],
+    [["a", "b"], ["c", "d"]],
+    5,
+    ((2, -1), (-1, 2)),
+    [[2, -1], (-1, 2)],
+], ids=["diag2.9", "off-1.5", "float2.0", "bool", "str", "int", "tuples",
+        "tuple-row"])
+def test_cartan_datum_refuses_entries_that_are_no_int(dot):
+    """A form entry that is no int, or a form that is no list of lists,
+    is refused rather than truncated by int()."""
+    with pytest.raises(CartanValidationError):
+        CartanDatum(["i", "j"], dot)
+
+
 def test_root_vectors():
     b = RootVector.from_word(("i", "j", "i"))
     assert b == RootVector({"i": 2, "j": 1})
@@ -63,6 +81,9 @@ def test_root_vectors():
     assert height(RootVector()) == 0
     with pytest.raises(ValueError):
         RootVector({"i": -1})
+    for c in (1.7, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="is not a nonnegative int"):
+            RootVector({"i": c})
 
 
 def test_sequences_counts():
@@ -94,3 +115,14 @@ def test_reflect_simple_root(cartan_a2):
     # reflecting a simple root through itself leaves the positive cone
     coeffs, in_qplus = reflect(cartan_a2, "i", RootVector.simple("i"))
     assert coeffs == {"i": -1} and not in_qplus
+
+
+def test_unknown_labels_raise_value_error(cartan_a2):
+    """An unknown colour in the weight pairing and the reflection, on
+    either side, is a ValueError naming it, not a bare KeyError."""
+    for call in (lambda: pairing(cartan_a2, "k", RootVector({"i": 1})),
+                 lambda: pairing(cartan_a2, "i", RootVector({"k": 1})),
+                 lambda: reflect(cartan_a2, "k", RootVector({"i": 1})),
+                 lambda: reflect(cartan_a2, "i", RootVector({"k": 2}))):
+        with pytest.raises(ValueError, match="colour 'k' is not a label"):
+            call()

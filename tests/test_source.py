@@ -349,3 +349,27 @@ def test_call_guard_sees_both_call_forms():
     assert _calls(tree, {"block_rank", "_matrix_rank"}) == [
         (None, "_matrix_rank"), ("f", "block_rank"),
         ("inner", "_matrix_rank"), ("h", "block_rank")]
+
+
+def _docstring_tables(doc):
+    """The table names a docstring's bullet list gives: each _name between
+    a line's leading "* " and the first colon."""
+    found = []
+    for line in doc.splitlines():
+        line = line.strip()
+        if line.startswith("* "):
+            found += re.findall(r"\b_\w+", line[2:].split(":")[0])
+    return found
+
+
+def test_context_docstring_lists_its_memo_tables():
+    """The memo list of the KLRContext docstring names exactly the tables
+    a new context holds, its private attributes that start as empty
+    dicts, so a table added or removed shows up in the list."""
+    assert _docstring_tables("* _a: x _z\n  * _b, _c: y\n  not _d\n") == \
+        ["_a", "_b", "_c"]
+    ctx = klrcalc.KLRContext(klrcalc.CartanDatum(["i"], [[2]]))
+    made = sorted(name for name, v in vars(ctx).items()
+                  if name.startswith("_") and type(v) is dict and not v)
+    assert made
+    assert sorted(_docstring_tables(klrcalc.KLRContext.__doc__)) == made

@@ -263,6 +263,18 @@ def test_higher_serre_check_refuses_bad_input(n, m, i, j, match,
         higher_serre_check(n, m, i, j, GramCache(cartan_a2))
 
 
+@pytest.mark.parametrize("i,word", [("k", ("i", "j")), ("i", ("k", "j"))],
+                         ids=["operator", "element"])
+def test_adjoint_operators_refuse_unknown_colours(i, word, cartan_a2):
+    """ad_e and ad_e_divided name an unknown colour in a ValueError; the
+    divided one read d_i first and died with a bare KeyError."""
+    v = WordVector.from_word(word)
+    with pytest.raises(ValueError, match="colour 'k' is not a label"):
+        ad_e(i, v, cartan_a2)
+    with pytest.raises(ValueError, match="colour 'k' is not a label"):
+        ad_e_divided(2, i, v, cartan_a2)
+
+
 # -- divided adjoint powers ---------------------------------------------
 
 
