@@ -8,7 +8,7 @@ from .rootdata import (CartanDatum, CartanValidationError, RootVector,
                        height, pairing, reflect, sequences)
 from .polycalc import (Perm, Poly, act, canonical_word, demazure,
                        demazure_seq, longest_word, perm_of_word)
-from .nilhecke import NilHeckeElement, idempotent_e, nh_act, nh_multiply
+from .nilhecke import nh_act
 from .klr import (KLRContext, KLRElement, diamond, graded_basis,
                   idempotent_e_klr, klr_generator, klr_multiply,
                   klr_multiply_many, relation_residues, rev, tau_word_degree)

@@ -166,7 +166,7 @@ class CyclicProjective:
         ((nu, w0, _),) = f.terms
         self.ctx = ctx
         self.f = f
-        self.shift = int(shift)
+        self.shift = _check_int(shift, "the shift")
         self.nu = nu
         self.n = len(nu)
         self.w0 = w0

@@ -23,8 +23,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .klr import (KLRContext, KLRElement, klr_generator, klr_multiply_many,
-                  relation_residues)
+from .klr import (KLRContext, KLRElement, idempotent_e_klr, klr_generator,
+                  klr_multiply, klr_multiply_many, relation_residues)
 from .qring import DegreeWindow, LaurentPoly, RatFunc, hilbert_denominator
 from .rootdata import (CartanDatum, CartanValidationError, RootVector,
                        pairing, sequences)
@@ -246,29 +246,31 @@ def _suite_relations(cfg):
 
 
 def _suite_nilhecke(cfg):
-    from .nilhecke import NilHeckeElement, idempotent_e, nh_act, nh_multiply
-    from .polycalc import Poly, all_perms
+    from .nilhecke import nh_act
+    from .polycalc import Poly, all_perms, canonical_word
+    ctx = cfg.ctx
+    i = ctx.cartan.index_set[0]
     rng = random.Random(cfg.seed)
     checks = []
     failures = 0
     trials = 60
     for _ in range(trials):
         n = rng.randint(2, 4)
-        perms = list(all_perms(n))
+        nu = (i,) * n
+        words = [canonical_word(g) for g in all_perms(n)]
 
         def rand_el():
-            el = NilHeckeElement.zero(n)
+            el = KLRElement(ctx, n)
             for _ in range(rng.randint(1, 3)):
                 exps = tuple(rng.randint(0, 2) for _ in range(n))
-                g = rng.choice(perms)
-                el = el + NilHeckeElement(
-                    n, {(exps, g): Fraction(rng.randint(-3, 3))})
+                el = el + KLRElement.monomial(ctx, nu, rng.choice(words), exps,
+                                              rng.randint(-3, 3))
             return el
 
         u, v = rand_el(), rand_el()
         p = Poly(n, {tuple(rng.randint(0, 2) for _ in range(n)):
-                     Fraction(rng.randint(-2, 2)) for _ in range(2)})
-        lhs = nh_act(nh_multiply(u, v), p)
+                     rng.randint(-2, 2) for _ in range(2)})
+        lhs = nh_act(klr_multiply(u, v), p)
         rhs = nh_act(u, nh_act(v, p))
         if lhs != rhs:
             failures += 1
@@ -279,11 +281,11 @@ def _suite_nilhecke(cfg):
         "observed": {"failures": failures},
     })
     for n in range(1, 6):
-        e = idempotent_e(n)
+        e = idempotent_e_klr(ctx, i, n)
         checks.append({
             "id": f"nilhecke/idempotent-e{n}",
             "inputs": {"n": n},
-            "ok": nh_multiply(e, e) == e,
+            "ok": klr_multiply(e, e) == e,
             "observed": {},
         })
     return checks

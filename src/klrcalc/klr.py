@@ -45,7 +45,7 @@ from operator import add
 from .polycalc import (Poly, _canonical_word, _coset_images, _permuted,
                        _word_images, demazure, demazure_monomial, exact,
                        longest_word)
-from .rootdata import RootVector, _check_labels, sequences
+from .rootdata import RootVector, _check_int, _check_labels, sequences
 
 
 def _q_scalar(c, what):
@@ -538,7 +538,7 @@ def klr_generator(ctx, kind, arg, words):
             raise ValueError(f"color words {seqs[0]} and {nu} differ in "
                              "weight")
     n = len(seqs[0])
-    k = int(arg)
+    k = _check_int(arg, "the strand index")
     terms = {}
     if kind == "x":
         if not 1 <= k <= n:

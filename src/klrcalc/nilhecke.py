@@ -1,182 +1,31 @@
-"""The affine nil Hecke algebra H_n^0: exact symbolic arithmetic in the
-PBW form x^a tau_w, the faithful polynomial action (the independent
-oracle), and the idempotent e_n defining divided powers.
+"""The faithful polynomial action of the affine nil Hecke algebra H_n^0,
+the oracle for products of one-colour KLR elements.
 
-Braid relations are exact here, so tau_w is well-defined and products of
-crossings collapse: tau_u tau_v = tau_{uv} when lengths add, else 0.
+On strands of one colour the quiver Hecke algebra is the nil Hecke
+algebra, and it acts faithfully on Pol_n = Q[x_1..x_n]: x_k by
+multiplication and tau_k by the Demazure operator del_k (Khovanov-Lauda,
+arXiv:0803.4121, section 2.3).  The action reads the PBW keys of an
+element only, and never the rewriting code that made them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .polycalc import Perm, Poly, canonical_word, demazure, demazure_seq, longest_word, perm_of_word
-
-
-class NilHeckeElement:
-    """A finite sum of monomials x^a tau_w, keyed by (exps, Perm)."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for (exps, g), c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[(tuple(exps), g)] = c
-
-    @staticmethod
-    def zero(n):
-        return NilHeckeElement(n)
-
-    @staticmethod
-    def one(n):
-        return NilHeckeElement(n, {((0,) * n, Perm.identity(n)): 1})
-
-    @staticmethod
-    def x(k, n, power=1):
-        e = [0] * n
-        e[k - 1] = power
-        return NilHeckeElement(n, {(tuple(e), Perm.identity(n)): 1})
-
-    @staticmethod
-    def tau(k, n):
-        return NilHeckeElement(n, {((0,) * n, Perm.s(k, n)): 1})
-
-    @staticmethod
-    def tau_w(g):
-        return NilHeckeElement(g.n, {((0,) * g.n, g): 1})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, NilHeckeElement) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = NilHeckeElement(self.n)
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = NilHeckeElement(self.n)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        res = NilHeckeElement(self.n)
-        if c:
-            res.terms = {k: cc * c for k, cc in self.terms.items()}
-        return res
-
-    def degree(self):
-        """Degree of a homogeneous element: 2|a| - 2 l(w)."""
-        degs = {2 * sum(e) - 2 * g.length() for e, g in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous element with degrees {sorted(degs)}")
-        return degs.pop()
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (exps, g) in sorted(self.terms, key=lambda k: (k[1].images, k[0])):
-            c = self.terms[(exps, g)]
-            bits = [] if c == 1 else [str(c)]
-            for k, a in enumerate(exps, start=1):
-                if a:
-                    bits.append(f"x{k}" + (f"^{a}" if a > 1 else ""))
-            for k in canonical_word(g):
-                bits.append(f"t{k}")
-            parts.append("*".join(bits) if bits else "1")
-        return " + ".join(parts)
-
-
-def _tau_times(k, terms, n):
-    """tau_k * (element terms), using tau_k P = s_k(P) tau_k + del_k(P)."""
-    sk = Perm.s(k, n)
-    acc = {}
-    for (exps, g), c in terms.items():
-        skg = sk * g
-        if skg.length() > g.length():
-            swapped = list(exps)
-            swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
-            key = (tuple(swapped), skg)
-            acc[key] = acc.get(key, Fraction(0)) + c
-        # else tau_k tau_{s_k g'} collapses to 0 on the main term
-        err = demazure(k, k + 1, Poly(n, {tuple(exps): 1}))
-        for e, ce in err.terms.items():
-            key = (e, g)
-            s = acc.get(key, Fraction(0)) + c * ce
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return {k2: c2 for k2, c2 in acc.items() if c2}
-
-
-def nh_multiply(u, v):
-    """The product in PBW form."""
-    if u.n != v.n:
-        raise ValueError("rank mismatch")
-    n = u.n
-    acc = {}
-    for (a, g), cu in u.terms.items():
-        cur = v.terms
-        for k in reversed(canonical_word(g)):
-            cur = _tau_times(k, cur, n)
-            if not cur:
-                break
-        for (b, h), c2 in cur.items():
-            key = (tuple(p + q for p, q in zip(a, b)), h)
-            s = acc.get(key, Fraction(0)) + cu * c2
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    res = NilHeckeElement(n)
-    res.terms = acc
-    return res
+from .polycalc import Poly, demazure_seq
 
 
 def nh_act(u, p):
-    """The faithful action on polynomials: x_k by multiplication, tau_k
-    by the Demazure operator del_k."""
+    """The action of a one-colour KLR element u on the polynomial p: each
+    term c x^a tau_word 1_nu, keyed (nu, word, a), sends p to
+    c x^a del_word(p), the rightmost letter of the word acting first.
+
+    A colour word of more than one colour, or p in a number of variables
+    other than the strand count u.n, raises ValueError."""
     if p.n != u.n:
-        raise ValueError("rank mismatch")
+        raise ValueError(f"a polynomial in {p.n} variables on {u.n} strands")
     out = Poly.zero(p.n)
-    for (a, g), c in u.terms.items():
-        # the rightmost factor of tau_w acts first
-        img = demazure_seq(tuple(reversed(canonical_word(g))), p)
-        out = out + Poly(p.n, {tuple(a): c}) * img
+    for (nu, word, a), c in u.terms.items():
+        if len(set(nu)) > 1:
+            raise ValueError(f"colour word {nu} has more than one colour")
+        img = demazure_seq(word[::-1], p)
+        out = out + Poly(p.n, {a: c}) * img
     return out
-
-
-def idempotent_e(n):
-    """e_n = x_2 x_3^2 ... x_n^{n-1} tau_{w0[1,n]}; degree 0; e_1 = 1."""
-    if n < 1:
-        raise ValueError("rank must be positive")
-    exps = tuple(range(n))
-    g = perm_of_word(longest_word(1, n), n)
-    return NilHeckeElement(n, {(exps, g): 1})

@@ -164,9 +164,11 @@ _INT_KINDS = {None: "an int", 0: "a nonnegative int", 1: "a positive int"}
 
 
 def _check_int(x, what, least=None):
-    """Raise ValueError naming x unless it is an int (bool refused) and,
-    for least 0 or 1, at least least: _check_int(-1, "the adjoint power",
-    0) raises "the adjoint power -1 is not a nonnegative int"."""
+    """Return x, raising ValueError naming it unless it is an int (bool
+    refused) and, for least 0 or 1, at least least: _check_int(-1, "the
+    adjoint power", 0) raises "the adjoint power -1 is not a nonnegative
+    int"."""
     if (not isinstance(x, int) or isinstance(x, bool)
             or least is not None and x < least):
         raise ValueError(f"{what} {x!r} is not {_INT_KINDS[least]}")
+    return x

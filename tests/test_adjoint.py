@@ -284,6 +284,15 @@ def test_cyclic_projective_rejects_nonconforming_idempotents(ctx_a2):
             CyclicProjective(ctx_a2, f)
 
 
+@pytest.mark.parametrize("shift", [2.5, 2.0, True, "2"])
+def test_cyclic_projective_refuses_a_shift_that_is_no_int(shift, ctx_a2):
+    """The shift is refused, not truncated: int() made 2.5 a shift of 2
+    and True a shift of 1."""
+    f = KLRElement.idem(ctx_a2, ("i", "j"))
+    with pytest.raises(ValueError, match=f"shift {shift!r} is not an int"):
+        CyclicProjective(ctx_a2, f, shift)
+
+
 def _exp_vectors(weights, total):
     """All nonnegative integer vectors a with sum a_k * weights_k = total,
     in increasing lex order."""

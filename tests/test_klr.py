@@ -16,7 +16,6 @@ from klrcalc import (
     CartanDatum,
     KLRContext,
     KLRElement,
-    NilHeckeElement,
     Perm,
     Poly,
     RootVector,
@@ -27,7 +26,7 @@ from klrcalc import (
     klr_generator,
     klr_multiply,
     klr_multiply_many,
-    nh_multiply,
+    nh_act,
     perm_of_word,
     relation_residues,
     rev,
@@ -259,6 +258,16 @@ def test_generator_refuses_a_root_vector(ctx_a2):
     them."""
     with pytest.raises(TypeError):
         klr_generator(ctx_a2, "x", 1, RootVector({"i": 1, "j": 1}))
+
+
+@pytest.mark.parametrize("index", [1.7, 1.0, True])
+def test_generator_refuses_a_strand_index_that_is_no_int(index, ctx_a2):
+    """The strand index is refused, not truncated: int() made 1.7 the index
+    of tau_1 and True that of x_1."""
+    for kind in ("x", "tau"):
+        with pytest.raises(ValueError,
+                           match=f"strand index {index!r} is not an int"):
+            klr_generator(ctx_a2, kind, index, [("i", "j")])
 
 
 @pytest.mark.parametrize("make", UNKNOWN_COLOUR_ELEMENTS.values(),
@@ -1493,31 +1502,34 @@ def test_tau_w0_on_six_strands_matches_bfs_oracle(monkeypatch):
 
 
 def test_one_colour_products_match_nil_hecke():
-    """On strands of one colour the KLR engine and the nil Hecke engine
-    are independent implementations of the same algebra, under
-    x^a tau_w 1_(i^n) -> x^a tau_w."""
+    """On strands of one colour the KLR algebra is the nil Hecke algebra,
+    whose polynomial action (nh_act) is faithful and reads PBW keys only.
+    Each seeded product acts as its two factors do, one after the other, on
+    every Artin monomial x^b (b_t <= t - 1).  Those monomials span Pol_n
+    over the symmetric polynomials, over which the action is linear, so
+    the check decides the product."""
     rng = random.Random(41)
     for dot, colour in ((A2_DOT, "i"), (G2_DOT, "j")):
         ctx = KLRContext(make_cartan(dot))
         for n in range(1, 5):
             nu = (colour,) * n
-            perms = list(all_perms(n))
+            words = [canonical_word(g) for g in all_perms(n)]
+            artin = [Poly(n, {b: 1}) for b in
+                     itertools.product(*(range(t) for t in range(1, n + 1)))]
+            assert len(artin) == math.factorial(n)
             for _ in range(40):
                 pair = []
                 for _ in range(2):
                     terms = {}
                     for _ in range(rng.randint(1, 3)):
                         a = tuple(rng.randint(0, 2) for _ in range(n))
-                        terms[a, rng.choice(perms)] = rng.randint(-3, 3)
-                    pair.append(terms)
-                klr = [KLRElement(ctx, n, {(nu, canonical_word(g), a): c
-                                           for (a, g), c in t.items()})
-                       for t in pair]
-                nh = [NilHeckeElement(n, t) for t in pair]
-                prod = klr_multiply(*klr)
-                assert {(a, perm_of_word(w, n)): c
-                        for (_, w, a), c in prod.terms.items()} == \
-                    nh_multiply(*nh).terms
+                        terms[nu, rng.choice(words), a] = rng.randint(-3, 3)
+                    pair.append(KLRElement(ctx, n, terms))
+                u, v = pair
+                prod = klr_multiply(u, v)
+                for b in artin:
+                    assert nh_act(prod, b) == nh_act(u, nh_act(v, b)), \
+                        (dot, u, v, b)
 
 
 # -- coefficients: int when integral, Fraction from a rational unit ------
